@@ -17,7 +17,7 @@ from .partitions import (
     SIGN_LETTER,
     FrobeniusSymbol,
     ParityBlocks,
-    split_parity_runs,
+    parity_blocks,
 )
 from .posets import Composition, PosetPartition, build_s_beta
 from .qseries import MINUS, PLUS, check_sign
@@ -58,13 +58,8 @@ class FrobeniusArray:
     def weight(self) -> int:
         return sum(self.top) + sum(self.bottom)
 
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(x - y for x, y in zip(self.top, self.bottom))
-
     def blocks(self) -> ParityBlocks:
-        ranks = self.ranks()
-        sizes, signs = split_parity_runs(ranks)
-        return ParityBlocks(sizes, signs, ranks)
+        return parity_blocks(self)
 
     def to_json_dict(self) -> dict:
         return {"top": list(self.top), "bottom": list(self.bottom)}
@@ -89,13 +84,17 @@ def array_to_symbol(a: FrobeniusArray) -> FrobeniusSymbol:
 
 
 def sign_of_last_block(f) -> str:
-    """'plus' or 'minus' according to the sign of the final parity block."""
-    if isinstance(f, FrobeniusArray):
-        letter = f.blocks().last_sign
-    else:
-        _, signs = split_parity_runs(tuple(x - y for x, y in zip(f.top, f.bottom)))
-        letter = signs[-1]
-    return PLUS if letter == POSITIVE else MINUS
+    """'plus' or 'minus' according to the sign of the final parity block of a
+    symbol or an array (both have the same column ranks)."""
+    return PLUS if parity_blocks(f).last_sign == POSITIVE else MINUS
+
+
+def _resolve_sign(f: FrobeniusSymbol, sign: str | None) -> str:
+    # The sign, when supplied, must match the symbol's last parity block.
+    inferred = sign_of_last_block(f)
+    if sign is not None and check_sign(sign) != inferred:
+        raise ValueError(f"symbol's last block is {inferred}, not {sign}")
+    return inferred
 
 
 def _expected_signs(m: int, sign: str) -> tuple[str, ...]:
@@ -228,21 +227,13 @@ def pi_to_lambda(p: PosetPartition, sign: str) -> FrobeniusSymbol:
 def lambda_to_pi(f: FrobeniusSymbol, sign: str | None = None) -> PosetPartition:
     """Full forward chain.  The sign, when supplied, must match the symbol's
     last parity block."""
-    inferred = sign_of_last_block(f)
-    if sign is None:
-        sign = inferred
-    elif check_sign(sign) != inferred:
-        raise ValueError(f"symbol's last block is {inferred}, not {sign}")
+    sign = _resolve_sign(f, sign)
     return gamma_to_pi(array_to_gamma(symbol_to_array(f)), sign)
 
 
 def bijection_trace(f: FrobeniusSymbol, sign: str | None = None) -> list[dict]:
     """JSON-friendly stage-by-stage record of the forward chain."""
-    inferred = sign_of_last_block(f)
-    if sign is None:
-        sign = inferred
-    elif check_sign(sign) != inferred:
-        raise ValueError(f"symbol's last block is {inferred}, not {sign}")
+    sign = _resolve_sign(f, sign)
     array = symbol_to_array(f)
     blocks = array.blocks()
     hat_top, hat_bottom = flipped_rows(array)

@@ -9,9 +9,7 @@ are documented in each subcommand's --help.
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from . import verify
 from .bijections import bijection_trace, pi_to_lambda
@@ -20,7 +18,7 @@ from .partitions import (
     count_by_blocks,
     count_by_columns,
     count_exact,
-    iter_frobenius_symbols,
+    iter_symbols_in_class,
     parity_blocks,
 )
 from .posets import PosetPartition, build_s_beta
@@ -34,25 +32,7 @@ from .qseries import (
 )
 
 
-@dataclass
-class CliConfig:
-    """Defaults for every command; flags override, nothing else does (except an
-    optional parallelism override via the RANKBLOCKS_JOBS variable)."""
-
-    precision: int = 40
-    max_n: int = 30
-    max_d: int = 5
-    max_m: int = 5
-    max_s: int = 6
-    output: str = "text"
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.precision < 1 or min(self.max_n, self.max_d, self.max_m, self.max_s) < 1:
-            raise ValueError("precision and grid bounds must be >= 1")
-
-
-DEFAULTS = CliConfig()
+DEFAULT_PRECISION = 40
 
 
 def _render_symbol(f: FrobeniusSymbol) -> str:
@@ -126,12 +106,7 @@ def _cmd_count(args, parser):
 
 
 def _cmd_list(args, parser):
-    wanted = "P" if args.sign == "plus" else "N"
-    symbols = []
-    for f in iter_frobenius_symbols(args.n, args.d):
-        pb = parity_blocks(f)
-        if pb.m == args.m and pb.last_sign == wanted:
-            symbols.append((f, pb))
+    symbols = list(iter_symbols_in_class(args.n, args.d, args.m, args.sign))
     payload = [dict(f.to_json_dict(), blocks=pb.to_json_dict()) for f, pb in symbols]
     text = [_render_symbol(f) for f, _ in symbols]
     if args.format == "json":
@@ -175,28 +150,25 @@ def _cmd_biject(args, parser):
 
 def _cmd_series(args, parser):
     target = args.target
-    precision = args.precision
+    precision = DEFAULT_PRECISION if args.precision is None else args.precision
     if target == "thm-main":
         if args.d is None or args.m is None:
             parser.error("target 'thm-main' needs --d and --m")
-        series = series_exact(args.d, args.m, args.sign,
-                              precision if precision is not None else DEFAULTS.precision)
+        series = series_exact(args.d, args.m, args.sign, precision)
     elif target == "thm-1.2":
         if args.m is None:
             parser.error("target 'thm-1.2' needs --m")
-        series = series_by_blocks(args.m, args.sign,
-                                  precision if precision is not None else DEFAULTS.precision)
+        series = series_by_blocks(args.m, args.sign, precision)
     elif target == "thm-1.4":
         if args.d is None:
             parser.error("target 'thm-1.4' needs --d")
-        series = series_by_columns(args.d, args.sign,
-                                   precision if precision is not None else DEFAULTS.precision)
+        series = series_by_columns(args.d, args.sign, precision)
     elif target == "euler-inverse":
-        series = euler_inverse(precision if precision is not None else DEFAULTS.precision)
-    else:  # qbinomial
+        series = euler_inverse(precision)
+    else:  # qbinomial: without --precision, the polynomial's own degree
         if args.n is None or args.k is None:
             parser.error("target 'qbinomial' needs --n and --k")
-        series = qbinomial(args.n, args.k, precision)
+        series = qbinomial(args.n, args.k, args.precision)
     payload = series.to_json_dict()
     _emit(args, payload, [",".join(str(c) for c in series.coeffs)],
           [("exponent", "coefficient")] + [(k, c) for k, c in enumerate(series.coeffs)])
@@ -204,31 +176,19 @@ def _cmd_series(args, parser):
 
 
 def _cmd_verify(args, parser):
-    wanted = []
-    for chunk in args.targets:
-        wanted.extend(t for t in chunk.split(",") if t)
+    wanted = [t for chunk in args.targets for t in chunk.split(",") if t]
+    names = verify.target_names(wanted or "all")
     overrides = {k: getattr(args, k) for k in ("d", "m", "s", "t", "r", "sign")
                  if getattr(args, k) is not None}
-    config_kwargs = {}
-    if args.precision is not None:
-        config_kwargs["precision"] = args.precision
-    if args.max_d is not None:
-        config_kwargs["max_d"] = args.max_d
-        config_kwargs["relations_max_d"] = min(args.max_d, 4)
-    if args.max_m is not None:
-        config_kwargs["max_m"] = args.max_m
-    if args.max_s is not None:
-        config_kwargs["max_s"] = args.max_s
-    if args.max_n is not None:
-        config_kwargs["prefix_precision"] = args.max_n
-        config_kwargs["relations_precision"] = args.max_n
-        config_kwargs["unity_precision"] = args.max_n
-    config = verify.GridConfig(**config_kwargs)
-    jobs = args.jobs or int(os.environ.get("RANKBLOCKS_JOBS", "1"))
-    try:
-        reports = verify.run_reports(wanted or "all", config, overrides, jobs=jobs)
-    except ValueError as exc:
-        parser.error(str(exc))
+    bounds = {k: getattr(args, k) for k in verify.BOUND_FIELDS if getattr(args, k) is not None}
+    for flag in [*overrides, *bounds]:
+        ignoring = [name for name in names if flag not in verify.SPECS[name].honours]
+        if ignoring:
+            parser.error(f"--{flag.replace('_', '-')} is not honoured by "
+                         f"{', '.join(ignoring)}")
+    config = verify.GridConfig(**{field: value for flag, value in bounds.items()
+                                  for field in verify.BOUND_FIELDS[flag]})
+    reports = verify.run_reports(names, config, overrides)
     failures = 0
     for report in reports:
         print(json.dumps(report.to_json_dict()))
@@ -256,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "json", "csv"),
-                       default=DEFAULTS.output, help="output format")
+                       default="text", help="output format")
 
     p_count = sub.add_parser("count", help="count partitions by columns/blocks/sign")
     p_count.add_argument("--n", type=int, required=True)
@@ -315,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--t", type=int)
     p_verify.add_argument("--r", type=int)
     p_verify.add_argument("--sign", choices=SIGNS)
-    p_verify.add_argument("--jobs", type=int, default=None,
-                          help="parallel target sweeps (default 1; results are "
-                               "emitted in canonical order either way)")
     return parser
 
 

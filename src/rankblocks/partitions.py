@@ -274,6 +274,16 @@ def iter_frobenius_symbols(n: int, d: int):
             yield FrobeniusSymbol(top, bottom)
 
 
+def iter_symbols_in_class(n: int, d: int, m: int, sign: str):
+    """The symbols of size n with d columns and m parity blocks, the last block
+    of the given sign, each paired with its parity blocks."""
+    letter = SIGN_LETTER[check_sign(sign)]
+    for f in iter_frobenius_symbols(n, d):
+        blocks = parity_blocks(f)
+        if blocks.m == m and blocks.last_sign == letter:
+            yield f, blocks
+
+
 # ----------------------------------------------------------------------
 # brute-force counts
 # ----------------------------------------------------------------------
@@ -335,16 +345,6 @@ def count_all_columns(n: int, d: int) -> int:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _sign_word_census(n: int) -> tuple[tuple[str, int], ...]:
-    """Multiplicities of parity-block sign words over all partitions of n."""
-    counts: dict[str, int] = {}
-    for p in enumerate_partitions(n):
-        word = parity_blocks(to_frobenius(p)).sign_word
-        counts[word] = counts.get(word, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def alternating_sign_word(length: int, last: str) -> str:
     """The alternating P/N word of the given length ending with the given letter."""
     if length < 1:
@@ -370,4 +370,7 @@ def count_prefix_pattern(n: int, pattern) -> int:
             raise ValueError(f"pattern must alternate in sign, got {word!r}")
     if n < 1:
         return 0
-    return sum(c for w, c in _sign_word_census(n) if w.startswith(word))
+    # Blocks alternate, so (m, last sign) fixes the whole sign word.
+    return sum(c for d in range(1, isqrt(n) + 1)
+               for (m, last), c in _block_census(n, d).items()
+               if alternating_sign_word(m, last).startswith(word))

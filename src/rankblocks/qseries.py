@@ -422,10 +422,10 @@ def block_count_formula(n: int, m: int, sign: str) -> int:
     return total if m % 2 == 1 else -total
 
 
-def qbinomial_column_sum_check(d: int) -> bool:
-    """Exact polynomial check of the signed Gaussian-binomial column sum.
+def qbinomial_column_sum_sides(d: int) -> tuple[QSeries, QSeries]:
+    """Both sides of the signed Gaussian-binomial column sum.
 
-    Both sides are multiplied by ``(1 + q^d)`` so the comparison stays between
+    Both are multiplied by ``(1 + q^d)`` so the comparison stays between
     polynomials; the working precision sits safely above both degrees.
     """
     if d < 1:
@@ -439,4 +439,10 @@ def qbinomial_column_sum_check(d: int) -> bool:
         term = term * (one - QSeries.monomial(m, precision))
         term = term * qbinomial(2 * d, d + m, precision)
         lhs = lhs + term
-    return lhs * (one + q_d) == (one - q_d) * qbinomial(2 * d, d, precision)
+    return lhs * (one + q_d), (one - q_d) * qbinomial(2 * d, d, precision)
+
+
+def qbinomial_column_sum_check(d: int) -> bool:
+    """Exact polynomial check of the signed Gaussian-binomial column sum."""
+    lhs, rhs = qbinomial_column_sum_sides(d)
+    return lhs == rhs

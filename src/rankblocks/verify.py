@@ -5,13 +5,18 @@ enumeration side never touches the closed-form series and vice versa) and
 reports per-coefficient agreement.  On failure the report carries the first
 discrepant exponent plus up to five witness objects from the enumeration side
 at that weight.
+
+Every target is one entry of :data:`SPECS`: a check, the grid axes it sweeps,
+the constraint on a grid point, and the command-line overrides it honours.
 """
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from math import isqrt
+from typing import Callable
 
 from .lattice_paths import (
     enumerate_exact_marks,
@@ -33,6 +38,7 @@ from .partitions import (
     count_prefix_pattern,
     enumerate_partitions,
     iter_frobenius_symbols,
+    iter_symbols_in_class,
     parity_blocks,
     to_frobenius,
 )
@@ -58,6 +64,7 @@ from .qseries import (
     pentagonal_kernel,
     pochhammer,
     qbinomial,
+    qbinomial_column_sum_sides,
     series_by_blocks,
     series_by_columns,
     series_exact,
@@ -112,6 +119,16 @@ class GridConfig:
     column_sum_max_d: int = 10
 
 
+# The GridConfig fields that each command-line bound sets.
+BOUND_FIELDS = {
+    "precision": ("precision",),
+    "max_n": ("prefix_precision", "relations_precision", "unity_precision"),
+    "max_d": ("max_d", "relations_max_d"),
+    "max_m": ("max_m",),
+    "max_s": ("max_s",),
+}
+
+
 def _report(target, parameters, started, discrepancy=None, witnesses=None):
     elapsed = time.perf_counter() - started
     if discrepancy is None:
@@ -121,29 +138,22 @@ def _report(target, parameters, started, discrepancy=None, witnesses=None):
 
 
 def _take(iterable, k=5):
-    out = []
-    for item in iterable:
-        out.append(item)
-        if len(out) == k:
-            break
-    return out
+    return list(islice(iterable, k))
+
+
+def _first_discrepancy(lhs, rhs, start=0, **extra):
+    """The first exponent where two equally long coefficient sequences differ,
+    as a discrepancy dict carrying ``extra``, or None.  Entry i of each
+    sequence is the coefficient of q^(start + i); ``lhs`` is the expected side."""
+    for n, (expected, actual) in enumerate(zip(lhs, rhs, strict=True), start):
+        if expected != actual:
+            return {"exponent": n, "expected": expected, "actual": actual, **extra}
+    return None
 
 
 # ----------------------------------------------------------------------
 # series vs brute-force counts
 # ----------------------------------------------------------------------
-
-
-def _witness_symbols(n, d, m, sign):
-    letter = SIGN_LETTER[sign]
-    found = []
-    for f in iter_frobenius_symbols(n, d):
-        pb = parity_blocks(f)
-        if pb.m == m and pb.last_sign == letter:
-            found.append(f.to_json_dict())
-            if len(found) == 5:
-                break
-    return found
 
 
 def verify_exact_series(d, m, sign, precision=40):
@@ -154,14 +164,11 @@ def verify_exact_series(d, m, sign, precision=40):
     started = time.perf_counter()
     params = {"d": d, "m": m, "sign": sign, "precision": precision}
     closed = series_exact(d, m, sign, precision)
-    for n in range(1, precision + 1):
-        expected = count_exact(n, d, m, sign)
-        actual = closed.coefficient(n)
-        if expected != actual:
-            disc = {"exponent": n, "expected": expected, "actual": actual}
-            return _report("thm-main", params, started, disc,
-                           _witness_symbols(n, d, m, sign))
-    return _report("thm-main", params, started)
+    counts = [count_exact(n, d, m, sign) for n in range(1, precision + 1)]
+    disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
+    wits = disc and _take(f.to_json_dict() for f, _ in
+                          iter_symbols_in_class(disc["exponent"], d, m, sign))
+    return _report("thm-main", params, started, disc, wits)
 
 
 def verify_block_series(m, sign, precision=40):
@@ -174,18 +181,16 @@ def verify_block_series(m, sign, precision=40):
     params = {"m": m, "sign": sign, "precision": precision}
     closed = series_by_blocks(m, sign, precision)
     letter = SIGN_LETTER[sign]
-    for n in range(1, precision + 1):
-        expected = count_by_blocks(n, m, sign)
-        for side, actual in (("formula", block_count_formula(n, m, sign)),
-                             ("series", closed.coefficient(n))):
-            if expected != actual:
-                disc = {"exponent": n, "expected": expected, "actual": actual,
-                        "side": side}
-                wits = _take(p.to_json_dict() for p in enumerate_partitions(n)
-                             if (pb := parity_blocks(to_frobenius(p))).m == m
-                             and pb.last_sign == letter)
-                return _report("thm-1.2", params, started, disc, wits)
-    return _report("thm-1.2", params, started)
+    ns = range(1, precision + 1)
+    counts = [count_by_blocks(n, m, sign) for n in ns]
+    discs = [_first_discrepancy(counts, [block_count_formula(n, m, sign) for n in ns],
+                                1, side="formula"),
+             _first_discrepancy(counts, closed.coeffs[1:], 1, side="series")]
+    disc = min(filter(None, discs), key=lambda x: x["exponent"], default=None)
+    wits = disc and _take(p.to_json_dict() for p in enumerate_partitions(disc["exponent"])
+                          if (pb := parity_blocks(to_frobenius(p))).m == m
+                          and pb.last_sign == letter)
+    return _report("thm-1.2", params, started, disc, wits)
 
 
 def verify_column_series(d, sign, precision=40):
@@ -197,15 +202,11 @@ def verify_column_series(d, sign, precision=40):
     params = {"d": d, "sign": sign, "precision": precision}
     closed = series_by_columns(d, sign, precision)
     letter = SIGN_LETTER[sign]
-    for n in range(1, precision + 1):
-        expected = count_by_columns(n, d, sign)
-        actual = closed.coefficient(n)
-        if expected != actual:
-            disc = {"exponent": n, "expected": expected, "actual": actual}
-            wits = _take(f.to_json_dict() for f in iter_frobenius_symbols(n, d)
-                         if parity_blocks(f).last_sign == letter)
-            return _report("thm-1.4", params, started, disc, wits)
-    return _report("thm-1.4", params, started)
+    counts = [count_by_columns(n, d, sign) for n in range(1, precision + 1)]
+    disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
+    wits = disc and _take(f.to_json_dict() for f in iter_frobenius_symbols(disc["exponent"], d)
+                          if parity_blocks(f).last_sign == letter)
+    return _report("thm-1.4", params, started, disc, wits)
 
 
 def verify_euler_expansion(m, precision=40):
@@ -217,47 +218,36 @@ def verify_euler_expansion(m, precision=40):
     started = time.perf_counter()
     params = {"m": m, "precision": precision}
     sign_factor = 1 if m % 2 == 1 else -1
-    for variant in SIGNS:
+
+    def discrepancy(variant):
         lhs = euler_inverse(precision) * pentagonal_kernel(m, variant, precision)
         rhs = QSeries.one(precision)
         for d in range(m, isqrt(precision) + 1):
             rhs = rhs + sign_factor * series_exact(d, m, variant, precision)
-        for n in range(precision + 1):
-            if lhs.coefficient(n) != rhs.coefficient(n):
-                disc = {"exponent": n, "expected": lhs.coefficient(n),
-                        "actual": rhs.coefficient(n), "variant": variant}
-                return _report("cor-1.3", params, started, disc)
-    return _report("cor-1.3", params, started)
+        return _first_discrepancy(lhs.coeffs, rhs.coeffs, variant=variant)
+
+    disc = next(filter(None, map(discrepancy, SIGNS)), None)
+    return _report("cor-1.3", params, started, disc)
 
 
 def verify_qbinomial_column_sum(d):
     """Signed Gaussian-binomial column sum as an exact polynomial identity,
     both sides multiplied by (1 + q^d)."""
-    if d < 1:
-        raise ValueError("d must be positive")
     started = time.perf_counter()
-    params = {"d": d}
-    precision = 2 * d * d + 2 * d
-    one = QSeries.one(precision)
-    q_d = QSeries.monomial(d, precision)
-    lhs = QSeries.zero(precision)
-    for m in range(1, d + 1):
-        term = QSeries.monomial(m * (m - 1) // 2, precision)
-        term = term * (one - QSeries.monomial(m, precision))
-        lhs = lhs + term * qbinomial(2 * d, d + m, precision)
-    lhs = lhs * (one + q_d)
-    rhs = (one - q_d) * qbinomial(2 * d, d, precision)
-    for n in range(precision + 1):
-        if lhs.coefficient(n) != rhs.coefficient(n):
-            disc = {"exponent": n, "expected": lhs.coefficient(n),
-                    "actual": rhs.coefficient(n)}
-            return _report("cor-1.5", params, started, disc)
-    return _report("cor-1.5", params, started)
+    lhs, rhs = qbinomial_column_sum_sides(d)
+    return _report("cor-1.5", {"d": d}, started,
+                   _first_discrepancy(lhs.coeffs, rhs.coeffs))
 
 
 # ----------------------------------------------------------------------
 # marked-path generating functions
 # ----------------------------------------------------------------------
+
+
+def _path_report(target, params, started, objects, lhs, rhs):
+    disc = _first_discrepancy(lhs.coeffs, rhs.coeffs)
+    wits = disc and _take(p.bar_string() for p in objects if vmr(p) == disc["exponent"])
+    return _report(target, params, started, disc, wits)
 
 
 def _compare_path_gf(target, params, started, objects, closed_shift, closed_poly):
@@ -268,13 +258,7 @@ def _compare_path_gf(target, params, started, objects, closed_shift, closed_poly
     lhs = gf_vmr(objects, precision)
     rhs = QSeries.monomial(closed_shift, precision) * QSeries.from_coeffs(
         closed_poly.coeffs, precision)
-    for n in range(precision + 1):
-        if lhs.coefficient(n) != rhs.coefficient(n):
-            disc = {"exponent": n, "expected": lhs.coefficient(n),
-                    "actual": rhs.coefficient(n)}
-            wits = _take(p.bar_string() for p in objects if vmr(p) == n)
-            return _report(target, params, started, disc, wits)
-    return _report(target, params, started)
+    return _path_report(target, params, started, objects, lhs, rhs)
 
 
 def verify_ballot_gf(s, t, r):
@@ -322,13 +306,7 @@ def verify_exact_mark_gf(s, r):
     rhs = QSeries.monomial(shift, precision)
     rhs = rhs * (one - QSeries.monomial(r + 1, precision))
     rhs = rhs * QSeries.from_coeffs(bracket.coeffs, precision)
-    for n in range(precision + 1):
-        if lhs.coefficient(n) != rhs.coefficient(n):
-            disc = {"exponent": n, "expected": lhs.coefficient(n),
-                    "actual": rhs.coefficient(n)}
-            wits = _take(p.bar_string() for p in objects if vmr(p) == n)
-            return _report("cor-2.5", params, started, disc, wits)
-    return _report("cor-2.5", params, started)
+    return _path_report("cor-2.5", params, started, objects, lhs, rhs)
 
 
 # ----------------------------------------------------------------------
@@ -350,13 +328,11 @@ def verify_poset_partition_gf(beta, precision=20):
         if e <= precision:
             maj_counts[e] += 1
     series = series * QSeries(tuple(maj_counts))
-    for n in range(precision + 1):
-        if hist[n] != series.coefficient(n):
-            disc = {"exponent": n, "expected": hist[n], "actual": series.coefficient(n)}
-            wits = _take(p.to_json_dict() for p in iter_poset_partitions(structure, n)
-                         if p.weight == n)
-            return _report("prop-3.9", params, started, disc, wits)
-    return _report("prop-3.9", params, started)
+    disc = _first_discrepancy(hist, series.coeffs)
+    wits = disc and _take(p.to_json_dict() for p in
+                          iter_poset_partitions(structure, disc["exponent"])
+                          if p.weight == disc["exponent"])
+    return _report("prop-3.9", params, started, disc, wits)
 
 
 def verify_word_path_gf(beta):
@@ -380,11 +356,11 @@ def verify_word_path_gf(beta):
     rhs = [0] * (precision + 1)
     for e in path_exps:
         rhs[e] += 1
-    for n in range(precision + 1):
-        if lhs[n] != rhs[n]:
-            disc = {"exponent": n, "expected": lhs[n], "actual": rhs[n]}
-            wits = _take(" ".join(map(str, w.word)) for w in words if maj_word(w) == n)
-            return _report("prop-3.10", params, started, disc, wits)
+    disc = _first_discrepancy(lhs, rhs)
+    if disc:
+        wits = _take(" ".join(map(str, w.word)) for w in words
+                     if maj_word(w) == disc["exponent"])
+        return _report("prop-3.10", params, started, disc, wits)
     images = [word_to_dyck(w) for w in words]
     if len(set(images)) != len(images) or set(images) != set(paths):
         disc = {"exponent": None, "expected": len(paths),
@@ -411,22 +387,40 @@ def verify_prefix_counts(m, precision=30):
         raise ValueError("m must be positive")
     started = time.perf_counter()
     params = {"m": m, "precision": precision}
+    ns = range(1, precision + 1)
     cases = ((NEGATIVE, (3 * m * m - m) // 2), (POSITIVE, (3 * m * m + m) // 2))
     for letter, offset in cases:
-        pattern_short = alternating_sign_word(m, letter)
-        pattern_long = alternating_sign_word(m + 1, letter)
-        for n in range(1, precision + 1):
-            expected = (count_prefix_pattern(n, pattern_short)
-                        + count_prefix_pattern(n, pattern_long))
-            actual = partition_number_or_zero(n - offset)
-            if expected != actual:
-                disc = {"exponent": n, "expected": expected, "actual": actual,
-                        "last_letter": letter}
-                wits = _take(p.to_json_dict() for p in enumerate_partitions(n)
-                             if parity_blocks(to_frobenius(p)).sign_word.startswith(
-                                 (pattern_short, pattern_long)))
-                return _report("thm-5.1", params, started, disc, wits)
+        patterns = (alternating_sign_word(m, letter), alternating_sign_word(m + 1, letter))
+        counts = [sum(count_prefix_pattern(n, pattern) for pattern in patterns) for n in ns]
+        disc = _first_discrepancy(counts, [partition_number_or_zero(n - offset) for n in ns],
+                                  1, last_letter=letter)
+        if disc:
+            wits = _take(p.to_json_dict() for p in enumerate_partitions(disc["exponent"])
+                         if parity_blocks(to_frobenius(p)).sign_word.startswith(patterns))
+            return _report("thm-5.1", params, started, disc, wits)
     return _report("thm-5.1", params, started)
+
+
+def _count_relations(precision, max_m, max_d):
+    # (lhs, rhs, labels) for every instance of the three relations, in order.
+    ns = range(1, precision + 1)
+    for m in range(1, max_m + 1):
+        lo = (3 * m * m - m) // 2
+        hi = (3 * m * m + m) // 2
+        yield ([count_by_blocks(n, m, MINUS) - count_by_blocks(n, m, PLUS) for n in ns],
+               [partition_number_or_zero(n - lo) - partition_number_or_zero(n - hi)
+                for n in ns],
+               {"item": 1, "m": m})
+    for d in range(1, max_d + 1):
+        for m in range(1, d + 1):
+            yield ([count_exact(n, d, m, MINUS) for n in ns],
+                   [count_exact(n + d, d, m, PLUS) for n in ns],
+                   {"item": 2, "d": d, "m": m})
+    for d in range(1, max_d + 1):
+        yield ([count_by_columns(n, d, MINUS) - count_by_columns(n, d, PLUS) for n in ns],
+               [sum(count_all_columns(n - 2 * d * j + 1, d - 1)
+                    for j in range(1, (n + 1) // (2 * d) + 1)) for n in ns],
+               {"item": 3, "d": d})
 
 
 def verify_count_relations(precision=30, max_m=4, max_d=4):
@@ -437,216 +431,118 @@ def verify_count_relations(precision=30, max_m=4, max_d=4):
     narrower."""
     started = time.perf_counter()
     params = {"precision": precision, "max_m": max_m, "max_d": max_d}
-
-    for m in range(1, max_m + 1):
-        lo = (3 * m * m - m) // 2
-        hi = (3 * m * m + m) // 2
-        for n in range(1, precision + 1):
-            expected = count_by_blocks(n, m, MINUS) - count_by_blocks(n, m, PLUS)
-            actual = partition_number_or_zero(n - lo) - partition_number_or_zero(n - hi)
-            if expected != actual:
-                disc = {"item": 1, "exponent": n, "m": m,
-                        "expected": expected, "actual": actual}
-                return _report("remarks", params, started, disc)
-
-    for d in range(1, max_d + 1):
-        for m in range(1, d + 1):
-            for n in range(1, precision + 1):
-                expected = count_exact(n, d, m, MINUS)
-                actual = count_exact(n + d, d, m, PLUS)
-                if expected != actual:
-                    disc = {"item": 2, "exponent": n, "d": d, "m": m,
-                            "expected": expected, "actual": actual}
-                    return _report("remarks", params, started, disc)
-
-    for d in range(1, max_d + 1):
-        for n in range(1, precision + 1):
-            expected = count_by_columns(n, d, MINUS) - count_by_columns(n, d, PLUS)
-            actual = 0
-            j = 1
-            while n - 2 * d * j + 1 >= 0:
-                actual += count_all_columns(n - 2 * d * j + 1, d - 1)
-                j += 1
-            if expected != actual:
-                disc = {"item": 3, "exponent": n, "d": d,
-                        "expected": expected, "actual": actual}
-                return _report("remarks", params, started, disc)
-
-    return _report("remarks", params, started)
+    discs = (_first_discrepancy(lhs, rhs, 1, **labels)
+             for lhs, rhs, labels in _count_relations(precision, max_m, max_d))
+    return _report("remarks", params, started, next(filter(None, discs), None))
 
 
 def verify_partition_unity(precision=30):
     """Every nonempty partition is counted once over all (d, m, sign) classes."""
     started = time.perf_counter()
     params = {"precision": precision}
-    for n in range(1, precision + 1):
-        total = 0
-        for d in range(1, isqrt(n) + 1):
-            for m in range(1, d + 1):
-                for sign in SIGNS:
-                    total += count_exact(n, d, m, sign)
-        if total != partition_number(n):
-            disc = {"exponent": n, "expected": total, "actual": partition_number(n)}
-            return _report("partition-unity", params, started, disc)
-    return _report("partition-unity", params, started)
+    ns = range(1, precision + 1)
+    totals = [sum(count_exact(n, d, m, sign) for d in range(1, isqrt(n) + 1)
+                  for m in range(1, d + 1) for sign in SIGNS) for n in ns]
+    disc = _first_discrepancy(totals, [partition_number(n) for n in ns], 1)
+    return _report("partition-unity", params, started, disc)
 
 
 # ----------------------------------------------------------------------
-# grid sweeps and the target registry
+# the target table and the generic sweep
 # ----------------------------------------------------------------------
 
 
-def _pick(overrides, key):
-    value = (overrides or {}).get(key)
-    return value
+@dataclass(frozen=True)
+class Spec:
+    """One target: its check, the grid axes it sweeps (axis name -> values
+    for a config; a point override of that name replaces the values), the
+    check arguments read from the config, the constraint a grid point must
+    meet, and the command-line bounds (keys of BOUND_FIELDS) it honours."""
+
+    check: Callable
+    axes: dict
+    args: Callable = lambda config: {}
+    where: Callable = lambda point, config: True
+    bounds: tuple = ()
+
+    @property
+    def honours(self) -> frozenset:
+        """Every override name this target takes into account."""
+        return frozenset(self.axes) | frozenset(self.bounds)
 
 
-def _sweep_thm_main(config, overrides):
-    d_fix = _pick(overrides, "d")
-    m_fix = _pick(overrides, "m")
-    sign_fix = _pick(overrides, "sign")
-    if d_fix is not None and m_fix is not None and m_fix > d_fix:
-        raise ValueError(f"m={m_fix} exceeds d={d_fix}")
-    reports = []
-    for d in ([d_fix] if d_fix is not None else range(1, config.max_d + 1)):
-        ms = [m_fix] if m_fix is not None else range(1, min(d, config.max_m) + 1)
-        for m in ms:
-            if m > d:
-                continue
-            for sign in ([sign_fix] if sign_fix else SIGNS):
-                reports.append(verify_exact_series(d, m, sign, config.precision))
-    return reports
+def _upto(bound, start=1):
+    return lambda config: range(start, getattr(config, bound) + 1)
 
 
-def _sweep_thm12(config, overrides):
-    m_fix = _pick(overrides, "m")
-    sign_fix = _pick(overrides, "sign")
-    reports = []
-    for m in ([m_fix] if m_fix is not None else range(1, config.max_m + 1)):
-        for sign in ([sign_fix] if sign_fix else SIGNS):
-            reports.append(verify_block_series(m, sign, config.precision))
-    return reports
+def _compositions_upto(bound):
+    return lambda config: [beta for d in range(1, getattr(config, bound) + 1)
+                           for beta in compositions(d)]
 
 
-def _sweep_thm14(config, overrides):
-    d_fix = _pick(overrides, "d")
-    sign_fix = _pick(overrides, "sign")
-    reports = []
-    for d in ([d_fix] if d_fix is not None else range(1, config.max_d + 1)):
-        for sign in ([sign_fix] if sign_fix else SIGNS):
-            reports.append(verify_column_series(d, sign, config.precision))
-    return reports
+def _precision(config):
+    return {"precision": config.precision}
 
 
-def _sweep_cor13(config, overrides):
-    m_fix = _pick(overrides, "m")
-    return [verify_euler_expansion(m, config.precision)
-            for m in ([m_fix] if m_fix is not None else range(1, config.max_m + 1))]
-
-
-def _sweep_cor15(config, overrides):
-    d_fix = _pick(overrides, "d")
-    return [verify_qbinomial_column_sum(d)
-            for d in ([d_fix] if d_fix is not None
-                      else range(1, config.column_sum_max_d + 1))]
-
-
-def _sweep_lemma22(config, overrides):
-    s_fix = _pick(overrides, "s")
-    t_fix = _pick(overrides, "t")
-    r_fix = _pick(overrides, "r")
-    if s_fix is not None and t_fix is not None and not s_fix > t_fix:
-        raise ValueError(f"need s > t, got s={s_fix}, t={t_fix}")
-    pairs = []
-    for s in range(1, config.max_path_length + 1):
-        for t in range(0, s):
-            if s + t > config.max_path_length:
-                continue
-            if s_fix is not None and s != s_fix:
-                continue
-            if t_fix is not None and t != t_fix:
-                continue
-            pairs.append((s, t))
-    reports = []
-    for s, t in pairs:
-        for r in ([r_fix] if r_fix is not None else range(config.max_r + 1)):
-            reports.append(verify_ballot_gf(s, t, r))
-    return reports
-
-
-def _sweep_lemma24(config, overrides):
-    s_fix = _pick(overrides, "s")
-    r_fix = _pick(overrides, "r")
-    reports = []
-    for s in ([s_fix] if s_fix is not None else range(1, config.max_s + 1)):
-        for r in ([r_fix] if r_fix is not None else range(config.max_r + 1)):
-            reports.append(verify_dyck_gf(s, r))
-    return reports
-
-
-def _sweep_cor25(config, overrides):
-    s_fix = _pick(overrides, "s")
-    r_fix = _pick(overrides, "r")
-    reports = []
-    for s in ([s_fix] if s_fix is not None else range(1, config.max_s + 1)):
-        for r in ([r_fix] if r_fix is not None else range(config.max_r + 1)):
-            reports.append(verify_exact_mark_gf(s, r))
-    return reports
-
-
-def _sweep_prop39(config, overrides):
-    reports = []
-    for d in range(1, config.pp_max_d + 1):
-        for beta in compositions(d):
-            reports.append(verify_poset_partition_gf(beta, config.pp_precision))
-    return reports
-
-
-def _sweep_prop310(config, overrides):
-    reports = []
-    for d in range(1, config.word_path_max_d + 1):
-        for beta in compositions(d):
-            reports.append(verify_word_path_gf(beta))
-    return reports
-
-
-def _sweep_thm51(config, overrides):
-    m_fix = _pick(overrides, "m")
-    return [verify_prefix_counts(m, config.prefix_precision)
-            for m in ([m_fix] if m_fix is not None
-                      else range(1, config.prefix_max_m + 1))]
-
-
-def _sweep_remarks(config, overrides):
-    return [verify_count_relations(config.relations_precision,
-                                   config.relations_max_m, config.relations_max_d)]
-
-
-def _sweep_unity(config, overrides):
-    return [verify_partition_unity(config.unity_precision)]
-
-
-TARGETS = {
-    "thm-main": _sweep_thm_main,
-    "thm-1.2": _sweep_thm12,
-    "thm-1.4": _sweep_thm14,
-    "cor-1.3": _sweep_cor13,
-    "cor-1.5": _sweep_cor15,
-    "lemma-2.2": _sweep_lemma22,
-    "lemma-2.4": _sweep_lemma24,
-    "cor-2.5": _sweep_cor25,
-    "prop-3.9": _sweep_prop39,
-    "prop-3.10": _sweep_prop310,
-    "thm-5.1": _sweep_thm51,
-    "remarks": _sweep_remarks,
-    "partition-unity": _sweep_unity,
+SPECS = {
+    "thm-main": Spec(verify_exact_series,
+                     {"d": _upto("max_d"), "m": _upto("max_m"), "sign": lambda c: SIGNS},
+                     _precision, lambda p, c: p["m"] <= p["d"],
+                     ("precision", "max_d", "max_m")),
+    "thm-1.2": Spec(verify_block_series, {"m": _upto("max_m"), "sign": lambda c: SIGNS},
+                    _precision, bounds=("precision", "max_m")),
+    "thm-1.4": Spec(verify_column_series, {"d": _upto("max_d"), "sign": lambda c: SIGNS},
+                    _precision, bounds=("precision", "max_d")),
+    "cor-1.3": Spec(verify_euler_expansion, {"m": _upto("max_m")},
+                    _precision, bounds=("precision", "max_m")),
+    "cor-1.5": Spec(verify_qbinomial_column_sum, {"d": _upto("column_sum_max_d")}),
+    "lemma-2.2": Spec(verify_ballot_gf,
+                      {"s": _upto("max_path_length"), "t": _upto("max_path_length", 0),
+                       "r": _upto("max_r", 0)},
+                      where=lambda p, c: p["t"] < p["s"]
+                      and p["s"] + p["t"] <= c.max_path_length),
+    "lemma-2.4": Spec(verify_dyck_gf, {"s": _upto("max_s"), "r": _upto("max_r", 0)},
+                      bounds=("max_s",)),
+    "cor-2.5": Spec(verify_exact_mark_gf, {"s": _upto("max_s"), "r": _upto("max_r", 0)},
+                    bounds=("max_s",)),
+    "prop-3.9": Spec(verify_poset_partition_gf, {"beta": _compositions_upto("pp_max_d")},
+                     lambda c: {"precision": c.pp_precision}),
+    "prop-3.10": Spec(verify_word_path_gf, {"beta": _compositions_upto("word_path_max_d")}),
+    "thm-5.1": Spec(verify_prefix_counts, {"m": _upto("prefix_max_m")},
+                    lambda c: {"precision": c.prefix_precision}, bounds=("max_n",)),
+    "remarks": Spec(verify_count_relations, {},
+                    lambda c: {"precision": c.relations_precision,
+                               "max_m": c.relations_max_m, "max_d": c.relations_max_d},
+                    bounds=("max_n", "max_d")),
+    "partition-unity": Spec(verify_partition_unity, {},
+                            lambda c: {"precision": c.unity_precision}, bounds=("max_n",)),
 }
 
 
-def run_reports(targets="all", config=None, overrides=None, jobs=1):
-    """Run the requested verification targets and return the reports in
-    canonical (target, parameters) order regardless of scheduling."""
-    config = config or GridConfig()
+def grid_points(name, config, overrides=None):
+    """The keyword arguments of every check the target runs, in sweep order."""
+    spec = SPECS[name]
+    overrides = overrides or {}
+    points = [{}]
+    for axis, values in spec.axes.items():
+        chosen = values(config) if overrides.get(axis) is None else [overrides[axis]]
+        points = [{**p, axis: v} for p in points for v in chosen]
+    args = spec.args(config)
+    return [{**p, **args} for p in points if spec.where(p, config)]
+
+
+def _sweep(name, config, overrides=None):
+    points = grid_points(name, config, overrides)
+    if not points:
+        raise ValueError(f"{name} has no grid point under overrides {overrides or {}}")
+    return [SPECS[name].check(**point) for point in points]
+
+
+TARGETS = {name: partial(_sweep, name) for name in SPECS}
+
+
+def target_names(targets="all") -> list:
+    """Expand 'all' and reject unknown target names."""
     if isinstance(targets, str):
         targets = [targets]
     names = list(TARGETS) if "all" in targets else list(targets)
@@ -654,11 +550,13 @@ def run_reports(targets="all", config=None, overrides=None, jobs=1):
     if unknown:
         raise ValueError(f"unknown verification targets: {unknown}; "
                          f"known: {sorted(TARGETS)}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda n: TARGETS[n](config, overrides), names))
-    else:
-        chunks = [TARGETS[n](config, overrides) for n in names]
-    reports = [r for chunk in chunks for r in chunk]
+    return names
+
+
+def run_reports(targets="all", config=None, overrides=None):
+    """Run the requested verification targets and return the reports in
+    canonical (target, parameters) order."""
+    config = config or GridConfig()
+    reports = [r for name in target_names(targets) for r in TARGETS[name](config, overrides)]
     reports.sort(key=lambda r: (r.target, json.dumps(r.parameters, sort_keys=True)))
     return reports

@@ -1,6 +1,8 @@
 """The command-line surface: outputs, formats, exit codes."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -184,16 +186,38 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert summary["summary"]["failed"] == 1
 
 
-def test_verify_output_stable_across_jobs(capsys):
-    args = ["verify", "--targets", "thm-1.4", "--precision", "15", "--max-d", "2"]
-    code1, out1, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args, "--jobs", "2")
-    assert code1 == code2 == 0
+@pytest.mark.parametrize("argv, message", [
+    (["--targets", "prop-3.9", "--d", "2"], "--d is not honoured by prop-3.9"),
+    (["--targets", "cor-1.5", "--precision", "50"],
+     "--precision is not honoured by cor-1.5"),
+    (["--targets", "thm-main,lemma-2.2,thm-1.4", "--m", "2"],
+     "--m is not honoured by lemma-2.2, thm-1.4"),
+    (["--jobs", "2"], "unrecognized arguments: --jobs 2"),
+])
+def test_verify_rejects_unhonoured_flags(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].endswith(message)
 
-    def strip(text):
-        rows = [json.loads(line) for line in text.strip().splitlines()]
-        for row in rows:
-            row.pop("elapsed", None)
-        return rows
 
-    assert strip(out1) == strip(out2)
+def test_verify_override_outside_grid_is_usage_error(capsys):
+    # m=6 exceeds every d <= max_d, so no thm-main check would run
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--targets", "thm-main", "--m", "6"])
+    assert exc.value.code == 2
+
+
+# SHA-256 of `rankblocks verify --targets all` stdout with every "elapsed"
+# field removed: 495 passing reports and the summary line.
+DEFAULT_SWEEP_DIGEST = "5acf3b2b322e6db4c78c2398869c795fce9a4da8b09c67d8f210a2749327dccc"
+
+
+def test_verify_default_sweep_output_is_pinned(capsys):
+    code, out, err = run_cli(capsys, "verify", "--targets", "all")
+    assert code == 0
+    assert err.strip() == "verify: 495/495 checks passed"
+    assert len(out.splitlines()) == 496
+    stripped = re.sub(r', "elapsed": -?[0-9.eE+-]+', "", out)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == DEFAULT_SWEEP_DIGEST

@@ -1,5 +1,6 @@
 """Partitions, Frobenius symbols, parity blocks, brute-force counts."""
 
+from collections import Counter
 from itertools import combinations
 from math import isqrt
 
@@ -261,6 +262,27 @@ def test_prefix_n_counts_shifted_partitions():
 def test_prefix_empty_pattern():
     for n in range(1, 16):
         assert count_prefix_pattern(n, "") == partition_number(n)
+
+
+def test_symbol_census_matches_partition_census():
+    # reading each partition's symbol off its Ferrers graph gives the same
+    # multiset as enumerating the symbols column count by column count
+    for n in range(1, 21):
+        from_partitions = Counter(to_frobenius(p) for p in enumerate_partitions(n))
+        direct = Counter(f for d in range(1, isqrt(n) + 1)
+                         for f in iter_frobenius_symbols(n, d))
+        assert from_partitions == direct, n
+
+
+def test_prefix_counts_match_partition_sign_words():
+    # prefix counts project the symbol census; the oracle here builds the
+    # sign words from enumerate_partitions instead
+    patterns = [""] + [alternating_sign_word(k, last) for k in range(1, 5) for last in "PN"]
+    for n in range(1, 26):
+        words = [parity_blocks(to_frobenius(p)).sign_word for p in enumerate_partitions(n)]
+        for pattern in patterns:
+            expected = sum(w.startswith(pattern) for w in words)
+            assert count_prefix_pattern(n, pattern) == expected, (n, pattern)
 
 
 def test_prefix_pattern_validation():

@@ -2,6 +2,7 @@
 determinism, and report structure."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,10 @@ from rankblocks.qseries import (
     series_exact,
 )
 from rankblocks.verify import (
+    BOUND_FIELDS,
+    SPECS,
     GridConfig,
+    grid_points,
     run_reports,
     verify_ballot_gf,
     verify_block_series,
@@ -163,15 +167,13 @@ def _strip_elapsed(report_dict):
     return data
 
 
-def test_run_reports_deterministic_and_parallel_stable():
+def test_run_reports_deterministic_and_ordered():
     config = GridConfig(precision=20, max_d=2, max_m=2)
     first = run_reports(["thm-main", "thm-1.4"], config)
     second = run_reports(["thm-main", "thm-1.4"], config)
-    parallel = run_reports(["thm-main", "thm-1.4"], config, jobs=2)
     a = [_strip_elapsed(r.to_json_dict()) for r in first]
     b = [_strip_elapsed(r.to_json_dict()) for r in second]
-    c = [_strip_elapsed(r.to_json_dict()) for r in parallel]
-    assert a == b == c
+    assert a == b
     ordering = [(r.target, json.dumps(r.parameters, sort_keys=True)) for r in first]
     assert ordering == sorted(ordering)
 
@@ -194,3 +196,21 @@ def test_override_validation():
     with pytest.raises(ValueError):
         run_reports(["thm-main"], GridConfig(precision=10),
                     overrides={"d": 2, "m": 3})
+
+
+def test_spec_honours_exactly_the_bounds_that_move_its_grid():
+    # The table's claim that a target honours a command-line bound must match
+    # what the bound does to the target's grid.
+    base = GridConfig()
+    for name, spec in SPECS.items():
+        for flag, fields in BOUND_FIELDS.items():
+            changed = replace(base, **{f: getattr(base, f) - 1 for f in fields})
+            moved = grid_points(name, changed) != grid_points(name, base)
+            assert moved == (flag in spec.honours), (name, flag)
+
+
+def test_point_overrides_fix_their_axis():
+    points = grid_points("lemma-2.2", GridConfig(), {"t": 3, "r": 0})
+    assert [(p["s"], p["t"], p["r"]) for p in points] == [(s, 3, 0) for s in range(4, 10)]
+    assert grid_points("thm-main", GridConfig(), {"m": 4, "sign": "plus"}) == [
+        {"d": d, "m": 4, "sign": "plus", "precision": 40} for d in (4, 5)]
