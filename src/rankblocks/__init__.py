@@ -1,6 +1,6 @@
 """rankblocks: exact enumeration of integer partitions by successive-rank
 parity blocks, the lattice-path and poset structures behind the counts, and a
-verification suite comparing brute-force enumeration against closed-form
+verification suite comparing the enumeration side against closed-form
 q-series, coefficient by coefficient.
 """
 

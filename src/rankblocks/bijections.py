@@ -86,12 +86,12 @@ def array_to_symbol(a: FrobeniusArray) -> FrobeniusSymbol:
 def sign_of_last_block(f) -> str:
     """'plus' or 'minus' according to the sign of the final parity block of a
     symbol or an array (both have the same column ranks)."""
-    return PLUS if parity_blocks(f).last_sign == POSITIVE else MINUS
+    return _resolve_sign(parity_blocks(f), None)
 
 
-def _resolve_sign(f: FrobeniusSymbol, sign: str | None) -> str:
+def _resolve_sign(blocks: ParityBlocks, sign: str | None) -> str:
     # The sign, when supplied, must match the symbol's last parity block.
-    inferred = sign_of_last_block(f)
+    inferred = PLUS if blocks.last_sign == POSITIVE else MINUS
     if sign is not None and check_sign(sign) != inferred:
         raise ValueError(f"symbol's last block is {inferred}, not {sign}")
     return inferred
@@ -117,19 +117,22 @@ def _flip_negative_blocks(top, bottom, sizes, signs):
     return tuple(new_top), tuple(new_bottom)
 
 
-def flipped_rows(a: FrobeniusArray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The array rows after interchanging top and bottom in each negative block."""
-    blocks = a.blocks()
+def flipped_rows(a: FrobeniusArray, blocks: ParityBlocks | None = None
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The array rows after interchanging top and bottom in each negative block.
+    ``blocks``, when given, must be the array's parity blocks."""
+    blocks = a.blocks() if blocks is None else blocks
     return _flip_negative_blocks(a.top, a.bottom, blocks.sizes, blocks.signs)
 
 
-def array_to_gamma(a: FrobeniusArray) -> PosetPartition:
+def array_to_gamma(a: FrobeniusArray, blocks: ParityBlocks | None = None) -> PosetPartition:
     """Flip the negative blocks, then drop block l's columns into rows l, l+1
-    of the block poset.  The composition is read off the array itself."""
-    blocks = a.blocks()
+    of the block poset.  The composition is read off the array's parity
+    blocks; ``blocks``, when given, must be those blocks."""
+    blocks = a.blocks() if blocks is None else blocks
     beta = Composition(blocks.sizes)
     structure = build_s_beta(beta)
-    hat_top, hat_bottom = _flip_negative_blocks(a.top, a.bottom, blocks.sizes, blocks.signs)
+    hat_top, hat_bottom = flipped_rows(a, blocks)
     values = [0] * structure.size
     sums = beta.partial_sums
     for l in range(1, beta.m + 1):
@@ -227,17 +230,18 @@ def pi_to_lambda(p: PosetPartition, sign: str) -> FrobeniusSymbol:
 def lambda_to_pi(f: FrobeniusSymbol, sign: str | None = None) -> PosetPartition:
     """Full forward chain.  The sign, when supplied, must match the symbol's
     last parity block."""
-    sign = _resolve_sign(f, sign)
-    return gamma_to_pi(array_to_gamma(symbol_to_array(f)), sign)
+    blocks = parity_blocks(f)
+    sign = _resolve_sign(blocks, sign)
+    return gamma_to_pi(array_to_gamma(symbol_to_array(f), blocks), sign)
 
 
 def bijection_trace(f: FrobeniusSymbol, sign: str | None = None) -> list[dict]:
     """JSON-friendly stage-by-stage record of the forward chain."""
-    sign = _resolve_sign(f, sign)
+    blocks = parity_blocks(f)
+    sign = _resolve_sign(blocks, sign)
     array = symbol_to_array(f)
-    blocks = array.blocks()
-    hat_top, hat_bottom = flipped_rows(array)
-    gamma = array_to_gamma(array)
+    hat_top, hat_bottom = flipped_rows(array, blocks)
+    gamma = array_to_gamma(array, blocks)
     pi = gamma_to_pi(gamma, sign)
     return [
         {"stage": "lambda", "top": list(f.top), "bottom": list(f.bottom),

@@ -1,15 +1,17 @@
 """Integer partitions, Frobenius symbols, successive ranks, and parity blocks.
 
-The counting functions here are deliberately brute force: they enumerate
-Frobenius symbols (pairs of strictly decreasing rows) directly and classify
-them column by column.  They serve as the enumeration oracle against which the
-closed-form series of :mod:`rankblocks.qseries` are verified, so they must not
-share any code path with those series.
+The counting functions read one census per column count d, built by a column
+DP over the two rows of a symbol with the staircase removed: one exact pass
+gives the counts for every size up to a bound.  Symbol enumeration stays for
+listing the symbols behind a count, for failure witnesses, for the bijection
+chain, and as the brute-force reference the tests compare the census against.
+Both serve as the enumeration oracle against which the closed-form series of
+:mod:`rankblocks.qseries` are verified, so they must not share any code path
+with those series.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 
 from .qseries import MINUS, PLUS, check_sign
 
@@ -285,19 +287,100 @@ def iter_symbols_in_class(n: int, d: int, m: int, sign: str):
 
 
 # ----------------------------------------------------------------------
-# brute-force counts
+# counts: the column DP
 # ----------------------------------------------------------------------
+#
+# Removing the staircase d-1, ..., 1, 0 from both rows of a d-column symbol of
+# size n leaves two weakly decreasing rows x, y of nonnegative integers with
+# total weight n - d*d; every column keeps its rank x_i - y_i.  The DP places
+# the columns of these rows one at a time, from the last (smallest) to the
+# first, so the first column placed fixes the sign of the last block.  A cell
+# (x, y) stands for the column placed most recently and holds, for every block
+# count, the weight polynomial of the columns placed so far.  The next column
+# (x', y') >= (x, y) extends the current block when it has the same sign and
+# opens a new block otherwise, so it collects the rectangle sums of the
+# same-sign cells and, one block lower, of the opposite-sign cells.  This is
+# the transfer-matrix method (Stanley, Enumerative Combinatorics 1, 4.7).
+#
+# A cell's polynomial in q (weight) and t (blocks - 1) is packed into one
+# integer, the coefficient of q^w t^k in the bit field k*(budget+1) + w.  Every
+# coefficient, of a cell or of a rectangle sum, counts distinct partial rows of
+# weight w <= budget, so none exceeds the number of ways to split the budget
+# into 2d ordered nonnegative parts.  That fixes the field width: no field
+# carries into the next, and adding two cells adds their polynomials.
 
 
-@lru_cache(maxsize=None)
+def _census_table(bound: int, d: int) -> list:
+    """Entry n is the census of size-n symbols with d columns, keyed by
+    (m, last block sign), for every n <= bound."""
+    table = [{} for _ in range(bound + 1)]
+    budget = bound - d * d
+    if budget < 0:
+        return table
+    width = comb(budget + 2 * d - 1, 2 * d - 1).bit_length()
+    slot = width * (budget + 1)
+    # keep[c] keeps the weights 0..c of every block count.
+    keep = [sum(((1 << width * (c + 1)) - 1) << k * slot for k in range(d))
+            for c in range(budget + 1)]
+
+    def next_column(cells, ahead):
+        # The rows of cells for the next column placed: cell (x, y) with
+        # x + y = s, holding only weights that leave room for `ahead` more
+        # columns of weight at least s.  Column sums per sign run down the
+        # rows, and a row sum per sign runs along each row.
+        top = budget // (ahead + 1)
+        pos_cols = [0] * (top + 1)
+        neg_cols = [0] * (top + 1)
+        for x in range(top + 1):
+            old = cells[x] if x < len(cells) else ()
+            pos = neg = 0
+            row = []
+            for y in range(top - x + 1):
+                positive = x > y
+                if y < len(old):
+                    if positive:
+                        pos_cols[y] += old[y]
+                    else:
+                        neg_cols[y] += old[y]
+                pos += pos_cols[y]
+                neg += neg_cols[y]
+                same, other = (pos, neg) if positive else (neg, pos)
+                s = x + y
+                row.append(((same + (other << slot)) & keep[budget - (ahead + 1) * s])
+                           << width * s)
+            yield row
+
+    field = (1 << width) - 1
+    for letter in (POSITIVE, NEGATIVE):
+        # The last column, placed first, carries the sign of the last block.
+        first = letter == POSITIVE
+        top = budget // d
+        rows = ([1 << width * (x + y) if (x > y) == first else 0
+                 for y in range(top - x + 1)] for x in range(top + 1))
+        for ahead in range(d - 2, -1, -1):
+            rows = next_column(list(rows), ahead)
+        # The first column is summed as it streams and never stored.
+        total = sum(sum(row) for row in rows)
+        for k in range(d):
+            for w in range(budget + 1):
+                count = (total >> k * slot + w * width) & field
+                if count:
+                    table[w + d * d][(k + 1, letter)] = count
+    return table
+
+
+# d -> census table; replaced by a longer one when a larger n is asked for.
+_CENSUS: dict[int, list] = {}
+
+
 def _block_census(n: int, d: int) -> dict:
     """Counts of symbols of size n with d columns, keyed by (m, last block sign)."""
-    counts: dict[tuple[int, str], int] = {}
-    for f in iter_frobenius_symbols(n, d):
-        sizes, signs = split_parity_runs(successive_ranks(f))
-        key = (len(sizes), signs[-1])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    table = _CENSUS.get(d, ())
+    if len(table) <= n:
+        # A table costs about the cube of its bound.  Growing by 5/4 keeps an
+        # ascending sweep n = 1..N within a few times the cost of one table.
+        table = _CENSUS[d] = _census_table(max(n, 5 * len(table) // 4), d)
+    return table[n]
 
 
 def count_exact(n: int, d: int, m: int, sign: str) -> int:

@@ -241,22 +241,21 @@ def pochhammer(start_exp: int, count: int, precision: int) -> QSeries:
     return QSeries(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
-def _qbinomial_coeffs(n: int, k: int) -> tuple[int, ...]:
-    # Pascal recurrence: [n,k] = [n-1,k] + q^(n-k) [n-1,k-1]; degree is k*(n-k).
-    if k < 0 or k > n:
-        return (0,)
-    if k == 0 or k == n:
-        return (1,)
-    low = _qbinomial_coeffs(n - 1, k)
-    high = _qbinomial_coeffs(n - 1, k - 1)
-    out = [0] * (k * (n - k) + 1)
-    for i, c in enumerate(low):
-        out[i] += c
-    shift = n - k
-    for i, c in enumerate(high):
-        out[i + shift] += c
-    return tuple(out)
+@lru_cache(maxsize=256)
+def _qbinomial_coeffs(n: int, k: int, top: int) -> tuple[int, ...]:
+    # [n,k] for 0 <= k <= n, truncated at q^top.  Pascal rows
+    # [i,j] = [i-1,j] + q^(i-j) [i-1,j-1] for i = 1..n, updated in place from
+    # the largest j down, over only the j that [n,k] still depends on.
+    rows = [(1,)] + [()] * k
+    for i in range(1, n + 1):
+        for j in range(min(i, k), max(1, k - n + i) - 1, -1):
+            low, high = rows[j], rows[j - 1]
+            out = list(low) + [0] * (min(j * (i - j), top) + 1 - len(low))
+            shift = i - j
+            for e, c in enumerate(high[:max(len(out) - shift, 0)]):
+                out[e + shift] += c
+            rows[j] = out
+    return tuple(rows[k])
 
 
 def qbinomial(n: int, k: int, precision: int | None = None) -> QSeries:
@@ -269,10 +268,15 @@ def qbinomial(n: int, k: int, precision: int | None = None) -> QSeries:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    coeffs = _qbinomial_coeffs(n, k)
+    if precision is not None and precision < 0:
+        raise ValueError("precision must be nonnegative")
+    if not 0 <= k <= n:
+        return QSeries.zero(0 if precision is None else precision)
+    k = min(k, n - k)
+    degree = k * (n - k)
     if precision is None:
-        return QSeries(coeffs)
-    return QSeries.from_coeffs(coeffs, precision)
+        return QSeries(_qbinomial_coeffs(n, k, degree))
+    return QSeries.from_coeffs(_qbinomial_coeffs(n, k, min(precision, degree)), precision)
 
 
 # ----------------------------------------------------------------------

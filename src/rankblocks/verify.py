@@ -152,7 +152,7 @@ def _first_discrepancy(lhs, rhs, start=0, **extra):
 
 
 # ----------------------------------------------------------------------
-# series vs brute-force counts
+# series vs enumerated counts
 # ----------------------------------------------------------------------
 
 

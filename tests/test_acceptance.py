@@ -107,7 +107,7 @@ def test_criterion_05_exact_series_sweep():
     start = time.perf_counter()
     reports = verify_mod.TARGETS["thm-main"](CONFIG, {})
     ok = len(reports) == 30 and all(r.passed for r in reports)
-    _criterion(5, "columns-and-blocks series vs brute force, d<=5, n<=40",
+    _criterion(5, "columns-and-blocks series vs the census, d<=5, n<=40",
                ok, time.perf_counter() - start, 60)
 
 

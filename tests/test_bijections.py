@@ -2,6 +2,7 @@
 
 import pytest
 
+import rankblocks.bijections as bijections_mod
 from rankblocks.bijections import (
     FrobeniusArray,
     array_to_gamma,
@@ -187,3 +188,18 @@ def test_bijection_trace_stage_weights():
     assert [st["weight"] for st in trace] == [150, 86, 86, 86, 65]
     assert trace[0]["sign"] == PLUS
     assert trace[3]["beta"] == [2, 3, 1, 2]
+
+
+def test_forward_chain_reads_parity_blocks_once(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return parity_blocks(f)
+
+    monkeypatch.setattr(bijections_mod, "parity_blocks", counting)
+    pi = lambda_to_pi(PAPER_SYMBOL)
+    assert len(calls) == 1
+    trace = bijection_trace(PAPER_SYMBOL)
+    assert len(calls) == 2
+    assert trace[-1]["rows"] == pi.rows()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
@@ -21,6 +22,15 @@ def test_count_exact(capsys):
                            "--sign", "plus")
     assert code == 0
     assert out.strip() == "3"
+
+
+def test_count_exact_deep_point_within_budget(capsys):
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "count", "--n", "80", "--d", "4", "--m", "2",
+                           "--sign", "plus")
+    assert code == 0
+    assert out.strip() == "666064"
+    assert time.perf_counter() - started < 10.0
 
 
 def test_count_minus_base(capsys):
@@ -129,6 +139,15 @@ def test_series_qbinomial_default_precision(capsys):
     assert out.strip() == "1,1,2,1,1"
 
 
+def test_series_qbinomial_deep_and_truncated(capsys):
+    # j <= min(k, n - k) = 600 leaves every coefficient below q^6 unconstrained,
+    # so they are p(0..5); n = 1200 rows is deeper than the recursion limit.
+    code, out, _ = run_cli(capsys, "series", "--target", "qbinomial", "--n", "1200",
+                           "--k", "600", "--precision", "5")
+    assert code == 0
+    assert out.strip() == "1,1,2,3,5,7"
+
+
 def test_series_precision_zero(capsys):
     code, out, _ = run_cli(capsys, "series", "--target", "euler-inverse",
                            "--precision", "0")
@@ -200,6 +219,23 @@ def test_verify_rejects_unhonoured_flags(capsys, argv, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.strip().splitlines()[-1].endswith(message)
+
+
+@pytest.mark.parametrize("flag, target", [
+    ("--precision", "thm-main"),
+    ("--max-n", "thm-5.1"),
+    ("--max-d", "thm-1.4"),
+    ("--max-m", "thm-1.2"),
+    ("--max-s", "lemma-2.4"),
+])
+def test_verify_rejects_bound_below_one(capsys, flag, target):
+    # a bound of 0 leaves every coefficient range empty, so each check would
+    # pass without comparing anything
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--targets", target, flag, "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].endswith(f"{flag}: must be at least 1, got 0")
 
 
 def test_verify_override_outside_grid_is_usage_error(capsys):

@@ -1,4 +1,4 @@
-"""Partitions, Frobenius symbols, parity blocks, brute-force counts."""
+"""Partitions, Frobenius symbols, parity blocks, and the counts."""
 
 from collections import Counter
 from itertools import combinations
@@ -12,6 +12,7 @@ from rankblocks.partitions import (
     FrobeniusSymbol,
     ParityBlocks,
     Partition,
+    _census_table,
     alternating_sign_word,
     count_all_columns,
     count_by_blocks,
@@ -26,7 +27,13 @@ from rankblocks.partitions import (
     successive_ranks,
     to_frobenius,
 )
-from rankblocks.qseries import MINUS, PLUS, partition_number, partition_number_or_zero
+from rankblocks.qseries import (
+    MINUS,
+    PLUS,
+    partition_number,
+    partition_number_or_zero,
+    series_exact,
+)
 
 partitions_strategy = st.lists(st.integers(1, 12), min_size=1, max_size=8).map(
     lambda xs: Partition(tuple(sorted(xs, reverse=True))))
@@ -183,6 +190,33 @@ def test_count_exact_paper_point():
     assert found == {((3, 2, 1), (5, 1, 0)),
                      ((4, 2, 1), (4, 1, 0)),
                      ((3, 2, 1), (4, 2, 0))}
+
+
+def brute_force_census(n, d):
+    """The reference census: every symbol of size n with d columns, keyed by
+    its number of parity blocks and the sign of its last block."""
+    runs = (split_parity_runs(successive_ranks(f)) for f in iter_frobenius_symbols(n, d))
+    return Counter((len(sizes), signs[-1]) for sizes, signs in runs)
+
+
+def test_column_dp_matches_brute_force():
+    # a table built for a larger bound prunes differently and must agree too
+    for d in range(1, 7):
+        wider = _census_table(57, d)
+        for n in range(1, 41):
+            reference = brute_force_census(n, d)
+            assert wider[n] == reference, (n, d)
+            for m in range(1, d + 2):
+                for sign, letter in ((PLUS, "P"), (MINUS, "N")):
+                    assert count_exact(n, d, m, sign) == reference[(m, letter)], \
+                        (n, d, m, sign)
+            assert count_all_columns(n, d) == sum(reference.values())
+
+
+def test_count_exact_deep_point():
+    # beyond the reach of symbol enumeration; pinned, and checked against the
+    # closed form
+    assert count_exact(80, 4, 2, PLUS) == 666064 == series_exact(4, 2, PLUS, 80).coeffs[80]
 
 
 def test_count_exact_smallest_cases():

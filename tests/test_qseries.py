@@ -218,6 +218,14 @@ def test_qbinomial_symmetry_nonnegativity_total(n):
         assert sum(coeffs) == comb(n, k)
 
 
+def test_qbinomial_truncation_matches_full_polynomial():
+    for n in range(15):
+        for k in range(n + 1):
+            padded = qbinomial(n, k).coeffs + (0,)
+            for precision in range(len(padded)):
+                assert qbinomial(n, k, precision).coeffs == padded[:precision + 1]
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_qbinomial_pascal_both_forms(n):
     # The mirror form q^k [n-1,k] + [n-1,k-1] is independent of the
