@@ -122,8 +122,16 @@ class FrobeniusSymbol:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FrobeniusSymbol":
-        return cls(tuple(int(x) for x in data["top"]),
-                   tuple(int(x) for x in data["bottom"]))
+        """Entries pass through unconverted, so the validator rejects floats,
+        bools and strings instead of silently rounding or parsing them."""
+        rows = []
+        for key in ("top", "bottom"):
+            if key not in data:
+                raise ValueError(f"symbol JSON needs a {key!r} list")
+            if not isinstance(data[key], list):
+                raise ValueError(f"symbol {key!r} must be a list, got {data[key]!r}")
+            rows.append(tuple(data[key]))
+        return cls(*rows)
 
 
 def to_frobenius(p: Partition) -> FrobeniusSymbol:

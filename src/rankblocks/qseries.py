@@ -7,8 +7,10 @@ equality between two series is always a statement about coefficients that were
 actually computed on both sides.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 PLUS = "plus"
 MINUS = "minus"
@@ -139,20 +141,22 @@ class QSeries:
         return QSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
+        """Product truncated at the smaller precision.  The outer loop runs
+        over the nonzero terms of the sparser operand, so a constant times a
+        series costs O(P) and a k-term polynomial times a dense series O(kP)."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         n = min(self.precision, other.precision)
-        a, b = self.coeffs, other.coeffs
+        a = [(i, c) for i, c in enumerate(self.coeffs[: n + 1]) if c]
+        b = [(j, c) for j, c in enumerate(other.coeffs[: n + 1]) if c]
+        if len(b) < len(a):
+            a, b = b, a
+        exponents = [j for j, _ in b]
         out = [0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+        for i, ai in a:
+            for j, bj in islice(b, bisect_right(exponents, n - i)):
+                out[i + j] += ai * bj
         return QSeries(tuple(out))
 
     __rmul__ = __mul__
@@ -336,25 +340,48 @@ def euler_inverse(precision: int) -> QSeries:
 # ----------------------------------------------------------------------
 
 
+def _times_one_minus(c: list, a: int) -> None:
+    """In place: ``c <- c * (1 - q**a)``, truncated at ``q**(len(c) - 1)``.
+    Descending, so each ``c[k - a]`` read is still the old coefficient."""
+    for k in range(len(c) - 1, a - 1, -1):
+        c[k] -= c[k - a]
+
+
+def _over_one_minus(c: list, a: int) -> None:
+    """In place: ``c <- c / (1 - q**a)``, truncated at ``q**(len(c) - 1)``.
+    Ascending, so each ``c[k - a]`` read is already the new coefficient."""
+    for k in range(a, len(c)):
+        c[k] += c[k - a]
+
+
 def series_exact(d: int, m: int, sign: str, precision: int) -> QSeries:
     """Series whose q^n coefficient counts partitions of n with exactly d
     Frobenius columns and m parity blocks, the last block of the given sign.
 
-    Requires ``d >= m >= 1``.  The rational factor (1 - q^m)/(1 - q^d) is
-    evaluated in truncated arithmetic (numerator times inverted denominator);
-    it is not a polynomial in general but the full series is.
+    Requires ``d >= m >= 1``.  The closed form is
+    ``q^shift [2d, d+m]_q (1 - q^m) / ((1 - q^d) (q;q)_{2d})`` with
+    ``shift = d^2 + m(m-1)/2`` (plus ``d`` for the plus sign).  Only the
+    ``top = precision - shift`` coefficients after the shift can be nonzero,
+    so it is evaluated as in-place sweeps over those: the truncated Gaussian
+    binomial, one descending pass for the factor (1 - q^m), and one ascending
+    pass for each denominator factor (1 - q^d), (1 - q^1), ..., (1 - q^{2d}).
+    That costs O(d * top) instead of the O(precision^2) of a generic
+    :meth:`QSeries.invert_unit` and full-width multiplies.
     """
     check_sign(sign)
     if not d >= m >= 1:
         raise ValueError(f"need d >= m >= 1, got d={d}, m={m}")
+    if precision < 0:
+        raise ValueError("precision must be nonnegative")
     shift = d * d + m * (m - 1) // 2 + (d if sign == PLUS else 0)
-    one = QSeries.one(precision)
-    out = QSeries.monomial(shift, precision)
-    out = out * pochhammer(1, 2 * d, precision).invert_unit()
-    out = out * (one - QSeries.monomial(m, precision))
-    out = out * (one - QSeries.monomial(d, precision)).invert_unit()
-    out = out * qbinomial(2 * d, d + m, precision)
-    return out
+    top = precision - shift
+    if top < 0:
+        return QSeries.zero(precision)
+    c = list(qbinomial(2 * d, d + m, top).coeffs)
+    _times_one_minus(c, m)
+    for a in (d, *range(1, 2 * d + 1)):
+        _over_one_minus(c, a)
+    return QSeries((0,) * shift + tuple(c))
 
 
 def pentagonal_kernel(m: int, sign: str, precision: int) -> QSeries:
@@ -392,14 +419,31 @@ def series_by_blocks(m: int, sign: str, precision: int) -> QSeries:
 
 def series_by_columns(d: int, sign: str, precision: int) -> QSeries:
     """Series counting partitions of n with exactly d Frobenius columns, any
-    number of parity blocks, the last block of the given sign."""
+    number of parity blocks, the last block of the given sign.
+
+    The closed form is ``q^shift / ((q;q)_d^2 (1 + q^d))`` with
+    ``shift = d^2`` (plus ``d`` for the plus sign).  Like :func:`series_exact`
+    it is evaluated by in-place sweeps over the ``precision - shift``
+    coefficients after the shift: starting from 1, two ascending passes for
+    each (1 - q^j), j = 1..d, then one ascending ``c[k] -= c[k - d]`` pass
+    for (1 + q^d), with no call to :meth:`QSeries.invert_unit`.
+    """
     check_sign(sign)
     if d < 1:
         raise ValueError("d must be positive")
+    if precision < 0:
+        raise ValueError("precision must be nonnegative")
     shift = d * d + (d if sign == PLUS else 0)
-    poch = pochhammer(1, d, precision)
-    one_plus = QSeries.one(precision) + QSeries.monomial(d, precision)
-    return QSeries.monomial(shift, precision) * (poch * poch).invert_unit() * one_plus.invert_unit()
+    top = precision - shift
+    if top < 0:
+        return QSeries.zero(precision)
+    c = [1] + [0] * top
+    for j in range(1, d + 1):
+        _over_one_minus(c, j)
+        _over_one_minus(c, j)
+    for k in range(d, top + 1):
+        c[k] -= c[k - d]
+    return QSeries((0,) * shift + tuple(c))
 
 
 def block_count_formula(n: int, m: int, sign: str) -> int:

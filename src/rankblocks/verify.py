@@ -155,6 +155,10 @@ def _first_discrepancy(lhs, rhs, start=0, **extra):
 # series vs enumerated counts
 # ----------------------------------------------------------------------
 
+# The three checks below ask for the counts from n = precision down to 1, so
+# the census builds each of its tables once, at the sweep's bound, instead of
+# growing it step by step on the way up.
+
 
 def verify_exact_series(d, m, sign, precision=40):
     """Counts with fixed column number and block number vs their closed form."""
@@ -164,7 +168,7 @@ def verify_exact_series(d, m, sign, precision=40):
     started = time.perf_counter()
     params = {"d": d, "m": m, "sign": sign, "precision": precision}
     closed = series_exact(d, m, sign, precision)
-    counts = [count_exact(n, d, m, sign) for n in range(1, precision + 1)]
+    counts = [count_exact(n, d, m, sign) for n in range(precision, 0, -1)][::-1]
     disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
     wits = disc and _take(f.to_json_dict() for f, _ in
                           iter_symbols_in_class(disc["exponent"], d, m, sign))
@@ -182,7 +186,7 @@ def verify_block_series(m, sign, precision=40):
     closed = series_by_blocks(m, sign, precision)
     letter = SIGN_LETTER[sign]
     ns = range(1, precision + 1)
-    counts = [count_by_blocks(n, m, sign) for n in ns]
+    counts = [count_by_blocks(n, m, sign) for n in reversed(ns)][::-1]
     discs = [_first_discrepancy(counts, [block_count_formula(n, m, sign) for n in ns],
                                 1, side="formula"),
              _first_discrepancy(counts, closed.coeffs[1:], 1, side="series")]
@@ -202,7 +206,7 @@ def verify_column_series(d, sign, precision=40):
     params = {"d": d, "sign": sign, "precision": precision}
     closed = series_by_columns(d, sign, precision)
     letter = SIGN_LETTER[sign]
-    counts = [count_by_columns(n, d, sign) for n in range(1, precision + 1)]
+    counts = [count_by_columns(n, d, sign) for n in range(precision, 0, -1)][::-1]
     disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
     wits = disc and _take(f.to_json_dict() for f in iter_frobenius_symbols(disc["exponent"], d)
                           if parity_blocks(f).last_sign == letter)
@@ -218,9 +222,10 @@ def verify_euler_expansion(m, precision=40):
     started = time.perf_counter()
     params = {"m": m, "precision": precision}
     sign_factor = 1 if m % 2 == 1 else -1
+    partitions = euler_inverse(precision)
 
     def discrepancy(variant):
-        lhs = euler_inverse(precision) * pentagonal_kernel(m, variant, precision)
+        lhs = partitions * pentagonal_kernel(m, variant, precision)
         rhs = QSeries.one(precision)
         for d in range(m, isqrt(precision) + 1):
             rhs = rhs + sign_factor * series_exact(d, m, variant, precision)

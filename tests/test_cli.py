@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rankblocks
 from rankblocks.cli import main
-from rankblocks.qseries import block_count_formula
+from rankblocks.qseries import block_count_formula, series_by_columns
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +121,22 @@ def test_biject_mismatched_sign_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("symbol, message", [
+    ('{"top": [2.7], "bottom": [0]}', "entries must be nonnegative integers, got 2.7"),
+    ('{"top": ["3"], "bottom": [0]}', "entries must be nonnegative integers, got '3'"),
+    ('{"top": [true], "bottom": [0]}', "entries must be nonnegative integers, got True"),
+    ('{"bottom": [0]}', "symbol JSON needs a 'top' list"),
+    ('{"top": 5, "bottom": [0]}', "symbol 'top' must be a list, got 5"),
+])
+def test_biject_bad_json_symbol_is_usage_error(capsys, symbol, message):
+    # entries are validated as given, never rounded or parsed into integers
+    with pytest.raises(SystemExit) as exc:
+        main(["biject", "--symbol", symbol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].endswith(message)
+
+
 def test_biject_small_symbol_two_chain(capsys):
     code, out, _ = run_cli(capsys, "biject", "--symbol", "4 / 1", "--format", "json")
     assert code == 0
@@ -146,6 +167,20 @@ def test_series_qbinomial_deep_and_truncated(capsys):
                            "--k", "600", "--precision", "5")
     assert code == 0
     assert out.strip() == "1,1,2,3,5,7"
+
+
+def test_series_deep_precision_within_budget():
+    # A separate process, so that a quadratic evaluation fails by timeout
+    # instead of hanging the suite.
+    env = dict(os.environ, PYTHONPATH=str(Path(rankblocks.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "rankblocks.cli", "series", "--target", "thm-1.4",
+         "--d", "2", "--sign", "plus", "--precision", "100000"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0
+    coeffs = [int(c) for c in done.stdout.strip().split(",")]
+    assert len(coeffs) == 100001
+    assert tuple(coeffs[:41]) == series_by_columns(2, "plus", 40).coeffs
 
 
 def test_series_precision_zero(capsys):

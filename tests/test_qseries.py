@@ -61,6 +61,36 @@ def long_division(num, den, precision):
     return tuple(out)
 
 
+def naive_mul(a, b):
+    """Every pair of terms, truncated at the shorter of the two lists."""
+    n = min(len(a), len(b)) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def dense_series_exact(d, m, sign, precision):
+    """The closed form by full-width multiplies and generic inverses."""
+    shift = d * d + m * (m - 1) // 2 + (d if sign == PLUS else 0)
+    one = QSeries.one(precision)
+    out = QSeries.monomial(shift, precision)
+    out = out * pochhammer(1, 2 * d, precision).invert_unit()
+    out = out * (one - QSeries.monomial(m, precision))
+    out = out * (one - QSeries.monomial(d, precision)).invert_unit()
+    return out * qbinomial(2 * d, d + m, precision)
+
+
+def dense_series_by_columns(d, sign, precision):
+    """The by-columns closed form by full-width multiplies and generic inverses."""
+    shift = d * d + (d if sign == PLUS else 0)
+    poch = pochhammer(1, d, precision)
+    one_plus = QSeries.one(precision) + QSeries.monomial(d, precision)
+    return (QSeries.monomial(shift, precision) * (poch * poch).invert_unit()
+            * one_plus.invert_unit())
+
+
 def box_partition_weights(rows, cols):
     """Weights of all partitions fitting in a rows x cols box, by enumeration."""
     weights = []
@@ -155,6 +185,31 @@ def test_mul_associative_commutative_distributive(a, b, c):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+
+
+coefficient_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=30)
+sparse_lists = st.integers(0, 29).flatmap(
+    lambda top: st.dictionaries(st.integers(0, top), st.integers(-9, 9).filter(bool),
+                                max_size=3)
+    .map(lambda terms: [terms.get(k, 0) for k in range(top + 1)]))
+
+
+@given(st.one_of(sparse_lists, coefficient_lists), st.one_of(sparse_lists, coefficient_lists))
+@settings(max_examples=200)
+def test_mul_matches_naive_double_loop(a, b):
+    # independent lengths, so mismatched precisions and both operand orders
+    x, y = QSeries(tuple(a)), QSeries(tuple(b))
+    assert (x * y).coeffs == naive_mul(a, b)
+    assert (y * x).coeffs == naive_mul(b, a)
+
+
+@given(st.integers(-9, 9), coefficient_lists)
+@settings(max_examples=60)
+def test_constant_times_series_matches_naive(c, b):
+    y = QSeries(tuple(b))
+    expected = naive_mul([c] + [0] * (len(b) - 1), b)
+    assert (c * y).coeffs == expected
+    assert (y * c).coeffs == expected
 
 
 @given(st.sampled_from([1, -1]), st.lists(st.integers(-6, 6), min_size=7, max_size=7))
@@ -341,3 +396,31 @@ def test_all_closed_forms_vanish_at_q0():
 @pytest.mark.parametrize("d", [1, 2, 10])
 def test_qbinomial_column_sum(d):
     assert qbinomial_column_sum_check(d)
+
+
+DENSE_ORACLE_PRECISIONS = (0, 1, 5, 17, 40, 90)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_series_exact_matches_dense_oracle(d):
+    # d >= 4 puts the shift above some precisions, d = 10 above all of them
+    for m in range(1, d + 1):
+        for sign in (PLUS, MINUS):
+            for precision in DENSE_ORACLE_PRECISIONS:
+                assert (series_exact(d, m, sign, precision).coeffs
+                        == dense_series_exact(d, m, sign, precision).coeffs)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_series_by_columns_matches_dense_oracle(d):
+    for sign in (PLUS, MINUS):
+        for precision in DENSE_ORACLE_PRECISIONS:
+            assert (series_by_columns(d, sign, precision).coeffs
+                    == dense_series_by_columns(d, sign, precision).coeffs)
+
+
+def test_closed_forms_reject_negative_precision():
+    with pytest.raises(ValueError):
+        series_exact(2, 1, PLUS, -1)
+    with pytest.raises(ValueError):
+        series_by_columns(2, PLUS, -1)
