@@ -76,6 +76,6 @@ from .qseries import (
     series_by_columns,
     series_exact,
 )
-from .verify import GridConfig, VerificationReport, run_reports
+from .verify import VerificationReport, run_reports
 
 __version__ = "0.1.0"

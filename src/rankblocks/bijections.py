@@ -17,6 +17,7 @@ from .partitions import (
     SIGN_LETTER,
     FrobeniusSymbol,
     ParityBlocks,
+    alternating_sign_word,
     parity_blocks,
 )
 from .posets import Composition, PosetPartition, build_s_beta
@@ -95,13 +96,6 @@ def _resolve_sign(blocks: ParityBlocks, sign: str | None) -> str:
     if sign is not None and check_sign(sign) != inferred:
         raise ValueError(f"symbol's last block is {inferred}, not {sign}")
     return inferred
-
-
-def _expected_signs(m: int, sign: str) -> tuple[str, ...]:
-    # Parity blocks alternate, so the last block's sign fixes every sign.
-    last = SIGN_LETTER[check_sign(sign)]
-    other = NEGATIVE if last == POSITIVE else POSITIVE
-    return tuple(last if (m - i) % 2 == 0 else other for i in range(1, m + 1))
 
 
 def _flip_negative_blocks(top, bottom, sizes, signs):
@@ -202,7 +196,7 @@ def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
     """
     beta = g.structure.beta
     sums = beta.partial_sums
-    signs = _expected_signs(beta.m, sign)
+    signs = alternating_sign_word(beta.m, SIGN_LETTER[check_sign(sign)])
     hat_top = []
     hat_bottom = []
     for l in range(1, beta.m + 1):
@@ -212,10 +206,10 @@ def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
     top, bottom = _flip_negative_blocks(hat_top, hat_bottom, beta.parts, signs)
     array = FrobeniusArray(top, bottom)
     blocks = array.blocks()
-    if blocks.sizes != beta.parts or blocks.signs != signs:
+    if blocks.sizes != beta.parts or blocks.sign_word != signs:
         raise ValueError(
-            f"reconstructed array has blocks {blocks.sizes}/{''.join(blocks.signs)}, "
-            f"expected {beta.parts}/{''.join(signs)}; not in the forward image")
+            f"reconstructed array has blocks {blocks.sizes}/{blocks.sign_word}, "
+            f"expected {beta.parts}/{signs}; not in the forward image")
     return array
 
 

@@ -23,6 +23,7 @@ from .partitions import (
 )
 from .posets import PosetPartition, build_s_beta
 from .qseries import (
+    PLUS,
     SIGNS,
     euler_inverse,
     qbinomial,
@@ -33,6 +34,27 @@ from .qseries import (
 
 
 DEFAULT_PRECISION = 40
+
+# count mode -> (count function, the flags it takes between --n and --sign)
+COUNT_MODES = {
+    "exact": (count_exact, ("d", "m")),
+    "by-blocks": (count_by_blocks, ("m",)),
+    "by-columns": (count_by_columns, ("d",)),
+}
+
+# series target -> (series function, the flags it takes before --precision,
+# the precision without --precision: None keeps a polynomial's own degree)
+SERIES_TARGETS = {
+    "thm-main": (series_exact, ("d", "m", "sign"), DEFAULT_PRECISION),
+    "thm-1.2": (series_by_blocks, ("m", "sign"), DEFAULT_PRECISION),
+    "thm-1.4": (series_by_columns, ("d", "sign"), DEFAULT_PRECISION),
+    "euler-inverse": (euler_inverse, (), DEFAULT_PRECISION),
+    "qbinomial": (qbinomial, ("n", "k"), None),
+}
+
+# verify flags passed through as grid bounds and as point overrides
+VERIFY_BOUNDS = ("precision", "max_n", "max_d", "max_m", "max_s")
+VERIFY_OVERRIDES = ("d", "m", "s", "t", "r", "sign")
 
 
 def _render_symbol(f: FrobeniusSymbol) -> str:
@@ -75,10 +97,22 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _emit(args, payload, text_lines, csv_rows=None):
+def _check_flags(parser, args, what, used, optional):
+    """Exit 2 when a flag in ``used`` is missing, or one of the other
+    ``optional`` flags is given: no flag is silently ignored."""
+    missing = [f"--{flag}" for flag in used if getattr(args, flag) is None]
+    if missing:
+        parser.error(f"{what} needs {' and '.join(missing)}")
+    unused = [f"--{flag}" for flag in optional
+              if flag not in used and getattr(args, flag) is not None]
+    if unused:
+        parser.error(f"{what} does not use {' '.join(unused)}")
+
+
+def _emit(args, payload, text_lines, csv_rows):
     if args.format == "json":
         print(json.dumps(payload))
-    elif args.format == "csv" and csv_rows is not None:
+    elif args.format == "csv":
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
@@ -93,18 +127,9 @@ def _emit(args, payload, text_lines, csv_rows=None):
 
 def _cmd_count(args, parser):
     mode = args.mode
-    if mode == "exact":
-        if args.d is None or args.m is None:
-            parser.error("mode 'exact' needs --d and --m")
-        value = count_exact(args.n, args.d, args.m, args.sign)
-    elif mode == "by-blocks":
-        if args.m is None:
-            parser.error("mode 'by-blocks' needs --m")
-        value = count_by_blocks(args.n, args.m, args.sign)
-    else:
-        if args.d is None:
-            parser.error("mode 'by-columns' needs --d")
-        value = count_by_columns(args.n, args.d, args.sign)
+    count, flags = COUNT_MODES[mode]
+    _check_flags(parser, args, f"mode {mode!r}", flags, ("d", "m"))
+    value = count(args.n, *(getattr(args, flag) for flag in flags), args.sign)
     payload = {"mode": mode, "n": args.n, "d": args.d, "m": args.m,
                "sign": args.sign, "count": value}
     _emit(args, payload, [str(value)],
@@ -157,26 +182,13 @@ def _cmd_biject(args, parser):
 
 
 def _cmd_series(args, parser):
-    target = args.target
-    precision = DEFAULT_PRECISION if args.precision is None else args.precision
-    if target == "thm-main":
-        if args.d is None or args.m is None:
-            parser.error("target 'thm-main' needs --d and --m")
-        series = series_exact(args.d, args.m, args.sign, precision)
-    elif target == "thm-1.2":
-        if args.m is None:
-            parser.error("target 'thm-1.2' needs --m")
-        series = series_by_blocks(args.m, args.sign, precision)
-    elif target == "thm-1.4":
-        if args.d is None:
-            parser.error("target 'thm-1.4' needs --d")
-        series = series_by_columns(args.d, args.sign, precision)
-    elif target == "euler-inverse":
-        series = euler_inverse(precision)
-    else:  # qbinomial: without --precision, the polynomial's own degree
-        if args.n is None or args.k is None:
-            parser.error("target 'qbinomial' needs --n and --k")
-        series = qbinomial(args.n, args.k, args.precision)
+    series_of, flags, precision = SERIES_TARGETS[args.target]
+    if "sign" in flags and args.sign is None:
+        args.sign = PLUS
+    _check_flags(parser, args, f"target {args.target!r}", flags, ("d", "m", "n", "k", "sign"))
+    if args.precision is not None:
+        precision = args.precision
+    series = series_of(*(getattr(args, flag) for flag in flags), precision)
     payload = series.to_json_dict()
     _emit(args, payload, [",".join(str(c) for c in series.coeffs)],
           [("exponent", "coefficient")] + [(k, c) for k, c in enumerate(series.coeffs)])
@@ -185,18 +197,8 @@ def _cmd_series(args, parser):
 
 def _cmd_verify(args, parser):
     wanted = [t for chunk in args.targets for t in chunk.split(",") if t]
-    names = verify.target_names(wanted or "all")
-    overrides = {k: getattr(args, k) for k in ("d", "m", "s", "t", "r", "sign")
-                 if getattr(args, k) is not None}
-    bounds = {k: getattr(args, k) for k in verify.BOUND_FIELDS if getattr(args, k) is not None}
-    for flag in [*overrides, *bounds]:
-        ignoring = [name for name in names if flag not in verify.SPECS[name].honours]
-        if ignoring:
-            parser.error(f"--{flag.replace('_', '-')} is not honoured by "
-                         f"{', '.join(ignoring)}")
-    config = verify.GridConfig(**{field: value for flag, value in bounds.items()
-                                  for field in verify.BOUND_FIELDS[flag]})
-    reports = verify.run_reports(names, config, overrides)
+    given = lambda flags: {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    reports = verify.run_reports(wanted or "all", given(VERIFY_BOUNDS), given(VERIFY_OVERRIDES))
     failures = 0
     for report in reports:
         print(json.dumps(report.to_json_dict()))
@@ -222,17 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "blocks, with closed-form verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text", help="output format")
+    def add_format(p, choices=("text", "json", "csv")):
+        p.add_argument("--format", choices=choices, default="text", help="output format")
 
     p_count = sub.add_parser("count", help="count partitions by columns/blocks/sign")
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--d", type=int)
     p_count.add_argument("--m", type=int)
     p_count.add_argument("--sign", choices=SIGNS, required=True)
-    p_count.add_argument("--mode", choices=("exact", "by-blocks", "by-columns"),
-                         default="exact")
+    p_count.add_argument("--mode", choices=COUNT_MODES, default="exact")
     add_format(p_count)
 
     p_list = sub.add_parser(
@@ -253,18 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
                           help="defaults to the sign of the last parity block")
     p_biject.add_argument("--invert", action="store_true",
                           help="also run the inverse chain and check the round trip")
-    add_format(p_biject)
+    add_format(p_biject, ("text", "json"))
 
     p_series = sub.add_parser("series", help="print coefficients of a closed form "
                                              "(CSV columns: exponent,coefficient)")
     p_series.add_argument("--target", required=True,
-                          choices=("thm-main", "thm-1.2", "thm-1.4",
-                                   "euler-inverse", "qbinomial"))
+                          choices=SERIES_TARGETS)
     p_series.add_argument("--d", type=int)
     p_series.add_argument("--m", type=int)
     p_series.add_argument("--n", type=int)
     p_series.add_argument("--k", type=int)
-    p_series.add_argument("--sign", choices=SIGNS, default="plus")
+    p_series.add_argument("--sign", choices=SIGNS,
+                          help="defaults to plus for the targets that take a sign")
     p_series.add_argument("--precision", type=int)
     add_format(p_series)
 

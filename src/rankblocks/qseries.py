@@ -9,7 +9,6 @@ actually computed on both sides.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 
 PLUS = "plus"
@@ -245,21 +244,18 @@ def pochhammer(start_exp: int, count: int, precision: int) -> QSeries:
     return QSeries(tuple(coeffs))
 
 
-@lru_cache(maxsize=256)
-def _qbinomial_coeffs(n: int, k: int, top: int) -> tuple[int, ...]:
-    # [n,k] for 0 <= k <= n, truncated at q^top.  Pascal rows
-    # [i,j] = [i-1,j] + q^(i-j) [i-1,j-1] for i = 1..n, updated in place from
-    # the largest j down, over only the j that [n,k] still depends on.
-    rows = [(1,)] + [()] * k
-    for i in range(1, n + 1):
-        for j in range(min(i, k), max(1, k - n + i) - 1, -1):
-            low, high = rows[j], rows[j - 1]
-            out = list(low) + [0] * (min(j * (i - j), top) + 1 - len(low))
-            shift = i - j
-            for e, c in enumerate(high[:max(len(out) - shift, 0)]):
-                out[e + shift] += c
-            rows[j] = out
-    return tuple(rows[k])
+def _times_one_minus(c: list, a: int) -> None:
+    """In place: ``c <- c * (1 - q**a)``, truncated at ``q**(len(c) - 1)``.
+    Descending, so each ``c[k - a]`` read is still the old coefficient."""
+    for k in range(len(c) - 1, a - 1, -1):
+        c[k] -= c[k - a]
+
+
+def _over_one_minus(c: list, a: int) -> None:
+    """In place: ``c <- c / (1 - q**a)``, truncated at ``q**(len(c) - 1)``.
+    Ascending, so each ``c[k - a]`` read is already the new coefficient."""
+    for k in range(a, len(c)):
+        c[k] += c[k - a]
 
 
 def qbinomial(n: int, k: int, precision: int | None = None) -> QSeries:
@@ -268,7 +264,9 @@ def qbinomial(n: int, k: int, precision: int | None = None) -> QSeries:
     Returns the zero series unless ``n >= k >= 0``.  With ``precision=None``
     the natural polynomial degree ``k*(n-k)`` is kept; a polynomial may be
     padded to any requested precision since its higher coefficients are
-    genuinely zero.
+    genuinely zero.  Built as ``prod_{j=1..k} (1 - q^(n-k+j)) / (1 - q^j)``
+    with ``k = min(k, n-k)``, one pair of in-place sweeps per factor over the
+    coefficients up to ``min(precision, degree)``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -278,9 +276,11 @@ def qbinomial(n: int, k: int, precision: int | None = None) -> QSeries:
         return QSeries.zero(0 if precision is None else precision)
     k = min(k, n - k)
     degree = k * (n - k)
-    if precision is None:
-        return QSeries(_qbinomial_coeffs(n, k, degree))
-    return QSeries.from_coeffs(_qbinomial_coeffs(n, k, min(precision, degree)), precision)
+    c = [1] + [0] * (degree if precision is None else min(precision, degree))
+    for j in range(1, k + 1):
+        _times_one_minus(c, n - k + j)
+        _over_one_minus(c, j)
+    return QSeries.from_coeffs(c, degree if precision is None else precision)
 
 
 # ----------------------------------------------------------------------
@@ -340,31 +340,19 @@ def euler_inverse(precision: int) -> QSeries:
 # ----------------------------------------------------------------------
 
 
-def _times_one_minus(c: list, a: int) -> None:
-    """In place: ``c <- c * (1 - q**a)``, truncated at ``q**(len(c) - 1)``.
-    Descending, so each ``c[k - a]`` read is still the old coefficient."""
-    for k in range(len(c) - 1, a - 1, -1):
-        c[k] -= c[k - a]
-
-
-def _over_one_minus(c: list, a: int) -> None:
-    """In place: ``c <- c / (1 - q**a)``, truncated at ``q**(len(c) - 1)``.
-    Ascending, so each ``c[k - a]`` read is already the new coefficient."""
-    for k in range(a, len(c)):
-        c[k] += c[k - a]
-
-
 def series_exact(d: int, m: int, sign: str, precision: int) -> QSeries:
     """Series whose q^n coefficient counts partitions of n with exactly d
     Frobenius columns and m parity blocks, the last block of the given sign.
 
     Requires ``d >= m >= 1``.  The closed form is
     ``q^shift [2d, d+m]_q (1 - q^m) / ((1 - q^d) (q;q)_{2d})`` with
-    ``shift = d^2 + m(m-1)/2`` (plus ``d`` for the plus sign).  Only the
+    ``shift = d^2 + m(m-1)/2`` (plus ``d`` for the plus sign).  The numerator
+    (q;q)_{2d} of the Gaussian binomial cancels the denominator's, leaving
+    ``q^shift (1 - q^m) / ((1 - q^d) (q;q)_{d-m} (q;q)_{d+m})``.  Only the
     ``top = precision - shift`` coefficients after the shift can be nonzero,
-    so it is evaluated as in-place sweeps over those: the truncated Gaussian
-    binomial, one descending pass for the factor (1 - q^m), and one ascending
-    pass for each denominator factor (1 - q^d), (1 - q^1), ..., (1 - q^{2d}).
+    so it is evaluated as in-place sweeps over those: one descending pass for
+    the factor (1 - q^m), and one ascending pass for each denominator factor
+    (1 - q^d), (1 - q^1), ..., (1 - q^{d-m}), (1 - q^1), ..., (1 - q^{d+m}).
     That costs O(d * top) instead of the O(precision^2) of a generic
     :meth:`QSeries.invert_unit` and full-width multiplies.
     """
@@ -377,9 +365,9 @@ def series_exact(d: int, m: int, sign: str, precision: int) -> QSeries:
     top = precision - shift
     if top < 0:
         return QSeries.zero(precision)
-    c = list(qbinomial(2 * d, d + m, top).coeffs)
+    c = [1] + [0] * top
     _times_one_minus(c, m)
-    for a in (d, *range(1, 2 * d + 1)):
+    for a in (d, *range(1, d - m + 1), *range(1, d + m + 1)):
         _over_one_minus(c, a)
     return QSeries((0,) * shift + tuple(c))
 

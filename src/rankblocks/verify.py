@@ -6,8 +6,9 @@ reports per-coefficient agreement.  On failure the report carries the first
 discrepant exponent plus up to five witness objects from the enumeration side
 at that weight.
 
-Every target is one entry of :data:`SPECS`: a check, the grid axes it sweeps,
-the constraint on a grid point, and the command-line overrides it honours.
+Every target is one entry of :data:`SPECS`: a check, the command-line bounds
+it honours with their defaults, the grid axes it sweeps, and the constraint on
+a grid point.
 """
 
 import json
@@ -97,38 +98,6 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Pinned default grid bounds; the full sweep stays well under two minutes."""
-
-    precision: int = 40
-    max_d: int = 5
-    max_m: int = 5
-    max_s: int = 6
-    max_r: int = 6
-    max_path_length: int = 12
-    pp_max_d: int = 4
-    pp_precision: int = 20
-    word_path_max_d: int = 5
-    prefix_max_m: int = 4
-    prefix_precision: int = 30
-    relations_max_m: int = 4
-    relations_max_d: int = 4
-    relations_precision: int = 30
-    unity_precision: int = 30
-    column_sum_max_d: int = 10
-
-
-# The GridConfig fields that each command-line bound sets.
-BOUND_FIELDS = {
-    "precision": ("precision",),
-    "max_n": ("prefix_precision", "relations_precision", "unity_precision"),
-    "max_d": ("max_d", "relations_max_d"),
-    "max_m": ("max_m",),
-    "max_s": ("max_s",),
-}
-
-
 def _report(target, parameters, started, discrepancy=None, witnesses=None):
     elapsed = time.perf_counter() - started
     if discrepancy is None:
@@ -151,13 +120,16 @@ def _first_discrepancy(lhs, rhs, start=0, **extra):
     return None
 
 
+def _counts(precision, count):
+    """``[count(1), ..., count(precision)]``, asked for from n = precision down
+    so that the census builds each of its tables once, at the sweep's bound,
+    instead of growing it step by step on the way up."""
+    return [count(n) for n in range(precision, 0, -1)][::-1]
+
+
 # ----------------------------------------------------------------------
 # series vs enumerated counts
 # ----------------------------------------------------------------------
-
-# The three checks below ask for the counts from n = precision down to 1, so
-# the census builds each of its tables once, at the sweep's bound, instead of
-# growing it step by step on the way up.
 
 
 def verify_exact_series(d, m, sign, precision=40):
@@ -168,7 +140,7 @@ def verify_exact_series(d, m, sign, precision=40):
     started = time.perf_counter()
     params = {"d": d, "m": m, "sign": sign, "precision": precision}
     closed = series_exact(d, m, sign, precision)
-    counts = [count_exact(n, d, m, sign) for n in range(precision, 0, -1)][::-1]
+    counts = _counts(precision, lambda n: count_exact(n, d, m, sign))
     disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
     wits = disc and _take(f.to_json_dict() for f, _ in
                           iter_symbols_in_class(disc["exponent"], d, m, sign))
@@ -186,7 +158,7 @@ def verify_block_series(m, sign, precision=40):
     closed = series_by_blocks(m, sign, precision)
     letter = SIGN_LETTER[sign]
     ns = range(1, precision + 1)
-    counts = [count_by_blocks(n, m, sign) for n in reversed(ns)][::-1]
+    counts = _counts(precision, lambda n: count_by_blocks(n, m, sign))
     discs = [_first_discrepancy(counts, [block_count_formula(n, m, sign) for n in ns],
                                 1, side="formula"),
              _first_discrepancy(counts, closed.coeffs[1:], 1, side="series")]
@@ -206,7 +178,7 @@ def verify_column_series(d, sign, precision=40):
     params = {"d": d, "sign": sign, "precision": precision}
     closed = series_by_columns(d, sign, precision)
     letter = SIGN_LETTER[sign]
-    counts = [count_by_columns(n, d, sign) for n in range(precision, 0, -1)][::-1]
+    counts = _counts(precision, lambda n: count_by_columns(n, d, sign))
     disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
     wits = disc and _take(f.to_json_dict() for f in iter_frobenius_symbols(disc["exponent"], d)
                           if parity_blocks(f).last_sign == letter)
@@ -396,7 +368,8 @@ def verify_prefix_counts(m, precision=30):
     cases = ((NEGATIVE, (3 * m * m - m) // 2), (POSITIVE, (3 * m * m + m) // 2))
     for letter, offset in cases:
         patterns = (alternating_sign_word(m, letter), alternating_sign_word(m + 1, letter))
-        counts = [sum(count_prefix_pattern(n, pattern) for pattern in patterns) for n in ns]
+        counts = _counts(precision, lambda n: sum(count_prefix_pattern(n, pattern)
+                                                  for pattern in patterns))
         disc = _first_discrepancy(counts, [partition_number_or_zero(n - offset) for n in ns],
                                   1, last_letter=letter)
         if disc:
@@ -412,19 +385,21 @@ def _count_relations(precision, max_m, max_d):
     for m in range(1, max_m + 1):
         lo = (3 * m * m - m) // 2
         hi = (3 * m * m + m) // 2
-        yield ([count_by_blocks(n, m, MINUS) - count_by_blocks(n, m, PLUS) for n in ns],
+        yield (_counts(precision,
+                       lambda n: count_by_blocks(n, m, MINUS) - count_by_blocks(n, m, PLUS)),
                [partition_number_or_zero(n - lo) - partition_number_or_zero(n - hi)
                 for n in ns],
                {"item": 1, "m": m})
     for d in range(1, max_d + 1):
         for m in range(1, d + 1):
-            yield ([count_exact(n, d, m, MINUS) for n in ns],
-                   [count_exact(n + d, d, m, PLUS) for n in ns],
+            yield (_counts(precision, lambda n: count_exact(n, d, m, MINUS)),
+                   _counts(precision, lambda n: count_exact(n + d, d, m, PLUS)),
                    {"item": 2, "d": d, "m": m})
     for d in range(1, max_d + 1):
-        yield ([count_by_columns(n, d, MINUS) - count_by_columns(n, d, PLUS) for n in ns],
-               [sum(count_all_columns(n - 2 * d * j + 1, d - 1)
-                    for j in range(1, (n + 1) // (2 * d) + 1)) for n in ns],
+        yield (_counts(precision,
+                       lambda n: count_by_columns(n, d, MINUS) - count_by_columns(n, d, PLUS)),
+               _counts(precision, lambda n: sum(count_all_columns(n - 2 * d * j + 1, d - 1)
+                                                for j in range(1, (n + 1) // (2 * d) + 1))),
                {"item": 3, "d": d})
 
 
@@ -445,10 +420,10 @@ def verify_partition_unity(precision=30):
     """Every nonempty partition is counted once over all (d, m, sign) classes."""
     started = time.perf_counter()
     params = {"precision": precision}
-    ns = range(1, precision + 1)
-    totals = [sum(count_exact(n, d, m, sign) for d in range(1, isqrt(n) + 1)
-                  for m in range(1, d + 1) for sign in SIGNS) for n in ns]
-    disc = _first_discrepancy(totals, [partition_number(n) for n in ns], 1)
+    totals = _counts(precision, lambda n: sum(count_exact(n, d, m, sign)
+                                              for d in range(1, isqrt(n) + 1)
+                                              for m in range(1, d + 1) for sign in SIGNS))
+    disc = _first_discrepancy(totals, [partition_number(n) for n in range(1, precision + 1)], 1)
     return _report("partition-unity", params, started, disc)
 
 
@@ -459,85 +434,95 @@ def verify_partition_unity(precision=30):
 
 @dataclass(frozen=True)
 class Spec:
-    """One target: its check, the grid axes it sweeps (axis name -> values
-    for a config; a point override of that name replaces the values), the
-    check arguments read from the config, the constraint a grid point must
-    meet, and the command-line bounds (keys of BOUND_FIELDS) it honours."""
+    """One target: its check, the command-line bounds it honours (bound name ->
+    default), the grid axes it sweeps (axis name -> values, or a function of
+    the bounds giving them; a point override of that name replaces them), the
+    check arguments read from the bounds, and the constraint a grid point must
+    meet.  Those functions are handed only the bounds declared here."""
 
     check: Callable
+    bounds: dict
     axes: dict
-    args: Callable = lambda config: {}
-    where: Callable = lambda point, config: True
-    bounds: tuple = ()
+    args: Callable = lambda bounds: {}
+    where: Callable = lambda point: True
 
     @property
     def honours(self) -> frozenset:
-        """Every override name this target takes into account."""
+        """Every bound and point-override name this target takes into account."""
         return frozenset(self.axes) | frozenset(self.bounds)
 
 
-def _upto(bound, start=1):
-    return lambda config: range(start, getattr(config, bound) + 1)
+def _upto(bound):
+    return lambda bounds: range(1, bounds[bound] + 1)
 
 
-def _compositions_upto(bound):
-    return lambda config: [beta for d in range(1, getattr(config, bound) + 1)
-                           for beta in compositions(d)]
+def _compositions_upto(max_d):
+    return lambda bounds: [beta for d in range(1, max_d + 1) for beta in compositions(d)]
 
 
-def _precision(config):
-    return {"precision": config.precision}
+def _precision(bounds):
+    return {"precision": bounds["precision"]}
+
+
+def _max_n(bounds):
+    return {"precision": bounds["max_n"]}
 
 
 SPECS = {
-    "thm-main": Spec(verify_exact_series,
-                     {"d": _upto("max_d"), "m": _upto("max_m"), "sign": lambda c: SIGNS},
-                     _precision, lambda p, c: p["m"] <= p["d"],
-                     ("precision", "max_d", "max_m")),
-    "thm-1.2": Spec(verify_block_series, {"m": _upto("max_m"), "sign": lambda c: SIGNS},
-                    _precision, bounds=("precision", "max_m")),
-    "thm-1.4": Spec(verify_column_series, {"d": _upto("max_d"), "sign": lambda c: SIGNS},
-                    _precision, bounds=("precision", "max_d")),
-    "cor-1.3": Spec(verify_euler_expansion, {"m": _upto("max_m")},
-                    _precision, bounds=("precision", "max_m")),
-    "cor-1.5": Spec(verify_qbinomial_column_sum, {"d": _upto("column_sum_max_d")}),
-    "lemma-2.2": Spec(verify_ballot_gf,
-                      {"s": _upto("max_path_length"), "t": _upto("max_path_length", 0),
-                       "r": _upto("max_r", 0)},
-                      where=lambda p, c: p["t"] < p["s"]
-                      and p["s"] + p["t"] <= c.max_path_length),
-    "lemma-2.4": Spec(verify_dyck_gf, {"s": _upto("max_s"), "r": _upto("max_r", 0)},
-                      bounds=("max_s",)),
-    "cor-2.5": Spec(verify_exact_mark_gf, {"s": _upto("max_s"), "r": _upto("max_r", 0)},
-                    bounds=("max_s",)),
-    "prop-3.9": Spec(verify_poset_partition_gf, {"beta": _compositions_upto("pp_max_d")},
-                     lambda c: {"precision": c.pp_precision}),
-    "prop-3.10": Spec(verify_word_path_gf, {"beta": _compositions_upto("word_path_max_d")}),
-    "thm-5.1": Spec(verify_prefix_counts, {"m": _upto("prefix_max_m")},
-                    lambda c: {"precision": c.prefix_precision}, bounds=("max_n",)),
-    "remarks": Spec(verify_count_relations, {},
-                    lambda c: {"precision": c.relations_precision,
-                               "max_m": c.relations_max_m, "max_d": c.relations_max_d},
-                    bounds=("max_n", "max_d")),
-    "partition-unity": Spec(verify_partition_unity, {},
-                            lambda c: {"precision": c.unity_precision}, bounds=("max_n",)),
+    "thm-main": Spec(verify_exact_series, {"precision": 40, "max_d": 5, "max_m": 5},
+                     {"d": _upto("max_d"), "m": _upto("max_m"), "sign": SIGNS},
+                     _precision, lambda p: p["m"] <= p["d"]),
+    "thm-1.2": Spec(verify_block_series, {"precision": 40, "max_m": 5},
+                    {"m": _upto("max_m"), "sign": SIGNS}, _precision),
+    "thm-1.4": Spec(verify_column_series, {"precision": 40, "max_d": 5},
+                    {"d": _upto("max_d"), "sign": SIGNS}, _precision),
+    "cor-1.3": Spec(verify_euler_expansion, {"precision": 40, "max_m": 5},
+                    {"m": _upto("max_m")}, _precision),
+    "cor-1.5": Spec(verify_qbinomial_column_sum, {}, {"d": range(1, 11)}),
+    "lemma-2.2": Spec(verify_ballot_gf, {}, {"s": range(1, 13), "t": range(13), "r": range(7)},
+                      where=lambda p: p["t"] < p["s"] and p["s"] + p["t"] <= 12),
+    "lemma-2.4": Spec(verify_dyck_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)}),
+    "cor-2.5": Spec(verify_exact_mark_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)}),
+    "prop-3.9": Spec(verify_poset_partition_gf, {}, {"beta": _compositions_upto(4)},
+                     lambda bounds: {"precision": 20}),
+    "prop-3.10": Spec(verify_word_path_gf, {}, {"beta": _compositions_upto(5)}),
+    "thm-5.1": Spec(verify_prefix_counts, {"max_n": 30}, {"m": range(1, 5)}, _max_n),
+    "remarks": Spec(verify_count_relations, {"max_n": 30, "max_d": 4}, {},
+                    lambda bounds: {"precision": bounds["max_n"], "max_m": 4,
+                                    "max_d": bounds["max_d"]}),
+    "partition-unity": Spec(verify_partition_unity, {"max_n": 30}, {}, _max_n),
 }
 
 
-def grid_points(name, config, overrides=None):
-    """The keyword arguments of every check the target runs, in sweep order."""
+def _reject_unhonoured(names, bounds, overrides):
+    # A bound or point override that a selected target would ignore.
+    for flag in [*overrides, *bounds]:
+        ignoring = [name for name in names if flag not in SPECS[name].honours]
+        if ignoring:
+            raise ValueError(f"--{flag.replace('_', '-')} is not honoured by "
+                             f"{', '.join(ignoring)}")
+
+
+def grid_points(name, bounds=None, overrides=None):
+    """The keyword arguments of every check the target runs, in sweep order.
+    ``bounds`` and ``overrides`` may name only what the target honours."""
     spec = SPECS[name]
-    overrides = overrides or {}
+    bounds, overrides = bounds or {}, overrides or {}
+    _reject_unhonoured([name], bounds, overrides)
+    bounds = {**spec.bounds, **bounds}
     points = [{}]
     for axis, values in spec.axes.items():
-        chosen = values(config) if overrides.get(axis) is None else [overrides[axis]]
-        points = [{**p, axis: v} for p in points for v in chosen]
-    args = spec.args(config)
-    return [{**p, **args} for p in points if spec.where(p, config)]
+        if axis in overrides:
+            values = [overrides[axis]]
+        elif callable(values):
+            values = values(bounds)
+        points = [{**p, axis: v} for p in points for v in values]
+    args = spec.args(bounds)
+    return [{**p, **args} for p in points if spec.where(p)]
 
 
-def _sweep(name, config, overrides=None):
-    points = grid_points(name, config, overrides)
+def _sweep(name, bounds=None, overrides=None):
+    points = grid_points(name, bounds, overrides)
     if not points:
         raise ValueError(f"{name} has no grid point under overrides {overrides or {}}")
     return [SPECS[name].check(**point) for point in points]
@@ -558,10 +543,17 @@ def target_names(targets="all") -> list:
     return names
 
 
-def run_reports(targets="all", config=None, overrides=None):
+def run_reports(targets="all", bounds=None, overrides=None):
     """Run the requested verification targets and return the reports in
-    canonical (target, parameters) order."""
-    config = config or GridConfig()
-    reports = [r for name in target_names(targets) for r in TARGETS[name](config, overrides)]
+    canonical (target, parameters) order.
+
+    ``bounds`` maps any of ``precision``, ``max_n``, ``max_d``, ``max_m`` and
+    ``max_s`` to a value; ``overrides`` fixes grid axes to one value each.  A
+    bound or override that a selected target does not honour raises
+    ValueError before any check runs.
+    """
+    names = target_names(targets)
+    _reject_unhonoured(names, bounds or {}, overrides or {})
+    reports = [r for name in names for r in TARGETS[name](bounds, overrides)]
     reports.sort(key=lambda r: (r.target, json.dumps(r.parameters, sort_keys=True)))
     return reports

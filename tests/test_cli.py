@@ -183,6 +183,34 @@ def test_series_deep_precision_within_budget():
     assert tuple(coeffs[:41]) == series_by_columns(2, "plus", 40).coeffs
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--n", "10", "--mode", "by-blocks", "--m", "2", "--d", "3", "--sign", "plus"],
+     "mode 'by-blocks' does not use --d"),
+    (["count", "--n", "10", "--mode", "by-columns", "--d", "2", "--m", "2", "--sign", "plus"],
+     "mode 'by-columns' does not use --m"),
+    (["series", "--target", "euler-inverse", "--d", "3", "--n", "2"],
+     "target 'euler-inverse' does not use --d --n"),
+    (["series", "--target", "qbinomial", "--n", "4", "--k", "2", "--sign", "minus"],
+     "target 'qbinomial' does not use --sign"),
+    (["biject", "--symbol", "3 2 1 / 5 1 0", "--format", "csv"],
+     "argument --format: invalid choice: 'csv'"),
+])
+def test_unused_flag_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err.strip().splitlines()[-1]
+
+
+def test_series_sign_defaults_to_plus(capsys):
+    _, default, _ = run_cli(capsys, "series", "--target", "thm-1.4", "--d", "2",
+                            "--precision", "12")
+    _, plus, _ = run_cli(capsys, "series", "--target", "thm-1.4", "--d", "2",
+                         "--sign", "plus", "--precision", "12")
+    assert default == plus == ",".join(map(str, series_by_columns(2, "plus", 12).coeffs)) + "\n"
+
+
 def test_series_precision_zero(capsys):
     code, out, _ = run_cli(capsys, "series", "--target", "euler-inverse",
                            "--precision", "0")

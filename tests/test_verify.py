@@ -2,8 +2,6 @@
 determinism, and report structure."""
 
 import json
-from dataclasses import replace
-
 import pytest
 
 import rankblocks.verify as verify_mod
@@ -16,9 +14,7 @@ from rankblocks.qseries import (
     series_exact,
 )
 from rankblocks.verify import (
-    BOUND_FIELDS,
     SPECS,
-    GridConfig,
     grid_points,
     run_reports,
     verify_ballot_gf,
@@ -168,9 +164,9 @@ def _strip_elapsed(report_dict):
 
 
 def test_run_reports_deterministic_and_ordered():
-    config = GridConfig(precision=20, max_d=2, max_m=2)
-    first = run_reports(["thm-main", "thm-1.4"], config)
-    second = run_reports(["thm-main", "thm-1.4"], config)
+    bounds = {"precision": 20, "max_d": 2}  # m <= d, so max_m = 2 too
+    first = run_reports(["thm-main", "thm-1.4"], bounds)
+    second = run_reports(["thm-main", "thm-1.4"], bounds)
     a = [_strip_elapsed(r.to_json_dict()) for r in first]
     b = [_strip_elapsed(r.to_json_dict()) for r in second]
     assert a == b
@@ -194,23 +190,44 @@ def test_report_json_shape():
 
 def test_override_validation():
     with pytest.raises(ValueError):
-        run_reports(["thm-main"], GridConfig(precision=10),
+        run_reports(["thm-main"], {"precision": 10},
                     overrides={"d": 2, "m": 3})
 
 
 def test_spec_honours_exactly_the_bounds_that_move_its_grid():
     # The table's claim that a target honours a command-line bound must match
     # what the bound does to the target's grid.
-    base = GridConfig()
+    base = {}
     for name, spec in SPECS.items():
-        for flag, fields in BOUND_FIELDS.items():
-            changed = replace(base, **{f: getattr(base, f) - 1 for f in fields})
-            moved = grid_points(name, changed) != grid_points(name, base)
+        for flag in ("precision", "max_n", "max_d", "max_m", "max_s"):
+            if flag in spec.bounds:
+                changed = {flag: spec.bounds[flag] - 1}
+                moved = grid_points(name, changed) != grid_points(name, base)
+            else:  # refused, so it cannot move the grid unnoticed
+                with pytest.raises(ValueError, match=f"is not honoured by {name}$"):
+                    grid_points(name, {flag: 1})
+                moved = False
             assert moved == (flag in spec.honours), (name, flag)
 
 
 def test_point_overrides_fix_their_axis():
-    points = grid_points("lemma-2.2", GridConfig(), {"t": 3, "r": 0})
+    points = grid_points("lemma-2.2", {}, {"t": 3, "r": 0})
     assert [(p["s"], p["t"], p["r"]) for p in points] == [(s, 3, 0) for s in range(4, 10)]
-    assert grid_points("thm-main", GridConfig(), {"m": 4, "sign": "plus"}) == [
+    assert grid_points("thm-main", {}, {"m": 4, "sign": "plus"}) == [
         {"d": d, "m": 4, "sign": "plus", "precision": 40} for d in (4, 5)]
+
+
+def test_run_reports_rejects_unhonoured_bound_before_any_check(monkeypatch):
+    # prop-3.9 runs at weight 20 whatever the precision bound says
+    ran = []
+    monkeypatch.setitem(verify_mod.TARGETS, "thm-main", lambda *a: ran.append(a) or [])
+    with pytest.raises(ValueError, match="^--precision is not honoured by prop-3.9$"):
+        run_reports(["thm-main", "prop-3.9"], {"precision": 80})
+    assert ran == []
+
+
+def test_run_reports_rejects_unhonoured_override():
+    with pytest.raises(ValueError, match="^--m is not honoured by lemma-2.2, thm-1.4$"):
+        run_reports(["thm-main", "lemma-2.2", "thm-1.4"], overrides={"m": 2})
+    with pytest.raises(ValueError, match="^--d is not honoured by prop-3.9$"):
+        grid_points("prop-3.9", overrides={"d": 2})
