@@ -25,6 +25,7 @@ from .lattice_paths import (
     enumerate_marked_paths,
     gf_vmr,
     maj_path,
+    marked_path_gf,
     vmr,
 )
 from .partitions import (
@@ -55,7 +56,6 @@ from .posets import (
     enumerate_poset_partitions,
     iter_poset_partitions,
     linear_extensions,
-    linear_extensions_generic,
     maj_word,
     word_to_dyck,
 )

@@ -89,14 +89,6 @@ def _parse_symbol(text: str) -> FrobeniusSymbol:
     return FrobeniusSymbol(parse_row(top_text), parse_row(bottom_text))
 
 
-def positive_int(text: str) -> int:
-    """An integer of at least 1; a verify bound of 0 would compare nothing."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _check_flags(parser, args, what, used, optional):
     """Exit 2 when a flag in ``used`` is missing, or one of the other
     ``optional`` flags is given: no flag is silently ignored."""
@@ -272,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
                                              "(JSON lines + summary on stdout)")
     p_verify.add_argument("--targets", nargs="+", default=["all"],
                           help="target names or 'all': " + ", ".join(verify.TARGETS))
-    p_verify.add_argument("--precision", type=positive_int)
-    p_verify.add_argument("--max-n", dest="max_n", type=positive_int)
-    p_verify.add_argument("--max-d", dest="max_d", type=positive_int)
-    p_verify.add_argument("--max-m", dest="max_m", type=positive_int)
-    p_verify.add_argument("--max-s", dest="max_s", type=positive_int)
+    p_verify.add_argument("--precision", type=int)
+    p_verify.add_argument("--max-n", dest="max_n", type=int)
+    p_verify.add_argument("--max-d", dest="max_d", type=int)
+    p_verify.add_argument("--max-m", dest="max_m", type=int)
+    p_verify.add_argument("--max-s", dest="max_s", type=int)
     p_verify.add_argument("--d", type=int)
     p_verify.add_argument("--m", type=int)
     p_verify.add_argument("--s", type=int)

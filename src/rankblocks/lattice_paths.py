@@ -7,8 +7,10 @@ a subset of its returns.  The path endpoint is never a valley (there is no
 following u step), so the final return of a Dyck path is never markable.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .qseries import QSeries
 
@@ -204,3 +206,52 @@ def gf_vmr(objects, precision: int | None = None) -> QSeries:
         if e <= precision:
             coeffs[e] += 1
     return QSeries(tuple(coeffs))
+
+
+def marked_path_gf(s: int, t: int, r: int, exact: bool = False) -> QSeries:
+    """Sum of q**vmr over the marked ballot paths with s up and t down steps
+    and at least r marked returns, or exactly r with ``exact``, counted
+    without listing them.
+
+    The result is the exact polynomial that :func:`gf_vmr` gives for
+    ``enumerate_marked_paths(s, t, r)``, or for ``enumerate_exact_marks(s, r)``
+    when t = s and ``exact`` is set.
+    """
+    if not s >= t >= 0:
+        raise ValueError(f"need s >= t >= 0, got s={s}, t={t}")
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    # A transfer-matrix DP over the steps (Stanley, Enumerative Combinatorics 1,
+    # 4.7).  After i steps the state is (height, whether step i was a d, marks
+    # so far), the marks capped at r; it holds the vmr polynomial of the marked
+    # prefixes in that state, the coefficient of q^e in bit field e.  A u step
+    # after a d step closes a valley at x = i, which adds i; on the x-axis the
+    # valley may instead be marked, which adds i/2 and one mark.  Without
+    # ``exact`` a mark past r keeps the count at r, with it the mark is not
+    # made.  Every coefficient counts distinct marked prefixes, at most
+    # C(s+t, t) 2^t of them, so no field carries into the next.
+    width = (comb(s + t, t) << t).bit_length()
+    states = {(0, False, 0): 1}
+    for i in range(s + t):
+        after = defaultdict(int)
+        for (height, down, marks), poly in states.items():
+            ups = (i + height) // 2
+            if height > 0 and i - ups < t:
+                after[height - 1, True, marks] += poly
+            if ups == s:
+                continue
+            if not down:
+                after[height + 1, False, marks] += poly
+                continue
+            after[height + 1, False, marks] += poly << width * i
+            if height == 0 and (marks < r or not exact):
+                after[1, False, min(marks + 1, r)] += poly << width * (i // 2)
+        states = after
+    total = sum(poly for (height, _down, marks), poly in states.items()
+                if height == s - t and marks == r)
+    field = (1 << width) - 1
+    coeffs = []
+    while total:
+        coeffs.append(total & field)
+        total >>= width
+    return QSeries(tuple(coeffs) or (0,))

@@ -12,6 +12,7 @@ uses the labels 2 r_{l-1} + 1 .. 2 r_l with the top row first.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 from .lattice_paths import DOWN, UP, MarkedBallotPath, enumerate_ballot_words
 
@@ -233,32 +234,6 @@ def linear_extensions(structure: SBetaStructure) -> list[LinearExtensionWord]:
     return out
 
 
-def linear_extensions_generic(structure: SBetaStructure) -> list[LinearExtensionWord]:
-    """Test oracle: plain topological backtracking over the whole poset."""
-    n = structure.size
-    covers = structure.lower_covers
-    chosen: list[int] = []
-    used = [False] * n
-    out = []
-
-    def rec():
-        if len(chosen) == n:
-            out.append(LinearExtensionWord(tuple(i + 1 for i in chosen), structure))
-            return
-        for idx in range(n):
-            if used[idx]:
-                continue
-            if all(used[c] for c in covers[idx]):
-                used[idx] = True
-                chosen.append(idx)
-                rec()
-                chosen.pop()
-                used[idx] = False
-
-    rec()
-    return out
-
-
 def maj_word(w: LinearExtensionWord) -> int:
     """Sum of descent positions (1-based k with w_k > w_{k+1})."""
     word = w.word
@@ -319,15 +294,17 @@ class PosetPartition:
                 "weight": self.weight}
 
 
-def _bounded_values(structure: SBetaStructure, max_weight: int):
-    # Shared DFS skeleton: yields (values, total) at every completed assignment.
+def iter_poset_partitions(structure: SBetaStructure, max_weight: int):
+    """Materialized order-reversing assignments of weight <= max_weight, by a
+    depth-first search in label order (for witnesses and small posets; the
+    histogram is counted without them)."""
     n = structure.size
     covers = structure.lower_covers
     values = [0] * n
 
     def rec(idx, total):
         if idx == n:
-            yield tuple(values), total
+            yield PosetPartition(structure, tuple(values))
             return
         cap = max_weight - total
         for c in covers[idx]:
@@ -340,21 +317,65 @@ def _bounded_values(structure: SBetaStructure, max_weight: int):
     yield from rec(0, 0)
 
 
-def iter_poset_partitions(structure: SBetaStructure, max_weight: int):
-    """Materialized order-reversing assignments of weight <= max_weight
-    (intended for small posets; the histogram form is the workhorse)."""
-    for values, _total in _bounded_values(structure, max_weight):
-        yield PosetPartition(structure, values)
+# S_beta is the ordinal sum of its blocks, each a grid two rows deep: every
+# cell of block l lies below every cell of block l+1.  So an order-reversing
+# map is a sequence of columns (top, bottom), left to right, in which
+#   bottom <= top in every column,
+#   top' <= top and bottom' <= bottom from one column to the next in a block,
+#   top' <= bottom at a block boundary, bottom being the block's last value.
+# The DP holds, for each (top, bottom) of the column placed last, the weight
+# polynomial of the columns placed so far, with the coefficient of q^w in bit
+# field w.  A block boundary moves each polynomial to the diagonal cell
+# (bottom, bottom): the next column then collects the same rectangle sum as
+# inside a block.  Every coefficient, of a cell or of a rectangle sum, counts
+# distinct assignments of weight w <= max_weight to at most 2d cells, so none
+# exceeds C(max_weight + 2d, 2d) and no field carries into the next.  The
+# columns up to the k-th weigh at least k (top + bottom) of the k-th, so cells
+# with k (top + bottom) > max_weight are left out.  (Stanley, Enumerative
+# Combinatorics 1, 3.15 and 4.7.)
+
+
+def _next_column(cells, top, width, keep):
+    # cells[a][b] holds the previous column (a, b).  Returns the cells of the
+    # next column (a', b') with a' + b' <= top: the sum over a >= a', b >= b'
+    # of cells[a][b], times q^(a' + b').
+    below = [0] * len(cells)
+    out = [[] for _ in range(top + 1)]
+    for a in range(len(cells) - 1, -1, -1):
+        for b, poly in enumerate(cells[a]):
+            below[b] += poly
+        if a > top:
+            continue
+        size = min(a, top - a) + 1
+        rect = sum(below[size:])
+        row = [0] * size
+        for b in range(size - 1, -1, -1):
+            rect += below[b]
+            if rect:
+                row[b] = (rect << width * (a + b)) & keep
+        out[a] = row
+    return out
 
 
 def enumerate_poset_partitions(structure: SBetaStructure, max_weight: int) -> list[int]:
-    """Histogram: entry n counts the order-reversing assignments of weight n."""
+    """Histogram: entry n counts the order-reversing assignments of weight n,
+    for every n <= max_weight, by a column DP that does not list them."""
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
-    hist = [0] * (max_weight + 1)
-    for _values, total in _bounded_values(structure, max_weight):
-        hist[total] += 1
-    return hist
+    width = comb(max_weight + structure.size, structure.size).bit_length()
+    keep = (1 << width * (max_weight + 1)) - 1
+    # Before the first column, only the weight bounds the values.
+    cells = [[] for _ in range(max_weight)] + [[0] * max_weight + [1]]
+    column = 0
+    for b in structure.beta.parts:
+        for _ in range(b):
+            column += 1
+            cells = _next_column(cells, max_weight // column, width, keep)
+        cells = [[0] * v + [sum(row[v] for row in cells[v:] if v < len(row))]
+                 for v in range(len(cells))]
+    total = sum(row[-1] for row in cells)
+    field = (1 << width) - 1
+    return [(total >> width * w) & field for w in range(max_weight + 1)]
 
 
 def word_to_dyck(w: LinearExtensionWord) -> MarkedBallotPath:

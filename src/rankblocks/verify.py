@@ -23,8 +23,8 @@ from .lattice_paths import (
     enumerate_exact_marks,
     enumerate_fixed_returns,
     enumerate_marked_paths,
-    gf_vmr,
     maj_path,
+    marked_path_gf,
     vmr,
 )
 from .partitions import (
@@ -223,16 +223,16 @@ def verify_qbinomial_column_sum(d):
 
 def _path_report(target, params, started, objects, lhs, rhs):
     disc = _first_discrepancy(lhs.coeffs, rhs.coeffs)
-    wits = disc and _take(p.bar_string() for p in objects if vmr(p) == disc["exponent"])
+    wits = disc and _take(p.bar_string() for p in objects() if vmr(p) == disc["exponent"])
     return _report(target, params, started, disc, wits)
 
 
-def _compare_path_gf(target, params, started, objects, closed_shift, closed_poly):
-    """Exact polynomial comparison of sum q^vmr against q^shift * poly."""
-    objects = list(objects)
-    degree = closed_shift + closed_poly.precision
-    precision = max([degree] + [vmr(p) for p in objects]) if objects else degree
-    lhs = gf_vmr(objects, precision)
+def _compare_path_gf(target, params, started, gf, objects, closed_shift, closed_poly):
+    """Exact polynomial comparison of the path polynomial ``gf`` (sum q^vmr)
+    against q^shift * poly.  ``objects`` lists the paths behind ``gf``; it is
+    called only on failure, for witnesses."""
+    precision = max(closed_shift + closed_poly.precision, gf.precision)
+    lhs = QSeries.from_coeffs(gf.coeffs, precision)
     rhs = QSeries.monomial(closed_shift, precision) * QSeries.from_coeffs(
         closed_poly.coeffs, precision)
     return _path_report(target, params, started, objects, lhs, rhs)
@@ -246,8 +246,8 @@ def verify_ballot_gf(s, t, r):
         raise ValueError("r must be nonnegative")
     started = time.perf_counter()
     params = {"s": s, "t": t, "r": r}
-    return _compare_path_gf("lemma-2.2", params, started,
-                            enumerate_marked_paths(s, t, r),
+    return _compare_path_gf("lemma-2.2", params, started, marked_path_gf(s, t, r),
+                            lambda: enumerate_marked_paths(s, t, r),
                             r * (r + 1) // 2, qbinomial(s + t, s + r))
 
 
@@ -259,8 +259,8 @@ def verify_dyck_gf(s, r):
         raise ValueError("r must be nonnegative")
     started = time.perf_counter()
     params = {"s": s, "r": r}
-    return _compare_path_gf("lemma-2.4", params, started,
-                            enumerate_marked_paths(s, s, r),
+    return _compare_path_gf("lemma-2.4", params, started, marked_path_gf(s, s, r),
+                            lambda: enumerate_marked_paths(s, s, r),
                             r * (r + 1) // 2, qbinomial(2 * s - 1, s + r))
 
 
@@ -273,17 +273,18 @@ def verify_exact_mark_gf(s, r):
         raise ValueError("r must be nonnegative")
     started = time.perf_counter()
     params = {"s": s, "r": r}
-    objects = list(enumerate_exact_marks(s, r))
+    gf = marked_path_gf(s, s, r, exact=True)
     shift = r * (r + 1) // 2
     bracket = qbinomial(2 * s, s + r + 1)
     degree = shift + r + 1 + bracket.precision
-    precision = max([degree + s] + [vmr(p) + s for p in objects])
+    precision = max(degree, gf.precision) + s
     one = QSeries.one(precision)
-    lhs = gf_vmr(objects, precision) * (one - QSeries.monomial(s, precision))
+    lhs = QSeries.from_coeffs(gf.coeffs, precision) * (one - QSeries.monomial(s, precision))
     rhs = QSeries.monomial(shift, precision)
     rhs = rhs * (one - QSeries.monomial(r + 1, precision))
     rhs = rhs * QSeries.from_coeffs(bracket.coeffs, precision)
-    return _path_report("cor-2.5", params, started, objects, lhs, rhs)
+    return _path_report("cor-2.5", params, started, lambda: enumerate_exact_marks(s, r),
+                        lhs, rhs)
 
 
 # ----------------------------------------------------------------------
@@ -438,13 +439,14 @@ class Spec:
     default), the grid axes it sweeps (axis name -> values, or a function of
     the bounds giving them; a point override of that name replaces them), the
     check arguments read from the bounds, and the constraint a grid point must
-    meet.  Those functions are handed only the bounds declared here."""
+    meet, given the point and the bounds.  Those functions are handed only the
+    bounds declared here."""
 
     check: Callable
     bounds: dict
     axes: dict
     args: Callable = lambda bounds: {}
-    where: Callable = lambda point: True
+    where: Callable = lambda point, bounds: True
 
     @property
     def honours(self) -> frozenset:
@@ -456,8 +458,8 @@ def _upto(bound):
     return lambda bounds: range(1, bounds[bound] + 1)
 
 
-def _compositions_upto(max_d):
-    return lambda bounds: [beta for d in range(1, max_d + 1) for beta in compositions(d)]
+def _compositions_upto(bounds):
+    return [beta for d in range(1, bounds["max_d"] + 1) for beta in compositions(d)]
 
 
 def _precision(bounds):
@@ -471,7 +473,7 @@ def _max_n(bounds):
 SPECS = {
     "thm-main": Spec(verify_exact_series, {"precision": 40, "max_d": 5, "max_m": 5},
                      {"d": _upto("max_d"), "m": _upto("max_m"), "sign": SIGNS},
-                     _precision, lambda p: p["m"] <= p["d"]),
+                     _precision, lambda p, bounds: p["m"] <= p["d"]),
     "thm-1.2": Spec(verify_block_series, {"precision": 40, "max_m": 5},
                     {"m": _upto("max_m"), "sign": SIGNS}, _precision),
     "thm-1.4": Spec(verify_column_series, {"precision": 40, "max_d": 5},
@@ -479,13 +481,15 @@ SPECS = {
     "cor-1.3": Spec(verify_euler_expansion, {"precision": 40, "max_m": 5},
                     {"m": _upto("max_m")}, _precision),
     "cor-1.5": Spec(verify_qbinomial_column_sum, {}, {"d": range(1, 11)}),
-    "lemma-2.2": Spec(verify_ballot_gf, {}, {"s": range(1, 13), "t": range(13), "r": range(7)},
-                      where=lambda p: p["t"] < p["s"] and p["s"] + p["t"] <= 12),
+    "lemma-2.2": Spec(verify_ballot_gf, {"max_s": 6},
+                      {"s": lambda bounds: range(1, 2 * bounds["max_s"] + 1),
+                       "t": lambda bounds: range(bounds["max_s"]), "r": range(7)},
+                      where=lambda p, bounds: p["t"] < p["s"] <= 2 * bounds["max_s"] - p["t"]),
     "lemma-2.4": Spec(verify_dyck_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)}),
     "cor-2.5": Spec(verify_exact_mark_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)}),
-    "prop-3.9": Spec(verify_poset_partition_gf, {}, {"beta": _compositions_upto(4)},
-                     lambda bounds: {"precision": 20}),
-    "prop-3.10": Spec(verify_word_path_gf, {}, {"beta": _compositions_upto(5)}),
+    "prop-3.9": Spec(verify_poset_partition_gf, {"max_d": 4, "precision": 20},
+                     {"beta": _compositions_upto}, _precision),
+    "prop-3.10": Spec(verify_word_path_gf, {"max_d": 5}, {"beta": _compositions_upto}),
     "thm-5.1": Spec(verify_prefix_counts, {"max_n": 30}, {"m": range(1, 5)}, _max_n),
     "remarks": Spec(verify_count_relations, {"max_n": 30, "max_d": 4}, {},
                     lambda bounds: {"precision": bounds["max_n"], "max_m": 4,
@@ -494,8 +498,12 @@ SPECS = {
 }
 
 
-def _reject_unhonoured(names, bounds, overrides):
-    # A bound or point override that a selected target would ignore.
+def _reject_unusable(names, bounds, overrides):
+    # A bound below 1, which would leave every check with nothing to compare,
+    # or a bound or point override that a selected target would ignore.
+    for flag, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"--{flag.replace('_', '-')}: must be at least 1, got {value}")
     for flag in [*overrides, *bounds]:
         ignoring = [name for name in names if flag not in SPECS[name].honours]
         if ignoring:
@@ -505,10 +513,11 @@ def _reject_unhonoured(names, bounds, overrides):
 
 def grid_points(name, bounds=None, overrides=None):
     """The keyword arguments of every check the target runs, in sweep order.
-    ``bounds`` and ``overrides`` may name only what the target honours."""
+    ``bounds`` and ``overrides`` may name only what the target honours, every
+    bound must be at least 1, and the grid must not be empty."""
     spec = SPECS[name]
     bounds, overrides = bounds or {}, overrides or {}
-    _reject_unhonoured([name], bounds, overrides)
+    _reject_unusable([name], bounds, overrides)
     bounds = {**spec.bounds, **bounds}
     points = [{}]
     for axis, values in spec.axes.items():
@@ -518,14 +527,14 @@ def grid_points(name, bounds=None, overrides=None):
             values = values(bounds)
         points = [{**p, axis: v} for p in points for v in values]
     args = spec.args(bounds)
-    return [{**p, **args} for p in points if spec.where(p)]
+    points = [{**p, **args} for p in points if spec.where(p, bounds)]
+    if not points:
+        raise ValueError(f"{name} has no grid point under overrides {overrides}")
+    return points
 
 
 def _sweep(name, bounds=None, overrides=None):
-    points = grid_points(name, bounds, overrides)
-    if not points:
-        raise ValueError(f"{name} has no grid point under overrides {overrides or {}}")
-    return [SPECS[name].check(**point) for point in points]
+    return [SPECS[name].check(**point) for point in grid_points(name, bounds, overrides)]
 
 
 TARGETS = {name: partial(_sweep, name) for name in SPECS}
@@ -548,12 +557,15 @@ def run_reports(targets="all", bounds=None, overrides=None):
     canonical (target, parameters) order.
 
     ``bounds`` maps any of ``precision``, ``max_n``, ``max_d``, ``max_m`` and
-    ``max_s`` to a value; ``overrides`` fixes grid axes to one value each.  A
-    bound or override that a selected target does not honour raises
-    ValueError before any check runs.
+    ``max_s`` to a value of at least 1; ``overrides`` fixes grid axes to one
+    value each.  A bound below 1, a bound or override that a selected target
+    does not honour, and an override that leaves a selected target with no
+    grid point raise ValueError before any check runs.
     """
     names = target_names(targets)
-    _reject_unhonoured(names, bounds or {}, overrides or {})
+    _reject_unusable(names, bounds or {}, overrides or {})
+    for name in names:
+        grid_points(name, bounds, overrides)
     reports = [r for name in names for r in TARGETS[name](bounds, overrides)]
     reports.sort(key=lambda r: (r.target, json.dumps(r.parameters, sort_keys=True)))
     return reports

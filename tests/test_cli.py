@@ -275,6 +275,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     (["--targets", "thm-main,lemma-2.2,thm-1.4", "--m", "2"],
      "--m is not honoured by lemma-2.2, thm-1.4"),
     (["--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    (["--targets", "prop-3.10", "--precision", "30"],
+     "--precision is not honoured by prop-3.10"),
 ])
 def test_verify_rejects_unhonoured_flags(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -299,6 +301,30 @@ def test_verify_rejects_bound_below_one(capsys, flag, target):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.strip().splitlines()[-1].endswith(f"{flag}: must be at least 1, got 0")
+
+
+def _steps(p):
+    return p["s"] + p["t"]
+
+
+def _columns(p):
+    return sum(p["beta"])
+
+
+@pytest.mark.parametrize("argv, total, size, largest", [
+    (["--targets", "lemma-2.2", "--max-s", "2"], 7 * 6, _steps, 4),
+    (["--targets", "prop-3.9", "--max-d", "2", "--precision", "25"], 3, _columns, 2),
+    (["--targets", "prop-3.9", "--max-d", "6"], 63, _columns, 6),
+    (["--targets", "prop-3.10", "--max-d", "6"], 63, _columns, 6),
+])
+def test_verify_path_and_poset_bounds(capsys, argv, total, size, largest):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert len(reports) == total and all(r["status"] == "pass" for r in reports)
+    assert max(size(r["parameters"]) for r in reports) == largest
+    if "--precision" in argv:
+        assert {r["parameters"]["precision"] for r in reports} == {25}
 
 
 def test_verify_override_outside_grid_is_usage_error(capsys):

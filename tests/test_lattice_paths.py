@@ -12,6 +12,7 @@ from rankblocks.lattice_paths import (
     enumerate_marked_paths,
     gf_vmr,
     maj_path,
+    marked_path_gf,
     vmr,
 )
 from rankblocks.qseries import QSeries, qbinomial
@@ -122,6 +123,41 @@ def test_exact_marks_gf_small():
            * (one - QSeries.monomial(2, precision))
            * qbinomial(6, 5, precision))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_marked_path_dp_matches_enumeration(s):
+    # the step DP against the listed families: at least r marks for every
+    # ballot shape with s + t <= 12, exactly r marks for the Dyck shape
+    for t in range(min(s, 12 - s) + 1):
+        for r in range(7):
+            listed = gf_vmr(enumerate_marked_paths(s, t, r))
+            counted = marked_path_gf(s, t, r)
+            assert counted.coeffs == listed.coeffs, (s, t, r)
+            if t == s:
+                listed = gf_vmr(enumerate_exact_marks(s, r))
+                counted = marked_path_gf(s, s, r, exact=True)
+                assert counted.coeffs == listed.coeffs, (s, r, "exact")
+
+
+def test_marked_path_dp_far_past_enumeration():
+    # (22, 20) has about 6.7e10 ballot words: compare with lemma 2.2 instead
+    s, t, r = 22, 20, 3
+    gf = marked_path_gf(s, t, r)
+    closed = QSeries.monomial(r * (r + 1) // 2, gf.precision) * qbinomial(s + t, s + r,
+                                                                            gf.precision)
+    assert gf.precision == r * (r + 1) // 2 + (s + r) * (t - r)
+    assert gf == closed
+
+
+def test_marked_path_dp_validation():
+    with pytest.raises(ValueError):
+        marked_path_gf(2, 3, 0)
+    with pytest.raises(ValueError):
+        marked_path_gf(2, -1, 0)
+    with pytest.raises(ValueError):
+        marked_path_gf(2, 1, -1)
+    assert marked_path_gf(1, 0, 1).coeffs == (0,)  # no return to mark: empty family
 
 
 def test_fixed_returns_no_positions_is_unmarked_family():

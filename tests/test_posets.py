@@ -13,7 +13,6 @@ from rankblocks.posets import (
     enumerate_poset_partitions,
     iter_poset_partitions,
     linear_extensions,
-    linear_extensions_generic,
     maj_word,
     word_to_dyck,
 )
@@ -24,6 +23,32 @@ EXAMPLE_WORD = (1, 3, 2, 4, 5, 8, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16)
 
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
+
+
+def linear_extensions_generic(structure):
+    """Reference: plain topological backtracking over the whole poset."""
+    n = structure.size
+    covers = structure.lower_covers
+    chosen: list[int] = []
+    used = [False] * n
+    out = []
+
+    def rec():
+        if len(chosen) == n:
+            out.append(LinearExtensionWord(tuple(i + 1 for i in chosen), structure))
+            return
+        for idx in range(n):
+            if used[idx]:
+                continue
+            if all(used[c] for c in covers[idx]):
+                used[idx] = True
+                chosen.append(idx)
+                rec()
+                chosen.pop()
+                used[idx] = False
+
+    rec()
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -164,13 +189,31 @@ def test_histogram_two_chain():
 
 
 def test_histogram_matches_iterator():
-    for beta in ((1,), (2,), (1, 1), (2, 1)):
-        s = build_s_beta(beta)
-        hist = enumerate_poset_partitions(s, 8)
-        seen = [0] * 9
-        for p in iter_poset_partitions(s, 8):
-            seen[p.weight] += 1
-        assert hist == seen
+    # the column DP against the depth-first listing, for every composition of
+    # d <= 5 and every weight bound up to 20
+    for d in range(1, 6):
+        for beta in compositions(d):
+            s = build_s_beta(beta)
+            seen = [0] * 21
+            for p in iter_poset_partitions(s, 20):
+                seen[p.weight] += 1
+            for max_weight in range(21):
+                assert enumerate_poset_partitions(s, max_weight) == seen[:max_weight + 1], (
+                    beta, max_weight)
+
+
+def test_histogram_chain_counts_partitions_into_few_parts():
+    # beta = (1, ..., 1) is a chain of 2d cells: partitions with at most 2d parts
+    from rankblocks.partitions import enumerate_partitions
+    for d in (1, 3, 6):
+        hist = enumerate_poset_partitions(build_s_beta((1,) * d), 30)
+        assert hist == [1] + [sum(1 for p in enumerate_partitions(n) if len(p.parts) <= 2 * d)
+                              for n in range(1, 31)]
+
+
+def test_histogram_rejects_negative_weight():
+    with pytest.raises(ValueError):
+        enumerate_poset_partitions(build_s_beta((1,)), -1)
 
 
 def test_example_assignment_is_valid():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import rankblocks.verify as verify_mod
+from rankblocks.lattice_paths import MarkedBallotPath, vmr
 from rankblocks.qseries import (
     MINUS,
     PLUS,
@@ -152,6 +153,43 @@ def test_mutation_guard_enumeration_side(monkeypatch):
     assert report.first_discrepancy["exponent"] == 17
 
 
+def test_mutation_guard_path_dp(monkeypatch):
+    # one coefficient off in the step DP: caught at that exponent, with the
+    # listed paths of that vmr as witnesses
+    from rankblocks.lattice_paths import marked_path_gf
+
+    def perturbed(s, t, r, exact=False):
+        coeffs = list(marked_path_gf(s, t, r, exact).coeffs)
+        coeffs[4] += 1
+        return QSeries(tuple(coeffs))
+
+    monkeypatch.setattr(verify_mod, "marked_path_gf", perturbed)
+    report = verify_mod.verify_ballot_gf(5, 3, 1)
+    assert not report.passed
+    assert report.first_discrepancy["exponent"] == 4
+    assert report.first_discrepancy["expected"] == report.first_discrepancy["actual"] + 1
+    assert report.witnesses
+    assert all(vmr(MarkedBallotPath.from_string(w)) == 4 for w in report.witnesses)
+    for report in (verify_mod.verify_dyck_gf(4, 1), verify_mod.verify_exact_mark_gf(4, 1)):
+        assert not report.passed and report.witnesses
+
+
+def test_mutation_guard_poset_dp(monkeypatch):
+    from rankblocks.posets import enumerate_poset_partitions
+
+    def perturbed(structure, max_weight):
+        hist = enumerate_poset_partitions(structure, max_weight)
+        hist[7] -= 1
+        return hist
+
+    monkeypatch.setattr(verify_mod, "enumerate_poset_partitions", perturbed)
+    report = verify_mod.verify_poset_partition_gf((2, 1), 15)
+    assert not report.passed
+    assert report.first_discrepancy["exponent"] == 7
+    assert report.witnesses
+    assert all(w["weight"] == 7 for w in report.witnesses)
+
+
 # ----------------------------------------------------------------------
 # registry behaviour
 # ----------------------------------------------------------------------
@@ -218,11 +256,11 @@ def test_point_overrides_fix_their_axis():
 
 
 def test_run_reports_rejects_unhonoured_bound_before_any_check(monkeypatch):
-    # prop-3.9 runs at weight 20 whatever the precision bound says
+    # prop-3.10 compares exact polynomials, so no precision bound can move it
     ran = []
     monkeypatch.setitem(verify_mod.TARGETS, "thm-main", lambda *a: ran.append(a) or [])
-    with pytest.raises(ValueError, match="^--precision is not honoured by prop-3.9$"):
-        run_reports(["thm-main", "prop-3.9"], {"precision": 80})
+    with pytest.raises(ValueError, match="^--precision is not honoured by prop-3.10$"):
+        run_reports(["thm-main", "prop-3.10"], {"precision": 80})
     assert ran == []
 
 
@@ -231,3 +269,34 @@ def test_run_reports_rejects_unhonoured_override():
         run_reports(["thm-main", "lemma-2.2", "thm-1.4"], overrides={"m": 2})
     with pytest.raises(ValueError, match="^--d is not honoured by prop-3.9$"):
         grid_points("prop-3.9", overrides={"d": 2})
+
+
+def test_path_and_poset_bounds_move_their_grids():
+    pairs = {(p["s"], p["t"]) for p in grid_points("lemma-2.2", {"max_s": 3})}
+    assert pairs == {(s, t) for s in range(1, 7) for t in range(s) if s + t <= 6}
+    assert len(grid_points("lemma-2.2")) == 7 * 42  # s > t, s + t <= 12 by default
+    assert grid_points("prop-3.9", {"max_d": 2, "precision": 30}) == [
+        {"beta": beta, "precision": 30} for beta in [(1,), (1, 1), (2,)]]
+    assert [p["beta"] for p in grid_points("prop-3.10", {"max_d": 6})][-1] == (6,)
+
+
+@pytest.mark.parametrize("bound", ["precision", "max_n", "max_d", "max_m", "max_s"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_library_rejects_bounds_below_one(bound, value):
+    # with a bound of 0 each check would compare nothing and pass
+    target = next(name for name, spec in SPECS.items() if bound in spec.bounds)
+    message = f"^--{bound.replace('_', '-')}: must be at least 1, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        run_reports([target], {bound: value})
+    with pytest.raises(ValueError, match=message):
+        grid_points(target, {bound: value})
+
+
+def test_run_reports_rejects_empty_grid_before_any_check(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify_mod.TARGETS, "cor-1.3", lambda *a: ran.append(a) or [])
+    with pytest.raises(ValueError, match="^thm-main has no grid point under overrides"):
+        run_reports(["cor-1.3", "thm-main"], None, {"m": 6})
+    assert ran == []
+    with pytest.raises(ValueError, match="^thm-main has no grid point"):
+        grid_points("thm-main", {}, {"m": 6})
