@@ -7,6 +7,13 @@ constant from each row (giving pi).  Every step is invertible given the
 composition and the sign of the last block, and every step's weight change is
 checked explicitly, so a wrong assumption fails loudly instead of producing a
 plausible-looking array.
+
+gamma and pi keep ``values`` in the natural label order of S_beta: block l
+holds the labels 2 r_{l-1} + 1 .. 2 r_l, top row first.  So ``values`` is the
+concatenation over the blocks of (top slice, bottom slice), b_l entries each,
+and every stage is a slice pass: block l's columns of mu_hat fill its two
+slices, and the row constants shift its top slice by row l's offset and its
+bottom slice by row l+1's.
 """
 
 from dataclasses import dataclass
@@ -99,16 +106,16 @@ def _resolve_sign(blocks: ParityBlocks, sign: str | None) -> str:
 
 
 def _flip_negative_blocks(top, bottom, sizes, signs):
-    # Swap the two entries of every column belonging to a negative block.
-    new_top = list(top)
-    new_bottom = list(bottom)
+    # Interchange the two rows inside every negative block.
+    top = list(top)
+    bottom = list(bottom)
     pos = 0
     for size, s in zip(sizes, signs):
+        end = pos + size
         if s == NEGATIVE:
-            for j in range(pos, pos + size):
-                new_top[j], new_bottom[j] = new_bottom[j], new_top[j]
-        pos += size
-    return tuple(new_top), tuple(new_bottom)
+            top[pos:end], bottom[pos:end] = bottom[pos:end], top[pos:end]
+        pos = end
+    return tuple(top), tuple(bottom)
 
 
 def flipped_rows(a: FrobeniusArray, blocks: ParityBlocks | None = None
@@ -124,16 +131,13 @@ def array_to_gamma(a: FrobeniusArray, blocks: ParityBlocks | None = None) -> Pos
     of the block poset.  The composition is read off the array's parity
     blocks; ``blocks``, when given, must be those blocks."""
     blocks = a.blocks() if blocks is None else blocks
-    beta = Composition(blocks.sizes)
-    structure = build_s_beta(beta)
     hat_top, hat_bottom = flipped_rows(a, blocks)
-    values = [0] * structure.size
-    sums = beta.partial_sums
-    for l in range(1, beta.m + 1):
-        for j in range(sums[l - 1] + 1, sums[l] + 1):
-            values[structure.label(l, j) - 1] = hat_top[j - 1]
-            values[structure.label(l + 1, j) - 1] = hat_bottom[j - 1]
-    gamma = PosetPartition(structure, tuple(values))
+    values = []
+    pos = 0
+    for b in blocks.sizes:
+        values += hat_top[pos:pos + b] + hat_bottom[pos:pos + b]
+        pos += b
+    gamma = PosetPartition(build_s_beta(blocks.sizes), values)
     if gamma.weight != a.weight:
         raise AssertionError("placement must preserve the weight")
     return gamma
@@ -156,21 +160,26 @@ def _expected_drop(beta: Composition, sign: str) -> int:
     return sum(sums[1:-1])
 
 
+def _shift_rows(values, parts, offsets) -> list[int]:
+    # Add offsets[i] to row i+1: block l's top slice lies in row l and its
+    # bottom slice in row l+1.
+    shifts = [offsets[l + half] for l, b in enumerate(parts) for half in (0, 1)
+              for _ in range(b)]
+    return [v + shift for v, shift in zip(values, shifts)]
+
+
 def gamma_to_pi(g: PosetPartition, sign: str) -> PosetPartition:
     """Subtract the per-row constants; valid only for gamma arising from an
     array whose last block matches the sign (otherwise entries go negative or
     the order-reversing check fails, both of which raise)."""
     beta = g.structure.beta
     offsets = _row_offsets(beta.m, sign)
-    new_rows = []
-    for offset, row in zip(offsets, g.rows()):
-        shifted = [v - offset for v in row]
-        if any(v < 0 for v in shifted):
-            raise ValueError(
-                f"row subtraction drives an entry negative; gamma is not a "
-                f"{sign}-case image (row offsets {offsets})")
-        new_rows.append(shifted)
-    pi = PosetPartition.from_rows(g.structure, new_rows)
+    values = _shift_rows(g.values, beta.parts, [-offset for offset in offsets])
+    if min(values) < 0:
+        raise ValueError(
+            f"row subtraction drives an entry negative; gamma is not a "
+            f"{sign}-case image (row offsets {offsets})")
+    pi = PosetPartition(g.structure, values)
     drop = g.weight - pi.weight
     if drop != _expected_drop(beta, sign):
         raise AssertionError(
@@ -183,8 +192,7 @@ def pi_to_gamma(p: PosetPartition, sign: str) -> PosetPartition:
     """Add the per-row constants back."""
     beta = p.structure.beta
     offsets = _row_offsets(beta.m, sign)
-    new_rows = [[v + offset for v in row] for offset, row in zip(offsets, p.rows())]
-    return PosetPartition.from_rows(p.structure, new_rows)
+    return PosetPartition(p.structure, _shift_rows(p.values, beta.parts, offsets))
 
 
 def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
@@ -195,14 +203,14 @@ def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
     last-block sign (i.e. the input was not in the forward image).
     """
     beta = g.structure.beta
-    sums = beta.partial_sums
     signs = alternating_sign_word(beta.m, SIGN_LETTER[check_sign(sign)])
     hat_top = []
     hat_bottom = []
-    for l in range(1, beta.m + 1):
-        for j in range(sums[l - 1] + 1, sums[l] + 1):
-            hat_top.append(g.value(l, j))
-            hat_bottom.append(g.value(l + 1, j))
+    start = 0
+    for b in beta.parts:
+        hat_top += g.values[start:start + b]
+        hat_bottom += g.values[start + b:start + 2 * b]
+        start += 2 * b
     top, bottom = _flip_negative_blocks(hat_top, hat_bottom, beta.parts, signs)
     array = FrobeniusArray(top, bottom)
     blocks = array.blocks()

@@ -1,7 +1,8 @@
 """Command-line surface: counting, listing, bijection traces, series expansion,
 and the verification sweep.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The verify
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error (an unexpected exception, reported in one stderr line).  The verify
 subcommand writes one JSON line per report to stdout followed by an aggregate
 summary object; diagnostics go to stderr.  CSV columns for tabular commands
 are documented in each subcommand's --help.
@@ -295,6 +296,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error raises SystemExit(2)
+    except Exception as exc:
+        # A fault of the program, not of its input: keep exit 1 for a failed
+        # verification and 2 for a usage error.
+        print(f"rankblocks: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -8,7 +8,7 @@ following u step), so the final return of a Dyck path is never markable.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -24,28 +24,44 @@ class MarkedBallotPath:
 
     steps: str
     marks: tuple[int, ...] = ()
+    # Recorded by the validating walk; derived from ``steps``, so they take
+    # no part in equality, hashing or repr.
+    _valleys: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _returns: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", "".join(self.steps))
+        steps = "".join(self.steps)
+        object.__setattr__(self, "steps", steps)
         marks = tuple(self.marks)
         object.__setattr__(self, "marks", marks)
+        # One walk: validate every step and record the valleys (a u step at
+        # index x right after a d step) and, among them, the returns.
+        valleys = []
+        rets = []
         height = 0
-        for ch in self.steps:
+        prev = None
+        for x, ch in enumerate(steps):
             if ch == UP:
+                if prev == DOWN:
+                    valleys.append(x)
+                    if height == 0:
+                        rets.append(x)
                 height += 1
             elif ch == DOWN:
                 height -= 1
+                if height < 0:
+                    raise ValueError(f"path dips below the x-axis: {steps!r}")
             else:
                 raise ValueError(f"steps must be over 'u'/'d', got {ch!r}")
-            if height < 0:
-                raise ValueError(f"path dips below the x-axis: {self.steps!r}")
-        rets = set(self.returns())
+            prev = ch
+        object.__setattr__(self, "_valleys", tuple(valleys))
+        object.__setattr__(self, "_returns", tuple(rets))
         prev = 0
         for x in marks:
             if x <= prev:
                 raise ValueError("marks must be strictly increasing")
             if x not in rets:
-                raise ValueError(f"mark at x={x} is not a return of {self.steps!r}")
+                raise ValueError(f"mark at x={x} is not a return of {steps!r}")
             prev = x
 
     @property
@@ -58,20 +74,11 @@ class MarkedBallotPath:
 
     def valleys(self) -> tuple[int, ...]:
         """x-coordinates where a d step is immediately followed by a u step."""
-        steps = self.steps
-        return tuple(i + 1 for i in range(len(steps) - 1)
-                     if steps[i] == DOWN and steps[i + 1] == UP)
+        return self._valleys
 
     def returns(self) -> tuple[int, ...]:
         """Valleys lying on the x-axis (these are the markable positions)."""
-        out = []
-        height = 0
-        steps = self.steps
-        for i, ch in enumerate(steps):
-            height += 1 if ch == UP else -1
-            if height == 0 and ch == DOWN and i + 1 < len(steps) and steps[i + 1] == UP:
-                out.append(i + 1)
-        return tuple(out)
+        return self._returns
 
     def bar_string(self) -> str:
         """Render with a vertical bar after each marked return, e.g. ``udud|u``."""
@@ -144,7 +151,8 @@ def enumerate_marked_paths(s: int, t: int, min_marks: int = 0):
     if min_marks < 0:
         raise ValueError("min_marks must be nonnegative")
     for word in enumerate_ballot_words(s, t):
-        rets = MarkedBallotPath(word).returns()
+        base = MarkedBallotPath(word)
+        rets = base.returns()
         k = len(rets)
         if k < min_marks:
             continue
@@ -152,7 +160,7 @@ def enumerate_marked_paths(s: int, t: int, min_marks: int = 0):
             if mask.bit_count() < min_marks:
                 continue
             marks = tuple(rets[j] for j in range(k) if mask >> j & 1)
-            yield MarkedBallotPath(word, marks)
+            yield MarkedBallotPath(word, marks) if marks else base
 
 
 def enumerate_exact_marks(s: int, r: int):
@@ -162,11 +170,12 @@ def enumerate_exact_marks(s: int, r: int):
     if r < 0:
         raise ValueError("r must be nonnegative")
     for word in enumerate_ballot_words(s, s):
-        rets = MarkedBallotPath(word).returns()
+        base = MarkedBallotPath(word)
+        rets = base.returns()
         if len(rets) < r:
             continue
         for marks in combinations(rets, r):
-            yield MarkedBallotPath(word, marks)
+            yield MarkedBallotPath(word, marks) if marks else base
 
 
 def enumerate_fixed_returns(d: int, positions):
@@ -187,9 +196,10 @@ def enumerate_fixed_returns(d: int, positions):
         prev = p
     marks = tuple(2 * p for p in positions)
     for word in enumerate_ballot_words(d, d):
-        rets = set(MarkedBallotPath(word).returns())
+        base = MarkedBallotPath(word)
+        rets = base.returns()
         if all(x in rets for x in marks):
-            yield MarkedBallotPath(word, marks)
+            yield MarkedBallotPath(word, marks) if marks else base
 
 
 def gf_vmr(objects, precision: int | None = None) -> QSeries:

@@ -38,9 +38,12 @@ class QSeries:
         coeffs = tuple(self.coeffs)
         if not coeffs:
             raise ValueError("a QSeries tracks at least the constant coefficient")
-        for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"coefficients must be exact integers, got {c!r}")
+        # One builtin pass covers the usual case; the per-element loop still
+        # admits int subclasses other than bool and names the offender.
+        if set(map(type, coeffs)) != {int}:
+            for c in coeffs:
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise TypeError(f"coefficients must be exact integers, got {c!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
     # ------------------------------------------------------------------

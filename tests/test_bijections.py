@@ -1,6 +1,8 @@
 """The staircase / flip / row-subtraction chain and its inverse."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankblocks.bijections as bijections_mod
 from rankblocks.bijections import (
@@ -18,11 +20,15 @@ from rankblocks.bijections import (
     symbol_to_array,
 )
 from rankblocks.partitions import (
+    NEGATIVE,
+    SIGN_LETTER,
     FrobeniusSymbol,
+    ParityBlocks,
+    alternating_sign_word,
     iter_frobenius_symbols,
     parity_blocks,
 )
-from rankblocks.posets import PosetPartition, build_s_beta
+from rankblocks.posets import Composition, PosetPartition, build_s_beta, compositions
 from rankblocks.qseries import MINUS, PLUS
 
 PAPER_SYMBOL = FrobeniusSymbol((16, 14, 13, 12, 10, 4, 3, 1),
@@ -203,3 +209,150 @@ def test_forward_chain_reads_parity_blocks_once(monkeypatch):
     trace = bijection_trace(PAPER_SYMBOL)
     assert len(calls) == 2
     assert trace[-1]["rows"] == pi.rows()
+
+
+# ----------------------------------------------------------------------
+# the slice passes against the cell-by-cell chain
+# ----------------------------------------------------------------------
+#
+# The reference below places and reads one cell (i, j) at a time through the
+# poset's labels and rows, as the chain did before it became slice passes over
+# the label-order values.
+
+
+def _ref_flip(top, bottom, sizes, signs):
+    new_top, new_bottom = list(top), list(bottom)
+    pos = 0
+    for size, s in zip(sizes, signs):
+        if s == NEGATIVE:
+            for j in range(pos, pos + size):
+                new_top[j], new_bottom[j] = new_bottom[j], new_top[j]
+        pos += size
+    return tuple(new_top), tuple(new_bottom)
+
+
+def _ref_array_to_gamma(a):
+    blocks = parity_blocks(a)
+    beta = Composition(blocks.sizes)
+    structure = build_s_beta(beta)
+    hat_top, hat_bottom = _ref_flip(a.top, a.bottom, blocks.sizes, blocks.signs)
+    values = [0] * structure.size
+    sums = beta.partial_sums
+    for l in range(1, beta.m + 1):
+        for j in range(sums[l - 1] + 1, sums[l] + 1):
+            values[structure.label(l, j) - 1] = hat_top[j - 1]
+            values[structure.label(l + 1, j) - 1] = hat_bottom[j - 1]
+    return PosetPartition(structure, tuple(values))
+
+
+def _ref_offsets(m, sign):
+    if sign == PLUS:
+        return tuple((m + 2 - i) // 2 for i in range(1, m + 2))
+    return tuple((m + 1 - i) // 2 for i in range(1, m + 2))
+
+
+def _ref_gamma_to_pi(g, sign):
+    offsets = _ref_offsets(g.structure.beta.m, sign)
+    new_rows = []
+    for offset, row in zip(offsets, g.rows()):
+        shifted = [v - offset for v in row]
+        if any(v < 0 for v in shifted):
+            raise ValueError(
+                f"row subtraction drives an entry negative; gamma is not a "
+                f"{sign}-case image (row offsets {offsets})")
+        new_rows.append(shifted)
+    return PosetPartition.from_rows(g.structure, new_rows)
+
+
+def _ref_pi_to_gamma(p, sign):
+    offsets = _ref_offsets(p.structure.beta.m, sign)
+    return PosetPartition.from_rows(
+        p.structure, [[v + offset for v in row] for offset, row in zip(offsets, p.rows())])
+
+
+def _ref_gamma_to_array(g, sign):
+    beta = g.structure.beta
+    sums = beta.partial_sums
+    signs = alternating_sign_word(beta.m, SIGN_LETTER[sign])
+    hat_top, hat_bottom = [], []
+    for l in range(1, beta.m + 1):
+        for j in range(sums[l - 1] + 1, sums[l] + 1):
+            hat_top.append(g.value(l, j))
+            hat_bottom.append(g.value(l + 1, j))
+    array = FrobeniusArray(*_ref_flip(hat_top, hat_bottom, beta.parts, signs))
+    blocks = parity_blocks(array)
+    if blocks.sizes != beta.parts or blocks.sign_word != signs:
+        raise ValueError(
+            f"reconstructed array has blocks {blocks.sizes}/{blocks.sign_word}, "
+            f"expected {beta.parts}/{signs}; not in the forward image")
+    return array
+
+
+def _outcome(fn, *args):
+    # The result, or the type and message of the exception raised instead.
+    try:
+        return fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_forward_chain_matches_cell_by_cell_reference():
+    for f in all_symbols_up_to(18):
+        sign = sign_of_last_block(f)
+        mu = symbol_to_array(f)
+        gamma = array_to_gamma(mu)
+        ref_gamma = _ref_array_to_gamma(mu)
+        assert gamma.structure == ref_gamma.structure
+        assert gamma.values == ref_gamma.values
+        pi = lambda_to_pi(f)
+        assert pi.values == _ref_gamma_to_pi(ref_gamma, sign).values
+        assert pi_to_gamma(pi, sign).values == ref_gamma.values
+        assert gamma_to_array(gamma, sign) == _ref_gamma_to_array(ref_gamma, sign) == mu
+
+
+@st.composite
+def order_reversing_maps(draw):
+    # Any order-reversing map of S_beta for d <= 5: in label order every value
+    # is capped by the values of the elements it covers.
+    d = draw(st.integers(1, 5))
+    beta = draw(st.sampled_from(list(compositions(d))))
+    structure = build_s_beta(beta)
+    values = []
+    for covers in structure.lower_covers:
+        cap = min((values[c] for c in covers), default=12)
+        values.append(draw(st.integers(0, cap)))
+    return PosetPartition(structure, tuple(values))
+
+
+@given(order_reversing_maps(), st.sampled_from([PLUS, MINUS]))
+@settings(max_examples=400, deadline=None)
+def test_inverse_chain_matches_cell_by_cell_reference(p, sign):
+    # Most drawn maps are not in the forward image, so the errors are
+    # compared too: the same exception type and message at the same stage.
+    assert _outcome(pi_to_gamma, p, sign) == _outcome(_ref_pi_to_gamma, p, sign)
+    assert _outcome(gamma_to_pi, p, sign) == _outcome(_ref_gamma_to_pi, p, sign)
+    assert _outcome(gamma_to_array, p, sign) == _outcome(_ref_gamma_to_array, p, sign)
+    ref = _outcome(_ref_gamma_to_array, _ref_pi_to_gamma(p, sign), sign)
+    if isinstance(ref, FrobeniusArray):
+        ref = array_to_symbol(ref)
+    assert _outcome(pi_to_lambda, p, sign) == ref
+
+
+def test_round_trip_runs_each_validator_as_often_as_before(monkeypatch):
+    # Every stage is still built through its validating constructor: per
+    # lambda -> pi -> lambda round trip, two arrays (mu on each leg), three
+    # poset partitions (gamma, pi, gamma), two parity-block records (one per
+    # leg) and the recovered symbol.
+    calls = {}
+    for cls in (FrobeniusArray, PosetPartition, ParityBlocks, FrobeniusSymbol):
+        def counting(self, _original=cls.__post_init__, _name=cls.__name__):
+            calls[_name] = calls.get(_name, 0) + 1
+            _original(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    symbols = [(f, sign_of_last_block(f)) for f in all_symbols_up_to(12)]
+    calls.clear()
+    for f, sign in symbols:
+        assert pi_to_lambda(lambda_to_pi(f, sign), sign) == f
+    n = len(symbols)
+    assert calls == {"FrobeniusArray": 2 * n, "PosetPartition": 3 * n,
+                     "ParityBlocks": 2 * n, "FrobeniusSymbol": n}

@@ -1,6 +1,8 @@
 """The command-line surface: outputs, formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,10 +12,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankblocks
-from rankblocks.cli import main
+from rankblocks.cli import COUNT_MODES, SERIES_TARGETS, main
 from rankblocks.qseries import block_count_formula, series_by_columns
+from rankblocks.verify import SPECS
 
 
 def run_cli(capsys, *argv):
@@ -346,3 +351,99 @@ def test_verify_default_sweep_output_is_pinned(capsys):
     assert len(out.splitlines()) == 496
     stripped = re.sub(r', "elapsed": -?[0-9.eE+-]+', "", out)
     assert hashlib.sha256(stripped.encode()).hexdigest() == DEFAULT_SWEEP_DIGEST
+
+
+def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
+    # a fault of the program is neither a failed verification (1) nor a usage
+    # error (2)
+    def broken(*args):
+        raise KeyError("census slot")
+
+    monkeypatch.setitem(COUNT_MODES, "exact", (broken, ("d", "m")))
+    code, out, err = run_cli(capsys, "count", "--n", "15", "--d", "3", "--m", "2",
+                             "--sign", "plus")
+    assert code == 3
+    assert out == ""
+    assert err == "rankblocks: internal error: KeyError: 'census slot'\n"
+
+
+# ----------------------------------------------------------------------
+# fuzzing: random small argument vectors never crash the CLI
+# ----------------------------------------------------------------------
+
+SMALL = st.integers(-2, 8)
+SIGN = st.sampled_from(["plus", "minus"])
+FUZZ_FLAGS = {
+    "count": {"n": SMALL, "d": SMALL, "m": SMALL, "sign": SIGN,
+              "format": st.sampled_from(["text", "json", "csv"])},
+    "series": {"d": SMALL, "m": SMALL, "n": SMALL, "k": SMALL, "sign": SIGN,
+               "precision": SMALL, "format": st.sampled_from(["text", "json", "csv"])},
+    "list": {"n": SMALL, "d": SMALL, "m": SMALL, "sign": SIGN,
+             "format": st.sampled_from(["text", "json", "csv"])},
+    "biject": {"sign": SIGN, "format": st.sampled_from(["text", "json"])},
+    "verify": {"precision": SMALL, "max-n": SMALL, "max-d": SMALL, "max-m": SMALL,
+               "max-s": SMALL, "d": SMALL, "m": SMALL, "s": SMALL, "t": SMALL,
+               "r": SMALL, "sign": SIGN},
+}
+
+
+@st.composite
+def _symbol_text(draw):
+    # mostly two strictly decreasing rows of one length, sometimes anything
+    d = draw(st.integers(1, 4))
+    rows = [sorted(draw(st.lists(st.integers(0, 8), min_size=d, max_size=d, unique=True)),
+                   reverse=True) for _ in range(2)]
+    if draw(st.integers(0, 3)) == 0:
+        rows = [draw(st.lists(SMALL, max_size=4)) for _ in range(2)]
+    if draw(st.booleans()):
+        return json.dumps({"top": rows[0], "bottom": rows[1]})
+    return " / ".join(" ".join(map(str, row)) for row in rows)
+
+
+def _usual_flags(command, draw):
+    # The flags the drawn mode, target or targets take, so that most vectors
+    # get past the flag checks; any other flag may still be added.
+    if command == "count":
+        mode = draw(st.sampled_from(sorted(COUNT_MODES)))
+        return ["--mode", mode], {"n", "sign", "format", *COUNT_MODES[mode][1]}
+    if command == "series":
+        target = draw(st.sampled_from(sorted(SERIES_TARGETS)))
+        return ["--target", target], {"precision", "format", *SERIES_TARGETS[target][1]}
+    if command == "verify":
+        names = draw(st.lists(st.sampled_from(sorted(SPECS) + ["all"]),
+                              min_size=1, max_size=2, unique=True))
+        honoured = {flag.replace("_", "-") for name in names if name != "all"
+                    for flag in SPECS[name].honours}
+        return ["--targets", ",".join(names)], honoured & set(FUZZ_FLAGS["verify"])
+    if command == "biject":
+        argv = ["--symbol", draw(_symbol_text())]
+        return argv + ["--invert"] * draw(st.booleans()), set(FUZZ_FLAGS["biject"])
+    return [], set(FUZZ_FLAGS[command])
+
+
+@st.composite
+def _cli_argv(draw, command):
+    flags = FUZZ_FLAGS[command]
+    argv, usual = _usual_flags(command, draw)
+    argv = [command, *argv]
+    chosen = [flag for flag in sorted(usual) if draw(st.integers(0, 9))]
+    if not draw(st.integers(0, 4)):
+        chosen.append(draw(st.sampled_from(sorted(flags))))
+    for flag in dict.fromkeys(chosen):
+        argv += [f"--{flag}", str(draw(flags[flag]))]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_FLAGS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=10_000)
+def test_cli_fuzz_exits_cleanly(command, data):
+    argv = data.draw(_cli_argv(command), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

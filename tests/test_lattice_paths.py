@@ -1,5 +1,6 @@
 """Marked ballot paths, maj and vmr, the enumeration families."""
 
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
@@ -47,6 +48,71 @@ def test_valleys_and_returns():
     q = MarkedBallotPath("uudduudd")
     assert q.valleys() == (4,)
     assert q.returns() == (4,)
+
+
+def _ref_returns(steps):
+    # The separate walk the returns used to take.
+    out = []
+    height = 0
+    for i, ch in enumerate(steps):
+        height += 1 if ch == "u" else -1
+        if height == 0 and ch == "d" and i + 1 < len(steps) and steps[i + 1] == "u":
+            out.append(i + 1)
+    return tuple(out)
+
+
+def _ref_validate(steps, marks):
+    # The step-then-marks validation, with a separate returns walk.
+    height = 0
+    for ch in steps:
+        if ch == "u":
+            height += 1
+        elif ch == "d":
+            height -= 1
+        else:
+            raise ValueError(f"steps must be over 'u'/'d', got {ch!r}")
+        if height < 0:
+            raise ValueError(f"path dips below the x-axis: {steps!r}")
+    rets = set(_ref_returns(steps))
+    prev = 0
+    for x in marks:
+        if x <= prev:
+            raise ValueError("marks must be strictly increasing")
+        if x not in rets:
+            raise ValueError(f"mark at x={x} is not a return of {steps!r}")
+        prev = x
+
+
+def _message(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_one_walk_validation_matches_reference():
+    words = chain.from_iterable(product("ud", repeat=n) for n in range(11))
+    odd = chain.from_iterable(product("udx", repeat=n) for n in range(6))
+    for steps in map("".join, chain(words, odd)):
+        evens = range(0, len(steps) + 1, 2)
+        mark_sets = chain.from_iterable(combinations(evens, k) for k in range(len(evens) + 1))
+        for marks in chain(mark_sets, [(4, 2)]):
+            expected = _message(_ref_validate, steps, marks)
+            assert _message(MarkedBallotPath, steps, marks) == expected, (steps, marks)
+            if expected is None:
+                p = MarkedBallotPath(steps, marks)
+                assert p.returns() == _ref_returns(steps)
+                assert p.valleys() == tuple(
+                    i + 1 for i in range(len(steps) - 1) if steps[i:i + 2] == "du")
+
+
+def test_recorded_walk_stays_out_of_equality_hash_and_repr():
+    p = MarkedBallotPath("udud", (2,))
+    assert repr(p) == "MarkedBallotPath(steps='udud', marks=(2,))"
+    assert p == MarkedBallotPath(list("udud"), [2])
+    assert hash(p) == hash(("udud", (2,)))
+    assert p != MarkedBallotPath("udud")
 
 
 def test_bar_string_round_trip():

@@ -111,6 +111,21 @@ def box_partition_weights(rows, cols):
 # ----------------------------------------------------------------------
 
 
+class _Exact(int):
+    """An int subclass other than bool: an exact integer all the same."""
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3", None])
+def test_coefficients_must_be_exact_integers(bad):
+    with pytest.raises(TypeError, match=rf"^coefficients must be exact integers, got {bad!r}$"):
+        QSeries((1, 0, bad))
+
+
+def test_int_subclass_coefficients_are_accepted():
+    series = QSeries((_Exact(2), 0, _Exact(-1)))
+    assert series.coeffs == (2, 0, -1)
+
+
 def test_add_basic():
     a = QSeries.from_coeffs([1, 1], 5)
     b = QSeries.monomial(2, 5)
