@@ -54,7 +54,7 @@ SERIES_TARGETS = {
 }
 
 # verify flags passed through as grid bounds and as point overrides
-VERIFY_BOUNDS = ("precision", "max_n", "max_d", "max_m", "max_s")
+VERIFY_BOUNDS = ("precision", "max_d", "max_m", "max_s")
 VERIFY_OVERRIDES = ("d", "m", "s", "t", "r", "sign")
 
 
@@ -134,18 +134,11 @@ def _cmd_count(args, parser):
 def _cmd_list(args, parser):
     symbols = list(iter_symbols_in_class(args.n, args.d, args.m, args.sign))
     payload = [dict(f.to_json_dict(), blocks=pb.to_json_dict()) for f, pb in symbols]
-    text = [_render_symbol(f) for f, _ in symbols]
-    if args.format == "json":
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        print("top,bottom,sizes,signs")
-        for f, pb in symbols:
-            print('"{}","{}","{}",{}'.format(
-                " ".join(map(str, f.top)), " ".join(map(str, f.bottom)),
-                " ".join(map(str, pb.sizes)), pb.sign_word))
-    else:
-        for line in text:
-            print(line)
+    quoted = lambda row: '"' + " ".join(map(str, row)) + '"'
+    _emit(args, payload, [_render_symbol(f) for f, _ in symbols],
+          [("top", "bottom", "sizes", "signs")]
+          + [(quoted(f.top), quoted(f.bottom), quoted(pb.sizes), pb.sign_word)
+             for f, pb in symbols])
     return 0
 
 
@@ -266,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--targets", nargs="+", default=["all"],
                           help="target names or 'all': " + ", ".join(verify.TARGETS))
     p_verify.add_argument("--precision", type=int)
-    p_verify.add_argument("--max-n", dest="max_n", type=int)
     p_verify.add_argument("--max-d", dest="max_d", type=int)
     p_verify.add_argument("--max-m", dest="max_m", type=int)
     p_verify.add_argument("--max-s", dest="max_s", type=int)

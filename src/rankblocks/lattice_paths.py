@@ -128,16 +128,18 @@ def enumerate_ballot_words(s: int, t: int):
     if s < 0 or t < 0:
         raise ValueError("step counts must be nonnegative")
 
-    def rec(u_left, d_left, height, prefix):
+    # Depth-first over prefixes; the u branch is pushed first so that the d
+    # branch pops first, which keeps the words in lexicographic order.
+    stack = [("", s, t, 0)]
+    while stack:
+        prefix, u_left, d_left, height = stack.pop()
         if u_left == 0 and d_left == 0:
             yield prefix
-            return
-        if d_left > 0 and height > 0:
-            yield from rec(u_left, d_left - 1, height - 1, prefix + DOWN)
+            continue
         if u_left > 0:
-            yield from rec(u_left - 1, d_left, height + 1, prefix + UP)
-
-    yield from rec(s, t, 0, "")
+            stack.append((prefix + UP, u_left - 1, d_left, height + 1))
+        if d_left > 0 and height > 0:
+            stack.append((prefix + DOWN, u_left, d_left - 1, height - 1))
 
 
 def enumerate_marked_paths(s: int, t: int, min_marks: int = 0):

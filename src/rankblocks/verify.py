@@ -8,7 +8,8 @@ at that weight.
 
 Every target is one entry of :data:`SPECS`: a check, the command-line bounds
 it honours with their defaults, the grid axes it sweeps, and the constraint on
-a grid point.
+a grid point.  A check returns only ``(first_discrepancy, witnesses)``;
+:func:`run_check` alone turns that into a report.
 """
 
 import json
@@ -58,7 +59,6 @@ from .qseries import (
     SIGNS,
     QSeries,
     block_count_formula,
-    check_sign,
     euler_inverse,
     partition_number,
     partition_number_or_zero,
@@ -98,14 +98,6 @@ class VerificationReport:
         }
 
 
-def _report(target, parameters, started, discrepancy=None, witnesses=None):
-    elapsed = time.perf_counter() - started
-    if discrepancy is None:
-        return VerificationReport(target, parameters, "pass", None, elapsed)
-    return VerificationReport(target, parameters, "fail", discrepancy, elapsed,
-                              list(witnesses or []))
-
-
 def _take(iterable, k=5):
     return list(islice(iterable, k))
 
@@ -134,27 +126,17 @@ def _counts(precision, count):
 
 def verify_exact_series(d, m, sign, precision=40):
     """Counts with fixed column number and block number vs their closed form."""
-    check_sign(sign)
-    if not d >= m >= 1:
-        raise ValueError(f"need d >= m >= 1, got d={d}, m={m}")
-    started = time.perf_counter()
-    params = {"d": d, "m": m, "sign": sign, "precision": precision}
     closed = series_exact(d, m, sign, precision)
     counts = _counts(precision, lambda n: count_exact(n, d, m, sign))
     disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
     wits = disc and _take(f.to_json_dict() for f, _ in
                           iter_symbols_in_class(disc["exponent"], d, m, sign))
-    return _report("thm-main", params, started, disc, wits)
+    return disc, wits
 
 
 def verify_block_series(m, sign, precision=40):
     """Counts with fixed block number vs both the finite partition-number
     formula and the pentagonal-kernel series."""
-    check_sign(sign)
-    if m < 1:
-        raise ValueError("m must be positive")
-    started = time.perf_counter()
-    params = {"m": m, "sign": sign, "precision": precision}
     closed = series_by_blocks(m, sign, precision)
     letter = SIGN_LETTER[sign]
     ns = range(1, precision + 1)
@@ -166,33 +148,24 @@ def verify_block_series(m, sign, precision=40):
     wits = disc and _take(p.to_json_dict() for p in enumerate_partitions(disc["exponent"])
                           if (pb := parity_blocks(to_frobenius(p))).m == m
                           and pb.last_sign == letter)
-    return _report("thm-1.2", params, started, disc, wits)
+    return disc, wits
 
 
 def verify_column_series(d, sign, precision=40):
     """Counts with fixed column number vs their closed form."""
-    check_sign(sign)
-    if d < 1:
-        raise ValueError("d must be positive")
-    started = time.perf_counter()
-    params = {"d": d, "sign": sign, "precision": precision}
     closed = series_by_columns(d, sign, precision)
     letter = SIGN_LETTER[sign]
     counts = _counts(precision, lambda n: count_by_columns(n, d, sign))
     disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
     wits = disc and _take(f.to_json_dict() for f in iter_frobenius_symbols(disc["exponent"], d)
                           if parity_blocks(f).last_sign == letter)
-    return _report("thm-1.4", params, started, disc, wits)
+    return disc, wits
 
 
 def verify_euler_expansion(m, precision=40):
     """Truncated pentagonal kernel over the partition product vs the sum of the
     exact closed forms over all column counts (cut off where q^(d^2) exceeds
     the precision), for both sign variants."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    started = time.perf_counter()
-    params = {"m": m, "precision": precision}
     sign_factor = 1 if m % 2 == 1 else -1
     partitions = euler_inverse(precision)
 
@@ -203,17 +176,14 @@ def verify_euler_expansion(m, precision=40):
             rhs = rhs + sign_factor * series_exact(d, m, variant, precision)
         return _first_discrepancy(lhs.coeffs, rhs.coeffs, variant=variant)
 
-    disc = next(filter(None, map(discrepancy, SIGNS)), None)
-    return _report("cor-1.3", params, started, disc)
+    return next(filter(None, map(discrepancy, SIGNS)), None), []
 
 
 def verify_qbinomial_column_sum(d):
     """Signed Gaussian-binomial column sum as an exact polynomial identity,
     both sides multiplied by (1 + q^d)."""
-    started = time.perf_counter()
     lhs, rhs = qbinomial_column_sum_sides(d)
-    return _report("cor-1.5", {"d": d}, started,
-                   _first_discrepancy(lhs.coeffs, rhs.coeffs))
+    return _first_discrepancy(lhs.coeffs, rhs.coeffs), []
 
 
 # ----------------------------------------------------------------------
@@ -221,13 +191,13 @@ def verify_qbinomial_column_sum(d):
 # ----------------------------------------------------------------------
 
 
-def _path_report(target, params, started, objects, lhs, rhs):
+def _path_discrepancy(objects, lhs, rhs):
     disc = _first_discrepancy(lhs.coeffs, rhs.coeffs)
-    wits = disc and _take(p.bar_string() for p in objects() if vmr(p) == disc["exponent"])
-    return _report(target, params, started, disc, wits)
+    return disc, disc and _take(p.bar_string() for p in objects()
+                                if vmr(p) == disc["exponent"])
 
 
-def _compare_path_gf(target, params, started, gf, objects, closed_shift, closed_poly):
+def _compare_path_gf(gf, objects, closed_shift, closed_poly):
     """Exact polynomial comparison of the path polynomial ``gf`` (sum q^vmr)
     against q^shift * poly.  ``objects`` lists the paths behind ``gf``; it is
     called only on failure, for witnesses."""
@@ -235,19 +205,14 @@ def _compare_path_gf(target, params, started, gf, objects, closed_shift, closed_
     lhs = QSeries.from_coeffs(gf.coeffs, precision)
     rhs = QSeries.monomial(closed_shift, precision) * QSeries.from_coeffs(
         closed_poly.coeffs, precision)
-    return _path_report(target, params, started, objects, lhs, rhs)
+    return _path_discrepancy(objects, lhs, rhs)
 
 
 def verify_ballot_gf(s, t, r):
     """Marked ballot paths with at least r marks vs the shifted bracket."""
     if not s > t >= 0:
         raise ValueError(f"need s > t >= 0, got s={s}, t={t}")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    started = time.perf_counter()
-    params = {"s": s, "t": t, "r": r}
-    return _compare_path_gf("lemma-2.2", params, started, marked_path_gf(s, t, r),
-                            lambda: enumerate_marked_paths(s, t, r),
+    return _compare_path_gf(marked_path_gf(s, t, r), lambda: enumerate_marked_paths(s, t, r),
                             r * (r + 1) // 2, qbinomial(s + t, s + r))
 
 
@@ -255,12 +220,7 @@ def verify_dyck_gf(s, r):
     """Marked Dyck paths with at least r marks vs the shifted bracket."""
     if s < 1:
         raise ValueError("s must be positive")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    started = time.perf_counter()
-    params = {"s": s, "r": r}
-    return _compare_path_gf("lemma-2.4", params, started, marked_path_gf(s, s, r),
-                            lambda: enumerate_marked_paths(s, s, r),
+    return _compare_path_gf(marked_path_gf(s, s, r), lambda: enumerate_marked_paths(s, s, r),
                             r * (r + 1) // 2, qbinomial(2 * s - 1, s + r))
 
 
@@ -269,10 +229,6 @@ def verify_exact_mark_gf(s, r):
     multiplied through so both sides stay polynomial."""
     if s < 1:
         raise ValueError("s must be positive")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    started = time.perf_counter()
-    params = {"s": s, "r": r}
     gf = marked_path_gf(s, s, r, exact=True)
     shift = r * (r + 1) // 2
     bracket = qbinomial(2 * s, s + r + 1)
@@ -283,8 +239,7 @@ def verify_exact_mark_gf(s, r):
     rhs = QSeries.monomial(shift, precision)
     rhs = rhs * (one - QSeries.monomial(r + 1, precision))
     rhs = rhs * QSeries.from_coeffs(bracket.coeffs, precision)
-    return _path_report("cor-2.5", params, started, lambda: enumerate_exact_marks(s, r),
-                        lhs, rhs)
+    return _path_discrepancy(lambda: enumerate_exact_marks(s, r), lhs, rhs)
 
 
 # ----------------------------------------------------------------------
@@ -296,8 +251,6 @@ def verify_poset_partition_gf(beta, precision=20):
     """Weight histogram of order-reversing assignments vs the descent series
     over linear extensions divided by the length-2d Pochhammer product."""
     structure = build_s_beta(beta)
-    started = time.perf_counter()
-    params = {"beta": list(structure.beta.parts), "precision": precision}
     hist = enumerate_poset_partitions(structure, precision)
     series = pochhammer(1, structure.size, precision).invert_unit()
     maj_counts = [0] * (precision + 1)
@@ -310,7 +263,7 @@ def verify_poset_partition_gf(beta, precision=20):
     wits = disc and _take(p.to_json_dict() for p in
                           iter_poset_partitions(structure, disc["exponent"])
                           if p.weight == disc["exponent"])
-    return _report("prop-3.9", params, started, disc, wits)
+    return disc, wits
 
 
 def verify_word_path_gf(beta):
@@ -318,8 +271,6 @@ def verify_word_path_gf(beta):
     over Dyck paths with the prescribed marked returns; also checks that the
     word-to-path map is a bijection onto that path family."""
     structure = build_s_beta(beta)
-    started = time.perf_counter()
-    params = {"beta": list(structure.beta.parts)}
     sums = structure.beta.partial_sums
     positions = sums[1:-1]
     shift = 2 * sum(positions)
@@ -336,17 +287,15 @@ def verify_word_path_gf(beta):
         rhs[e] += 1
     disc = _first_discrepancy(lhs, rhs)
     if disc:
-        wits = _take(" ".join(map(str, w.word)) for w in words
-                     if maj_word(w) == disc["exponent"])
-        return _report("prop-3.10", params, started, disc, wits)
+        return disc, _take(" ".join(map(str, w.word)) for w in words
+                           if maj_word(w) == disc["exponent"])
     images = [word_to_dyck(w) for w in words]
     if len(set(images)) != len(images) or set(images) != set(paths):
         disc = {"exponent": None, "expected": len(paths),
                 "actual": len(set(images)),
                 "detail": "word-to-path images do not match the path family"}
-        return _report("prop-3.10", params, started, disc,
-                       _take(p.bar_string() for p in paths))
-    return _report("prop-3.10", params, started)
+        return disc, _take(p.bar_string() for p in paths)
+    return None, []
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +312,6 @@ def verify_prefix_counts(m, precision=30):
     """
     if m < 1:
         raise ValueError("m must be positive")
-    started = time.perf_counter()
-    params = {"m": m, "precision": precision}
     ns = range(1, precision + 1)
     cases = ((NEGATIVE, (3 * m * m - m) // 2), (POSITIVE, (3 * m * m + m) // 2))
     for letter, offset in cases:
@@ -374,10 +321,9 @@ def verify_prefix_counts(m, precision=30):
         disc = _first_discrepancy(counts, [partition_number_or_zero(n - offset) for n in ns],
                                   1, last_letter=letter)
         if disc:
-            wits = _take(p.to_json_dict() for p in enumerate_partitions(disc["exponent"])
-                         if parity_blocks(to_frobenius(p)).sign_word.startswith(patterns))
-            return _report("thm-5.1", params, started, disc, wits)
-    return _report("thm-5.1", params, started)
+            return disc, _take(p.to_json_dict() for p in enumerate_partitions(disc["exponent"])
+                               if parity_blocks(to_frobenius(p)).sign_word.startswith(patterns))
+    return None, []
 
 
 def _count_relations(precision, max_m, max_d):
@@ -410,22 +356,18 @@ def verify_count_relations(precision=30, max_m=4, max_d=4):
     partition numbers, (2) the minus counts shift into plus counts at n + d,
     (3) the by-columns minus/plus difference telescopes into counts one column
     narrower."""
-    started = time.perf_counter()
-    params = {"precision": precision, "max_m": max_m, "max_d": max_d}
     discs = (_first_discrepancy(lhs, rhs, 1, **labels)
              for lhs, rhs, labels in _count_relations(precision, max_m, max_d))
-    return _report("remarks", params, started, next(filter(None, discs), None))
+    return next(filter(None, discs), None), []
 
 
 def verify_partition_unity(precision=30):
     """Every nonempty partition is counted once over all (d, m, sign) classes."""
-    started = time.perf_counter()
-    params = {"precision": precision}
     totals = _counts(precision, lambda n: sum(count_exact(n, d, m, sign)
                                               for d in range(1, isqrt(n) + 1)
                                               for m in range(1, d + 1) for sign in SIGNS))
     disc = _first_discrepancy(totals, [partition_number(n) for n in range(1, precision + 1)], 1)
-    return _report("partition-unity", params, started, disc)
+    return disc, []
 
 
 # ----------------------------------------------------------------------
@@ -466,10 +408,6 @@ def _precision(bounds):
     return {"precision": bounds["precision"]}
 
 
-def _max_n(bounds):
-    return {"precision": bounds["max_n"]}
-
-
 SPECS = {
     "thm-main": Spec(verify_exact_series, {"precision": 40, "max_d": 5, "max_m": 5},
                      {"d": _upto("max_d"), "m": _upto("max_m"), "sign": SIGNS},
@@ -490,11 +428,10 @@ SPECS = {
     "prop-3.9": Spec(verify_poset_partition_gf, {"max_d": 4, "precision": 20},
                      {"beta": _compositions_upto}, _precision),
     "prop-3.10": Spec(verify_word_path_gf, {"max_d": 5}, {"beta": _compositions_upto}),
-    "thm-5.1": Spec(verify_prefix_counts, {"max_n": 30}, {"m": range(1, 5)}, _max_n),
-    "remarks": Spec(verify_count_relations, {"max_n": 30, "max_d": 4}, {},
-                    lambda bounds: {"precision": bounds["max_n"], "max_m": 4,
-                                    "max_d": bounds["max_d"]}),
-    "partition-unity": Spec(verify_partition_unity, {"max_n": 30}, {}, _max_n),
+    "thm-5.1": Spec(verify_prefix_counts, {"precision": 30}, {"m": range(1, 5)}, _precision),
+    "remarks": Spec(verify_count_relations, {"precision": 30, "max_d": 4}, {},
+                    lambda bounds: {**_precision(bounds), "max_m": 4, "max_d": bounds["max_d"]}),
+    "partition-unity": Spec(verify_partition_unity, {"precision": 30}, {}, _precision),
 }
 
 
@@ -533,18 +470,32 @@ def grid_points(name, bounds=None, overrides=None):
     return points
 
 
+def run_check(name, **point):
+    """Run target ``name``'s check at one grid point and build its report:
+    the check's time, the target name, ``point`` as the parameters, and the
+    status.  A check returns ``(first_discrepancy, witnesses)``, the first
+    None when its two sides agree."""
+    started = time.perf_counter()
+    discrepancy, witnesses = SPECS[name].check(**point)
+    elapsed = time.perf_counter() - started
+    if discrepancy is None:
+        return VerificationReport(name, point, "pass", None, elapsed)
+    return VerificationReport(name, point, "fail", discrepancy, elapsed, list(witnesses))
+
+
 def _sweep(name, bounds=None, overrides=None):
-    return [SPECS[name].check(**point) for point in grid_points(name, bounds, overrides)]
+    return [run_check(name, **point) for point in grid_points(name, bounds, overrides)]
 
 
 TARGETS = {name: partial(_sweep, name) for name in SPECS}
 
 
 def target_names(targets="all") -> list:
-    """Expand 'all' and reject unknown target names."""
+    """Expand 'all', drop repeated names (keeping first-occurrence order) and
+    reject unknown target names."""
     if isinstance(targets, str):
         targets = [targets]
-    names = list(TARGETS) if "all" in targets else list(targets)
+    names = list(TARGETS) if "all" in targets else list(dict.fromkeys(targets))
     unknown = [n for n in names if n not in TARGETS]
     if unknown:
         raise ValueError(f"unknown verification targets: {unknown}; "
@@ -556,11 +507,11 @@ def run_reports(targets="all", bounds=None, overrides=None):
     """Run the requested verification targets and return the reports in
     canonical (target, parameters) order.
 
-    ``bounds`` maps any of ``precision``, ``max_n``, ``max_d``, ``max_m`` and
-    ``max_s`` to a value of at least 1; ``overrides`` fixes grid axes to one
-    value each.  A bound below 1, a bound or override that a selected target
-    does not honour, and an override that leaves a selected target with no
-    grid point raise ValueError before any check runs.
+    ``bounds`` maps any of ``precision``, ``max_d``, ``max_m`` and ``max_s``
+    to a value of at least 1; ``overrides`` fixes grid axes to one value each.
+    A bound below 1, a bound or override that a selected target does not
+    honour, and an override that leaves a selected target with no grid point
+    raise ValueError before any check runs.
     """
     names = target_names(targets)
     _reject_unusable(names, bounds or {}, overrides or {})

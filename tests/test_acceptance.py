@@ -171,7 +171,7 @@ def test_criterion_11_mutation_guard(monkeypatch):
         return QSeries((0,) + base.coeffs[:-1])  # leading exponent bumped by one
 
     monkeypatch.setattr(verify_mod, "series_exact", perturbed)
-    report = verify_mod.verify_exact_series(3, 2, PLUS, 20)
+    report = verify_mod.run_check("thm-main", d=3, m=2, sign=PLUS, precision=20)
     ok = (not report.passed
           and report.first_discrepancy is not None
           and report.first_discrepancy["exponent"] <= 20)

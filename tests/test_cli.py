@@ -90,6 +90,25 @@ def test_list_text_uses_block_bars(capsys):
     assert "(3 | 2 1 / 5 | 1 0)" in lines
 
 
+LIST_15_3_2_PLUS = {
+    "text": "(4 | 2 1 / 4 | 1 0)\n(3 | 2 1 / 5 | 1 0)\n(3 2 | 1 / 4 2 | 0)\n",
+    "json": '[{"top": [4, 2, 1], "bottom": [4, 1, 0], "blocks": {"sizes": [1, 2], '
+            '"signs": "NP"}}, {"top": [3, 2, 1], "bottom": [5, 1, 0], "blocks": '
+            '{"sizes": [1, 2], "signs": "NP"}}, {"top": [3, 2, 1], "bottom": [4, 2, 0], '
+            '"blocks": {"sizes": [2, 1], "signs": "NP"}}]\n',
+    "csv": 'top,bottom,sizes,signs\n"4 2 1","4 1 0","1 2",NP\n'
+           '"3 2 1","5 1 0","1 2",NP\n"3 2 1","4 2 0","2 1",NP\n',
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LIST_15_3_2_PLUS))
+def test_list_output_is_pinned_in_every_format(capsys, fmt):
+    code, out, err = run_cli(capsys, "list", "--n", "15", "--d", "3", "--m", "2",
+                             "--sign", "plus", "--format", fmt)
+    assert code == 0 and err == ""
+    assert out == LIST_15_3_2_PLUS[fmt]
+
+
 def test_list_empty_result(capsys):
     code, out, _ = run_cli(capsys, "list", "--n", "1", "--d", "1", "--m", "1",
                            "--sign", "plus", "--format", "json")
@@ -244,6 +263,17 @@ def test_verify_single_target(capsys):
     assert reports[0]["status"] == "pass"
 
 
+def test_verify_repeated_target_runs_once(capsys):
+    code, out, err = run_cli(capsys, "verify", "--targets", "cor-1.5,cor-1.5")
+    assert code == 0
+    assert err.strip() == "verify: 10/10 checks passed"
+    assert json.loads(out.splitlines()[-1]) == {"summary": {"total": 10, "passed": 10,
+                                                            "failed": 0}}
+    code, again, _ = run_cli(capsys, "verify", "--targets", "cor-1.5")
+    strip = lambda text: re.sub(r', "elapsed": -?[0-9.eE+-]+', "", text)
+    assert strip(out) == strip(again)
+
+
 def test_verify_bad_override_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--targets", "thm-main", "--d", "2", "--m", "3"])
@@ -293,7 +323,7 @@ def test_verify_rejects_unhonoured_flags(capsys, argv, message):
 
 @pytest.mark.parametrize("flag, target", [
     ("--precision", "thm-main"),
-    ("--max-n", "thm-5.1"),
+    ("--precision", "thm-5.1"),
     ("--max-d", "thm-1.4"),
     ("--max-m", "thm-1.2"),
     ("--max-s", "lemma-2.4"),
@@ -381,7 +411,7 @@ FUZZ_FLAGS = {
     "list": {"n": SMALL, "d": SMALL, "m": SMALL, "sign": SIGN,
              "format": st.sampled_from(["text", "json", "csv"])},
     "biject": {"sign": SIGN, "format": st.sampled_from(["text", "json"])},
-    "verify": {"precision": SMALL, "max-n": SMALL, "max-d": SMALL, "max-m": SMALL,
+    "verify": {"precision": SMALL, "max-d": SMALL, "max-m": SMALL,
                "max-s": SMALL, "d": SMALL, "m": SMALL, "s": SMALL, "t": SMALL,
                "r": SMALL, "sign": SIGN},
 }

@@ -276,3 +276,24 @@ def test_unmarked_dyck_paths_are_catalan_counted():
 def test_ballot_words_are_lexicographic():
     words = list(enumerate_ballot_words(3, 2))
     assert words == sorted(words)
+
+
+def _ballot_words_recursive(s, t):
+    # The recursive listing that enumerate_ballot_words replaced, kept as the
+    # reference for its order.
+    def rec(u_left, d_left, height, prefix):
+        if u_left == 0 and d_left == 0:
+            yield prefix
+            return
+        if d_left > 0 and height > 0:
+            yield from rec(u_left, d_left - 1, height - 1, prefix + "d")
+        if u_left > 0:
+            yield from rec(u_left - 1, d_left, height + 1, prefix + "u")
+
+    yield from rec(s, t, 0, "")
+
+
+def test_ballot_words_match_the_recursive_listing():
+    for s in range(17):
+        for t in range(min(s, 16 - s) + 1):
+            assert list(enumerate_ballot_words(s, t)) == list(_ballot_words_recursive(s, t)), (s, t)

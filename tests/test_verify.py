@@ -17,53 +17,42 @@ from rankblocks.qseries import (
 from rankblocks.verify import (
     SPECS,
     grid_points,
+    run_check,
     run_reports,
-    verify_ballot_gf,
-    verify_block_series,
-    verify_column_series,
-    verify_count_relations,
-    verify_dyck_gf,
-    verify_euler_expansion,
-    verify_exact_mark_gf,
-    verify_exact_series,
-    verify_partition_unity,
-    verify_poset_partition_gf,
-    verify_prefix_counts,
-    verify_qbinomial_column_sum,
-    verify_word_path_gf,
+    target_names,
 )
 
 
 def test_exact_series_anchor_point():
-    report = verify_exact_series(3, 2, PLUS, 20)
+    report = run_check("thm-main", d=3, m=2, sign=PLUS, precision=20)
     assert report.passed
     assert report.parameters == {"d": 3, "m": 2, "sign": "plus", "precision": 20}
 
 
 def test_exact_series_minus_base():
-    report = verify_exact_series(1, 1, MINUS, 20)
+    report = run_check("thm-main", d=1, m=1, sign=MINUS, precision=20)
     assert report.passed
 
 
 def test_exact_series_rejects_parameters():
     with pytest.raises(ValueError):
-        verify_exact_series(2, 3, PLUS, 10)
+        run_check("thm-main", d=2, m=3, sign=PLUS, precision=10)
 
 
 def test_block_series_both_signs():
-    assert verify_block_series(1, PLUS, 30).passed
-    assert verify_block_series(1, MINUS, 30).passed
-    assert verify_block_series(2, PLUS, 30).passed
+    assert run_check("thm-1.2", m=1, sign=PLUS, precision=30).passed
+    assert run_check("thm-1.2", m=1, sign=MINUS, precision=30).passed
+    assert run_check("thm-1.2", m=2, sign=PLUS, precision=30).passed
 
 
 def test_column_series():
-    assert verify_column_series(1, MINUS, 20).passed
-    assert verify_column_series(3, PLUS, 30).passed
+    assert run_check("thm-1.4", d=1, sign=MINUS, precision=20).passed
+    assert run_check("thm-1.4", d=3, sign=PLUS, precision=30).passed
 
 
 def test_euler_expansion_and_cutoff_safety():
-    assert verify_euler_expansion(1, 40).passed
-    assert verify_euler_expansion(4, 40).passed
+    assert run_check("cor-1.3", m=1, precision=40).passed
+    assert run_check("cor-1.3", m=4, precision=40).passed
     # enlarging the column cutoff by one must not change anything up to N
     precision = 40
     m = 2
@@ -79,34 +68,34 @@ def test_euler_expansion_and_cutoff_safety():
 
 def test_qbinomial_column_sum_reports():
     for d in (1, 2, 10):
-        assert verify_qbinomial_column_sum(d).passed
+        assert run_check("cor-1.5", d=d).passed
 
 
 def test_ballot_gf_points():
-    assert verify_ballot_gf(3, 2, 1).passed
-    assert verify_ballot_gf(1, 0, 0).passed
-    assert verify_ballot_gf(1, 0, 3).passed  # empty family vs zero bracket
+    assert run_check("lemma-2.2", s=3, t=2, r=1).passed
+    assert run_check("lemma-2.2", s=1, t=0, r=0).passed
+    assert run_check("lemma-2.2", s=1, t=0, r=3).passed  # empty family vs zero bracket
     with pytest.raises(ValueError):
-        verify_ballot_gf(2, 2, 0)
+        run_check("lemma-2.2", s=2, t=2, r=0)
 
 
 def test_dyck_gf_points():
-    assert verify_dyck_gf(1, 0).passed
-    assert verify_dyck_gf(4, 2).passed
+    assert run_check("lemma-2.4", s=1, r=0).passed
+    assert run_check("lemma-2.4", s=4, r=2).passed
 
 
 def test_exact_mark_gf_points():
-    assert verify_exact_mark_gf(3, 1).passed
-    assert verify_exact_mark_gf(2, 2).passed  # empty family
+    assert run_check("cor-2.5", s=3, r=1).passed
+    assert run_check("cor-2.5", s=2, r=2).passed  # empty family
 
 
 def test_poset_partition_gf_points():
-    assert verify_poset_partition_gf((1,), 10).passed
-    assert verify_poset_partition_gf((2, 1), 15).passed
+    assert run_check("prop-3.9", beta=(1,), precision=10).passed
+    assert run_check("prop-3.9", beta=(2, 1), precision=15).passed
 
 
 def test_word_path_gf_includes_paper_pair():
-    report = verify_word_path_gf((2, 3, 1, 2))
+    report = run_check("prop-3.10", beta=(2, 3, 1, 2))
     assert report.passed
     # both sides hold the worked example at exponent 8
     from rankblocks.posets import build_s_beta, linear_extensions, maj_word
@@ -116,12 +105,12 @@ def test_word_path_gf_includes_paper_pair():
 
 def test_prefix_counts():
     for m in (1, 2, 3):
-        assert verify_prefix_counts(m, 30).passed
+        assert run_check("thm-5.1", m=m, precision=30).passed
 
 
 def test_count_relations_and_unity():
-    assert verify_count_relations(20, 3, 3).passed
-    assert verify_partition_unity(20).passed
+    assert run_check("remarks", precision=20, max_m=3, max_d=3).passed
+    assert run_check("partition-unity", precision=20).passed
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +124,7 @@ def test_mutation_guard_leading_exponent(monkeypatch):
         return QSeries((0,) + base.coeffs[:-1])  # multiply by q: shifts d^2+d by one
 
     monkeypatch.setattr(verify_mod, "series_exact", perturbed)
-    report = verify_mod.verify_exact_series(3, 2, PLUS, 20)
+    report = verify_mod.run_check("thm-main", d=3, m=2, sign=PLUS, precision=20)
     assert not report.passed
     assert report.first_discrepancy is not None
     assert report.first_discrepancy["exponent"] <= 20
@@ -148,7 +137,7 @@ def test_mutation_guard_enumeration_side(monkeypatch):
         return count_exact(n, d, m, sign) + (1 if n == 17 else 0)
 
     monkeypatch.setattr(verify_mod, "count_exact", overcount)
-    report = verify_mod.verify_exact_series(3, 2, PLUS, 20)
+    report = verify_mod.run_check("thm-main", d=3, m=2, sign=PLUS, precision=20)
     assert not report.passed
     assert report.first_discrepancy["exponent"] == 17
 
@@ -164,13 +153,13 @@ def test_mutation_guard_path_dp(monkeypatch):
         return QSeries(tuple(coeffs))
 
     monkeypatch.setattr(verify_mod, "marked_path_gf", perturbed)
-    report = verify_mod.verify_ballot_gf(5, 3, 1)
+    report = verify_mod.run_check("lemma-2.2", s=5, t=3, r=1)
     assert not report.passed
     assert report.first_discrepancy["exponent"] == 4
     assert report.first_discrepancy["expected"] == report.first_discrepancy["actual"] + 1
     assert report.witnesses
     assert all(vmr(MarkedBallotPath.from_string(w)) == 4 for w in report.witnesses)
-    for report in (verify_mod.verify_dyck_gf(4, 1), verify_mod.verify_exact_mark_gf(4, 1)):
+    for report in (verify_mod.run_check("lemma-2.4", s=4, r=1), verify_mod.run_check("cor-2.5", s=4, r=1)):
         assert not report.passed and report.witnesses
 
 
@@ -183,7 +172,7 @@ def test_mutation_guard_poset_dp(monkeypatch):
         return hist
 
     monkeypatch.setattr(verify_mod, "enumerate_poset_partitions", perturbed)
-    report = verify_mod.verify_poset_partition_gf((2, 1), 15)
+    report = verify_mod.run_check("prop-3.9", beta=(2, 1), precision=15)
     assert not report.passed
     assert report.first_discrepancy["exponent"] == 7
     assert report.witnesses
@@ -212,13 +201,21 @@ def test_run_reports_deterministic_and_ordered():
     assert ordering == sorted(ordering)
 
 
+def test_repeated_target_runs_once():
+    assert target_names(["cor-1.5", "thm-1.4", "cor-1.5"]) == ["cor-1.5", "thm-1.4"]
+    once = run_reports(["cor-1.5"])
+    twice = run_reports(["cor-1.5", "cor-1.5"])
+    assert len(once) == len(twice) == 10
+    assert [r.parameters for r in twice] == [r.parameters for r in once]
+
+
 def test_run_reports_unknown_target():
     with pytest.raises(ValueError):
         run_reports(["nonsense"])
 
 
 def test_report_json_shape():
-    report = verify_exact_series(2, 1, PLUS, 15)
+    report = run_check("thm-main", d=2, m=1, sign=PLUS, precision=15)
     data = report.to_json_dict()
     assert data["status"] == "pass"
     assert data["first_discrepancy"] is None
@@ -237,7 +234,7 @@ def test_spec_honours_exactly_the_bounds_that_move_its_grid():
     # what the bound does to the target's grid.
     base = {}
     for name, spec in SPECS.items():
-        for flag in ("precision", "max_n", "max_d", "max_m", "max_s"):
+        for flag in ("precision", "max_d", "max_m", "max_s"):
             if flag in spec.bounds:
                 changed = {flag: spec.bounds[flag] - 1}
                 moved = grid_points(name, changed) != grid_points(name, base)
@@ -280,7 +277,7 @@ def test_path_and_poset_bounds_move_their_grids():
     assert [p["beta"] for p in grid_points("prop-3.10", {"max_d": 6})][-1] == (6,)
 
 
-@pytest.mark.parametrize("bound", ["precision", "max_n", "max_d", "max_m", "max_s"])
+@pytest.mark.parametrize("bound", ["precision", "max_d", "max_m", "max_s"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_library_rejects_bounds_below_one(bound, value):
     # with a bound of 0 each check would compare nothing and pass
