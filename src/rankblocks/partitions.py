@@ -377,7 +377,7 @@ def _census_table(bound: int, d: int) -> list:
     return table
 
 
-# d -> census table; replaced by a longer one when a larger n is asked for.
+# d -> census table; replaced by one built at n when a larger n is asked for.
 _CENSUS: dict[int, list] = {}
 
 
@@ -385,9 +385,9 @@ def _block_census(n: int, d: int) -> dict:
     """Counts of symbols of size n with d columns, keyed by (m, last block sign)."""
     table = _CENSUS.get(d, ())
     if len(table) <= n:
-        # A table costs about the cube of its bound.  Growing by 5/4 keeps an
-        # ascending sweep n = 1..N within a few times the cost of one table.
-        table = _CENSUS[d] = _census_table(max(n, 5 * len(table) // 4), d)
+        # Every census check asks for its largest n first, so building at
+        # exactly n builds each table once per depth asked for.
+        table = _CENSUS[d] = _census_table(n, d)
     return table[n]
 
 
@@ -461,7 +461,10 @@ def count_prefix_pattern(n: int, pattern) -> int:
             raise ValueError(f"pattern must alternate in sign, got {word!r}")
     if n < 1:
         return 0
-    # Blocks alternate, so (m, last sign) fixes the whole sign word.
+    # Blocks alternate, so the m-block word ending in `last` starts with
+    # `last` when m is odd and with the other letter when m is even.  It
+    # starts with the alternating pattern iff it is long enough and the
+    # first letters agree.
     return sum(c for d in range(1, isqrt(n) + 1)
                for (m, last), c in _block_census(n, d).items()
-               if alternating_sign_word(m, last).startswith(word))
+               if m >= len(word) and (not word or (last == word[0]) == (m % 2 == 1)))

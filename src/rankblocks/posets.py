@@ -47,14 +47,6 @@ class Composition:
             sums.append(sums[-1] + b)
         return tuple(sums)
 
-    def block_of_column(self, j: int) -> int:
-        """1-based index of the block containing column j."""
-        sums = self.partial_sums
-        for l in range(1, self.m + 1):
-            if sums[l - 1] < j <= sums[l]:
-                return l
-        raise ValueError(f"column {j} outside 1..{self.d}")
-
 
 def compositions(d: int):
     """All compositions of d, first part ascending then recursively."""
@@ -80,67 +72,27 @@ class SBetaStructure:
     def __init__(self, beta):
         beta = beta if isinstance(beta, Composition) else Composition(tuple(beta))
         self.beta = beta
-        sums = beta.partial_sums
-        d = beta.d
-        label_of = {}
-        for l, b in enumerate(beta.parts, start=1):
-            for j in range(sums[l - 1] + 1, sums[l] + 1):
-                for i in (l, l + 1):
-                    label_of[(i, j)] = sums[l - 1] + j + (i - l) * b
-        if sorted(label_of.values()) != list(range(1, 2 * d + 1)):
-            raise AssertionError("labeling is not a bijection onto 1..2d")
-        elements = [None] * (2 * d)
-        for cell, lab in label_of.items():
-            elements[lab - 1] = cell
+        # Block l, after r columns, is its top slice (l, r+1..r+b) followed
+        # by its bottom slice (l+1, r+1..r+b).  A top cell covers the cell
+        # labelled just before it: its left neighbour, or the previous
+        # block's last cell.  A bottom cell covers the top cell above it and
+        # its left neighbour, if any.
+        elements, covers = [], []
+        for l, (r, b) in enumerate(zip(beta.partial_sums, beta.parts), start=1):
+            for j in range(r + 1, r + b + 1):
+                covers.append((len(elements) - 1,) if elements else ())
+                elements.append((l, j))
+            for j in range(r + 1, r + b + 1):
+                k = len(elements)
+                covers.append((k - b, k - 1) if j > r + 1 else (k - b,))
+                elements.append((l + 1, j))
         self.elements = tuple(elements)
-        self.label_of = label_of
-        self.lower_covers = self._compute_lower_covers()
-        self._check_natural()
-        rows: dict[int, list[int]] = {}
-        for (i, j) in self.elements:
-            rows.setdefault(i, []).append(j)
-        self._row_columns = {i: tuple(sorted(js)) for i, js in rows.items()}
-
-    # -- order ----------------------------------------------------------
-
-    @staticmethod
-    def less_eq(a, b) -> bool:
-        return a[0] <= b[0] and a[1] <= b[1]
-
-    def _compute_lower_covers(self):
-        n = len(self.elements)
-        covers = []
-        for bi in range(n):
-            below = [ai for ai in range(n)
-                     if ai != bi and self.less_eq(self.elements[ai], self.elements[bi])]
-            direct = []
-            for ai in below:
-                if not any(ci != ai and self.less_eq(self.elements[ai], self.elements[ci])
-                           for ci in below):
-                    direct.append(ai)
-            covers.append(tuple(direct))
-        return tuple(covers)
-
-    def _check_natural(self):
-        # exhaustive pair scan: strictly smaller elements carry smaller labels
-        n = len(self.elements)
-        for ai in range(n):
-            for bi in range(n):
-                if ai != bi and self.less_eq(self.elements[ai], self.elements[bi]):
-                    if ai >= bi:
-                        raise AssertionError("labeling is not natural")
-
-    # -- layout helpers ---------------------------------------------------
+        self.lower_covers = tuple(covers)
+        self.label_of = {cell: k + 1 for k, cell in enumerate(elements)}
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def row_columns(self, i: int) -> tuple[int, ...]:
-        return self._row_columns.get(i, ())
-
-    def rows(self) -> list[int]:
-        return sorted(self._row_columns)
 
     def label(self, i: int, j: int) -> int:
         return self.label_of[(i, j)]
@@ -200,7 +152,6 @@ class LinearExtensionWord:
         return len(self.word)
 
 
-@lru_cache(maxsize=None)
 def _grid_extension_words(b: int) -> tuple[tuple[int, ...], ...]:
     # Extensions of one two-row grid, via its Catalan words: positions of the
     # u steps receive 1..b in order, positions of the d steps receive b+1..2b.
@@ -275,18 +226,27 @@ class PosetPartition:
         return self.values[self.structure.label(i, j) - 1]
 
     def rows(self) -> list[list[int]]:
-        return [[self.value(i, j) for j in self.structure.row_columns(i)]
-                for i in self.structure.rows()]
+        """Row i is block i-1's bottom slice followed by block i's top slice."""
+        rows = [[]]
+        for r, b in zip(self.structure.beta.partial_sums, self.structure.beta.parts):
+            rows[-1] += self.values[2 * r:2 * r + b]
+            rows.append(list(self.values[2 * r + b:2 * (r + b)]))
+        return rows
 
     @classmethod
     def from_rows(cls, structure: SBetaStructure, rows) -> "PosetPartition":
-        values = [0] * structure.size
-        for i, row in zip(structure.rows(), rows):
-            cols = structure.row_columns(i)
-            if len(cols) != len(row):
-                raise ValueError(f"row {i} expects {len(cols)} entries, got {len(row)}")
-            for j, v in zip(cols, row):
-                values[structure.label(i, j) - 1] = v
+        parts = structure.beta.parts
+        rows = list(rows)
+        if len(rows) != len(parts) + 1:
+            raise ValueError(f"expected {len(parts) + 1} rows, got {len(rows)}")
+        widths = [a + b for a, b in zip((0,) + parts, parts + (0,))]
+        for i, (row, width) in enumerate(zip(rows, widths), start=1):
+            if len(row) != width:
+                raise ValueError(f"row {i} expects {width} entries, got {len(row)}")
+        values = []
+        for l, b in enumerate(parts):
+            values += rows[l][-b:]
+            values += rows[l + 1][:b]
         return cls(structure, tuple(values))
 
     def to_json_dict(self) -> dict:

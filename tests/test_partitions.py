@@ -319,6 +319,19 @@ def test_prefix_counts_match_partition_sign_words():
             assert count_prefix_pattern(n, pattern) == expected, (n, pattern)
 
 
+def test_prefix_counts_match_startswith_definition():
+    # The first-letter test against the definition it replaces: build each
+    # block word and ask startswith.  Descending n builds each table once.
+    from rankblocks.partitions import _block_census
+    patterns = [""] + [alternating_sign_word(k, last) for k in range(1, 9) for last in "PN"]
+    for n in range(60, 0, -1):
+        census = [_block_census(n, d) for d in range(1, isqrt(n) + 1)]
+        for pattern in patterns:
+            expected = sum(c for table in census for (m, last), c in table.items()
+                           if alternating_sign_word(m, last).startswith(pattern))
+            assert count_prefix_pattern(n, pattern) == expected, (n, pattern)
+
+
 def test_prefix_pattern_validation():
     with pytest.raises(ValueError):
         count_prefix_pattern(5, "NN")

@@ -60,9 +60,6 @@ def test_composition_basics():
     beta = Composition(EXAMPLE_BETA)
     assert beta.d == 8 and beta.m == 4
     assert beta.partial_sums == (0, 2, 5, 6, 8)
-    assert beta.block_of_column(1) == 1
-    assert beta.block_of_column(5) == 2
-    assert beta.block_of_column(6) == 3
     with pytest.raises(ValueError):
         Composition(())
     with pytest.raises(ValueError):
@@ -71,7 +68,9 @@ def test_composition_basics():
 
 def test_structure_example_label_grid():
     s = build_s_beta(EXAMPLE_BETA)
-    grid = {i: [s.label(i, j) for j in s.row_columns(i)] for i in s.rows()}
+    grid = {}
+    for i, j in sorted(s.elements):
+        grid.setdefault(i, []).append(s.label(i, j))
     assert grid == {
         1: [1, 2],
         2: [3, 4, 5, 6, 7],
@@ -91,12 +90,26 @@ def test_structure_single_part():
         assert [s.label(2, j) for j in range(1, b + 1)] == list(range(b + 1, 2 * b + 1))
 
 
+def generic_lower_covers(elements):
+    """Reference: the Hasse diagram of (i1 <= i2 and j1 <= j2), by exhaustive scan."""
+    def less(a, b):
+        return a != b and a[0] <= b[0] and a[1] <= b[1]
+
+    return tuple(
+        tuple(ai for ai, a in enumerate(elements)
+              if less(a, b) and not any(less(a, c) and less(c, b) for c in elements))
+        for b in elements)
+
+
 def test_structures_natural_up_to_d8():
-    # the constructor runs the exhaustive naturality scan; cover all shapes
+    # The cover formula has no branch on d, so every composition of d <= 8
+    # reaches every kind of cell and block junction.
     for d in range(1, 9):
         for beta in compositions(d):
             s = build_s_beta(beta)
-            assert s.size == 2 * d
+            assert len(set(s.elements)) == s.size == 2 * d
+            assert all(a < b for b, covers in enumerate(s.lower_covers) for a in covers)
+            assert s.lower_covers == generic_lower_covers(s.elements), beta
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +246,16 @@ def test_order_reversing_violations_raise():
     s2 = build_s_beta((2,))
     with pytest.raises(ValueError):
         PosetPartition.from_rows(s2, [[1, 2], [0, 0]])
+
+
+def test_from_rows_rejects_wrong_shape():
+    s = build_s_beta((1,))
+    with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+        PosetPartition.from_rows(s, [[5]])
+    with pytest.raises(ValueError, match="expected 2 rows, got 3"):
+        PosetPartition.from_rows(s, [[5], [2], [7, 7]])
+    with pytest.raises(ValueError, match="row 2 expects 3 entries, got 2"):
+        PosetPartition.from_rows(build_s_beta((1, 2)), [[3], [1, 1], [0, 0]])
 
 
 # ----------------------------------------------------------------------

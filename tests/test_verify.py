@@ -209,6 +209,26 @@ def test_repeated_target_runs_once():
     assert [r.parameters for r in twice] == [r.parameters for r in once]
 
 
+def test_census_targets_build_no_table_past_their_reach(monkeypatch):
+    # The six census targets read count_exact up to precision + max_d (the
+    # n + d of remarks' relation 2), so no census table is built past that.
+    import rankblocks.partitions as partitions_mod
+    bounds = []
+    build = partitions_mod._census_table
+
+    def recording(bound, d):
+        bounds.append(bound)
+        return build(bound, d)
+
+    monkeypatch.setattr(partitions_mod, "_CENSUS", {})
+    monkeypatch.setattr(partitions_mod, "_census_table", recording)
+    reports = run_reports(["thm-main", "thm-1.2", "thm-1.4", "thm-5.1", "remarks",
+                           "partition-unity"], {"precision": 150})
+    assert all(r.passed for r in reports)
+    max_d = SPECS["remarks"].bounds["max_d"]
+    assert bounds and max(bounds) <= 150 + max_d
+
+
 def test_run_reports_unknown_target():
     with pytest.raises(ValueError):
         run_reports(["nonsense"])
