@@ -66,9 +66,6 @@ class FrobeniusArray:
     def weight(self) -> int:
         return sum(self.top) + sum(self.bottom)
 
-    def blocks(self) -> ParityBlocks:
-        return parity_blocks(self)
-
     def to_json_dict(self) -> dict:
         return {"top": list(self.top), "bottom": list(self.bottom)}
 
@@ -122,7 +119,7 @@ def flipped_rows(a: FrobeniusArray, blocks: ParityBlocks | None = None
                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The array rows after interchanging top and bottom in each negative block.
     ``blocks``, when given, must be the array's parity blocks."""
-    blocks = a.blocks() if blocks is None else blocks
+    blocks = parity_blocks(a) if blocks is None else blocks
     return _flip_negative_blocks(a.top, a.bottom, blocks.sizes, blocks.signs)
 
 
@@ -130,7 +127,7 @@ def array_to_gamma(a: FrobeniusArray, blocks: ParityBlocks | None = None) -> Pos
     """Flip the negative blocks, then drop block l's columns into rows l, l+1
     of the block poset.  The composition is read off the array's parity
     blocks; ``blocks``, when given, must be those blocks."""
-    blocks = a.blocks() if blocks is None else blocks
+    blocks = parity_blocks(a) if blocks is None else blocks
     hat_top, hat_bottom = flipped_rows(a, blocks)
     values = []
     pos = 0
@@ -203,7 +200,8 @@ def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
     last-block sign (i.e. the input was not in the forward image).
     """
     beta = g.structure.beta
-    signs = alternating_sign_word(beta.m, SIGN_LETTER[check_sign(sign)])
+    letter = SIGN_LETTER[check_sign(sign)]
+    signs = alternating_sign_word(beta.m, letter)
     hat_top = []
     hat_bottom = []
     start = 0
@@ -213,8 +211,8 @@ def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
         start += 2 * b
     top, bottom = _flip_negative_blocks(hat_top, hat_bottom, beta.parts, signs)
     array = FrobeniusArray(top, bottom)
-    blocks = array.blocks()
-    if blocks.sizes != beta.parts or blocks.sign_word != signs:
+    blocks = parity_blocks(array)
+    if blocks.sizes != beta.parts or blocks.last_sign != letter:
         raise ValueError(
             f"reconstructed array has blocks {blocks.sizes}/{blocks.sign_word}, "
             f"expected {beta.parts}/{signs}; not in the forward image")

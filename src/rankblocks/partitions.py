@@ -165,36 +165,37 @@ def successive_ranks(f: FrobeniusSymbol) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(f.top, f.bottom))
 
 
+def alternating_sign_word(length: int, last: str) -> str:
+    """The alternating P/N word of the given length ending with the given letter."""
+    if length < 1:
+        raise ValueError("length must be positive")
+    if last not in (POSITIVE, NEGATIVE):
+        raise ValueError(f"last must be 'P' or 'N', got {last!r}")
+    other = NEGATIVE if last == POSITIVE else POSITIVE
+    letters = [last if (length - i) % 2 == 0 else other for i in range(1, length + 1)]
+    return "".join(letters)
+
+
 @dataclass(frozen=True)
 class ParityBlocks:
-    """Maximal runs of same-sign columns; sign P means rank >= 1, N means rank <= 0."""
+    """Maximal runs of same-sign columns; sign P means rank >= 1, N means rank <= 0.
+
+    Consecutive blocks alternate in sign, so the block sizes and the sign of
+    the last block fix every sign."""
 
     sizes: tuple[int, ...]
-    signs: tuple[str, ...]
-    column_ranks: tuple[int, ...]
+    last_sign: str
 
     def __post_init__(self):
         sizes = tuple(self.sizes)
-        signs = tuple(self.signs)
-        ranks = tuple(self.column_ranks)
-        if len(sizes) != len(signs) or not sizes:
-            raise ValueError("sizes and signs must have equal positive length")
-        if sum(sizes) != len(ranks):
-            raise ValueError("block sizes must partition the columns")
-        for i, s in enumerate(signs):
-            if s not in (POSITIVE, NEGATIVE):
-                raise ValueError(f"signs must be 'P' or 'N', got {s!r}")
-            if i and signs[i - 1] == s:
-                raise ValueError("consecutive blocks must alternate in sign")
-        pos = 0
-        for size, s in zip(sizes, signs):
-            for r in ranks[pos:pos + size]:
-                if (r >= 1) != (s == POSITIVE):
-                    raise ValueError(f"column rank {r} inconsistent with block sign {s}")
-            pos += size
+        if not sizes:
+            raise ValueError("need at least one block")
+        for size in sizes:
+            if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+                raise ValueError(f"block sizes must be positive integers, got {size!r}")
+        if self.last_sign not in (POSITIVE, NEGATIVE):
+            raise ValueError(f"last sign must be 'P' or 'N', got {self.last_sign!r}")
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "column_ranks", ranks)
 
     @property
     def m(self) -> int:
@@ -202,11 +203,11 @@ class ParityBlocks:
 
     @property
     def sign_word(self) -> str:
-        return "".join(self.signs)
+        return alternating_sign_word(self.m, self.last_sign)
 
     @property
-    def last_sign(self) -> str:
-        return self.signs[-1]
+    def signs(self) -> tuple[str, ...]:
+        return tuple(self.sign_word)
 
     def to_json_dict(self) -> dict:
         return {"sizes": list(self.sizes), "signs": self.sign_word}
@@ -230,9 +231,8 @@ def split_parity_runs(ranks) -> tuple[tuple[int, ...], tuple[str, ...]]:
 
 
 def parity_blocks(f: FrobeniusSymbol) -> ParityBlocks:
-    ranks = successive_ranks(f)
-    sizes, signs = split_parity_runs(ranks)
-    return ParityBlocks(sizes, signs, ranks)
+    sizes, signs = split_parity_runs(successive_ranks(f))
+    return ParityBlocks(sizes, signs[-1])
 
 
 # ----------------------------------------------------------------------
@@ -434,17 +434,6 @@ def count_all_columns(n: int, d: int) -> int:
 # ----------------------------------------------------------------------
 # sign-word prefix counting
 # ----------------------------------------------------------------------
-
-
-def alternating_sign_word(length: int, last: str) -> str:
-    """The alternating P/N word of the given length ending with the given letter."""
-    if length < 1:
-        raise ValueError("length must be positive")
-    if last not in (POSITIVE, NEGATIVE):
-        raise ValueError(f"last must be 'P' or 'N', got {last!r}")
-    other = NEGATIVE if last == POSITIVE else POSITIVE
-    letters = [last if (length - i) % 2 == 0 else other for i in range(1, length + 1)]
-    return "".join(letters)
 
 
 def count_prefix_pattern(n: int, pattern) -> int:

@@ -218,8 +218,18 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QSeries":
-        precision = int(data["precision"])
-        coeffs = tuple(int(c) for c in data["coeffs"])
+        """Reads what ``to_json_dict`` writes, plus plain int coefficients;
+        floats, bools and other strings are refused, not rounded or parsed."""
+        precision, coeffs = data.get("precision"), data.get("coeffs")
+        if not isinstance(precision, int) or isinstance(precision, bool):
+            raise ValueError(f"series 'precision' must be an integer, got {precision!r}")
+        if not isinstance(coeffs, list):
+            raise ValueError(f"series 'coeffs' must be a list, got {coeffs!r}")
+        for k, c in enumerate(coeffs):
+            if not (isinstance(c, int) and not isinstance(c, bool) or isinstance(c, str)
+                    and c.isascii() and c.removeprefix("-").isdigit()):
+                raise ValueError(f"series coeffs[{k}] is not an int or a decimal string: {c!r}")
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) != precision + 1:
             raise ValueError("coeffs length does not match precision + 1")
         return cls(coeffs)

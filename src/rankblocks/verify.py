@@ -38,11 +38,9 @@ from .partitions import (
     count_by_columns,
     count_exact,
     count_prefix_pattern,
-    enumerate_partitions,
     iter_frobenius_symbols,
     iter_symbols_in_class,
     parity_blocks,
-    to_frobenius,
 )
 from .posets import (
     build_s_beta,
@@ -124,7 +122,7 @@ def _counts(precision, count):
 # ----------------------------------------------------------------------
 
 
-def verify_exact_series(d, m, sign, precision=40):
+def verify_exact_series(d, m, sign, precision):
     """Counts with fixed column number and block number vs their closed form."""
     closed = series_exact(d, m, sign, precision)
     counts = _counts(precision, lambda n: count_exact(n, d, m, sign))
@@ -134,24 +132,22 @@ def verify_exact_series(d, m, sign, precision=40):
     return disc, wits
 
 
-def verify_block_series(m, sign, precision=40):
+def verify_block_series(m, sign, precision):
     """Counts with fixed block number vs both the finite partition-number
     formula and the pentagonal-kernel series."""
     closed = series_by_blocks(m, sign, precision)
-    letter = SIGN_LETTER[sign]
     ns = range(1, precision + 1)
     counts = _counts(precision, lambda n: count_by_blocks(n, m, sign))
     discs = [_first_discrepancy(counts, [block_count_formula(n, m, sign) for n in ns],
                                 1, side="formula"),
              _first_discrepancy(counts, closed.coeffs[1:], 1, side="series")]
     disc = min(filter(None, discs), key=lambda x: x["exponent"], default=None)
-    wits = disc and _take(p.to_json_dict() for p in enumerate_partitions(disc["exponent"])
-                          if (pb := parity_blocks(to_frobenius(p))).m == m
-                          and pb.last_sign == letter)
+    wits = disc and _take(f.to_json_dict() for d in range(m, isqrt(disc["exponent"]) + 1)
+                          for f, _ in iter_symbols_in_class(disc["exponent"], d, m, sign))
     return disc, wits
 
 
-def verify_column_series(d, sign, precision=40):
+def verify_column_series(d, sign, precision):
     """Counts with fixed column number vs their closed form."""
     closed = series_by_columns(d, sign, precision)
     letter = SIGN_LETTER[sign]
@@ -162,7 +158,7 @@ def verify_column_series(d, sign, precision=40):
     return disc, wits
 
 
-def verify_euler_expansion(m, precision=40):
+def verify_euler_expansion(m, precision):
     """Truncated pentagonal kernel over the partition product vs the sum of the
     exact closed forms over all column counts (cut off where q^(d^2) exceeds
     the precision), for both sign variants."""
@@ -247,7 +243,7 @@ def verify_exact_mark_gf(s, r):
 # ----------------------------------------------------------------------
 
 
-def verify_poset_partition_gf(beta, precision=20):
+def verify_poset_partition_gf(beta, precision):
     """Weight histogram of order-reversing assignments vs the descent series
     over linear extensions divided by the length-2d Pochhammer product."""
     structure = build_s_beta(beta)
@@ -303,7 +299,7 @@ def verify_word_path_gf(beta):
 # ----------------------------------------------------------------------
 
 
-def verify_prefix_counts(m, precision=30):
+def verify_prefix_counts(m, precision):
     """Sign-word prefix counts vs pentagonal-shifted partition numbers.
 
     For each terminal letter, partitions whose alternating sign word starts
@@ -321,8 +317,10 @@ def verify_prefix_counts(m, precision=30):
         disc = _first_discrepancy(counts, [partition_number_or_zero(n - offset) for n in ns],
                                   1, last_letter=letter)
         if disc:
-            return disc, _take(p.to_json_dict() for p in enumerate_partitions(disc["exponent"])
-                               if parity_blocks(to_frobenius(p)).sign_word.startswith(patterns))
+            n = disc["exponent"]
+            return disc, _take(f.to_json_dict() for d in range(m, isqrt(n) + 1)
+                               for f in iter_frobenius_symbols(n, d)
+                               if parity_blocks(f).sign_word.startswith(patterns))
     return None, []
 
 
@@ -350,7 +348,7 @@ def _count_relations(precision, max_m, max_d):
                {"item": 3, "d": d})
 
 
-def verify_count_relations(precision=30, max_m=4, max_d=4):
+def verify_count_relations(precision, max_m, max_d):
     """Three relations between the count families, all by double enumeration:
     (1) the minus/plus by-blocks difference equals a difference of shifted
     partition numbers, (2) the minus counts shift into plus counts at n + d,
@@ -361,7 +359,7 @@ def verify_count_relations(precision=30, max_m=4, max_d=4):
     return next(filter(None, discs), None), []
 
 
-def verify_partition_unity(precision=30):
+def verify_partition_unity(precision):
     """Every nonempty partition is counted once over all (d, m, sign) classes."""
     totals = _counts(precision, lambda n: sum(count_exact(n, d, m, sign)
                                               for d in range(1, isqrt(n) + 1)

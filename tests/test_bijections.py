@@ -67,7 +67,7 @@ def test_array_round_trip_and_parity_preservation():
         assert array_to_symbol(mu) == f
         assert mu.weight == f.size - f.d * f.d
         fb = parity_blocks(f)
-        ab = mu.blocks()
+        ab = parity_blocks(mu)
         assert (fb.sizes, fb.signs) == (ab.sizes, ab.signs)
 
 
@@ -104,7 +104,7 @@ def test_gamma_validity_and_strictness_sweep():
         mu = symbol_to_array(f)
         gamma = array_to_gamma(mu)
         assert gamma.weight == mu.weight
-        blocks = mu.blocks()
+        blocks = parity_blocks(mu)
         sums = gamma.structure.beta.partial_sums
         for l, sign in enumerate(blocks.signs, start=1):
             if sign != "P":

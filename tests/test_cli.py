@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -381,6 +382,39 @@ def test_verify_default_sweep_output_is_pinned(capsys):
     assert len(out.splitlines()) == 496
     stripped = re.sub(r', "elapsed": -?[0-9.eE+-]+', "", out)
     assert hashlib.sha256(stripped.encode()).hexdigest() == DEFAULT_SWEEP_DIGEST
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_invocations():
+    """(argv, annotated output or None) for every `rankblocks ...` line in the
+    README's sh blocks.  An optional `[--flag a|b]` expands into the bare
+    form and one invocation per choice; `# -> x` annotates the output."""
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            if not line.startswith("rankblocks "):
+                continue
+            command, _, note = line.partition("# -> ")
+            optional = re.search(r"\[(--\S+) ([^\]]+)\]", command)
+            variants = [command]
+            if optional:
+                flag, choices = optional.groups()
+                variants = [command.replace(optional.group(0), f"{flag} {choice}")
+                            for choice in choices.split("|")]
+                variants.insert(0, command.replace(optional.group(0), ""))
+            for variant in variants:
+                yield shlex.split(variant, comments=True)[1:], note.strip() or None
+
+
+def test_readme_cli_examples_run(capsys):
+    invocations = list(_readme_invocations())
+    for argv, note in invocations:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert note is None or out.strip() == note, argv
+    assert len(invocations) >= 14
+    assert [note for _, note in invocations if note] == ["3", "1,1,2,1,1"]
 
 
 def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):

@@ -155,10 +155,33 @@ def test_parity_blocks_rank_zero_is_negative():
 
 
 def test_parity_blocks_validation():
-    with pytest.raises(ValueError):
-        ParityBlocks((1, 1), ("P", "P"), (1, 2))
-    with pytest.raises(ValueError):
-        ParityBlocks((1, 1), ("P", "N"), (1, 2))  # rank 2 in an N block
+    # The record holds the block sizes and the last sign; an empty or
+    # non-positive size and an unknown sign letter are refused.
+    bad = [((), "P"), ((2, 0), "N"), ((3, -1), "N"), ((True,), "P"), (("2",), "P"),
+           ((1, 2), "p"), ((1, 2), "plus"), ((1,), ""), ((1,), None)]
+    for sizes, last_sign in bad:
+        with pytest.raises(ValueError):
+            ParityBlocks(sizes, last_sign)
+
+
+def test_parity_blocks_record_derives_alternating_signs():
+    pb = ParityBlocks([2, 3, 1, 2], "P")
+    assert pb.sizes == (2, 3, 1, 2) and pb.m == 4
+    assert pb.signs == ("N", "P", "N", "P") and pb.sign_word == "NPNP"
+    assert pb.to_json_dict() == {"sizes": [2, 3, 1, 2], "signs": "NPNP"}
+    assert ParityBlocks((1, 1, 1), "N").sign_word == "NPN"
+
+
+def test_parity_blocks_match_split_runs_up_to_25():
+    for n in range(1, 26):
+        for d in range(1, isqrt(n) + 1):
+            for f in iter_frobenius_symbols(n, d):
+                sizes, signs = split_parity_runs(successive_ranks(f))
+                pb = parity_blocks(f)
+                assert (pb.sizes, pb.signs, pb.m, pb.last_sign) == (
+                    sizes, signs, len(sizes), signs[-1])
+                assert pb.sign_word == "".join(signs)
+                assert pb.to_json_dict() == {"sizes": list(sizes), "signs": "".join(signs)}
 
 
 @given(partitions_strategy)
@@ -169,9 +192,10 @@ def test_block_invariants(p):
     assert sum(pb.sizes) == f.d
     for a, b in zip(pb.signs, pb.signs[1:]):
         assert a != b
+    ranks = successive_ranks(f)
     pos = 0
     for size, sign in zip(pb.sizes, pb.signs):
-        for r in pb.column_ranks[pos:pos + size]:
+        for r in ranks[pos:pos + size]:
             assert (r >= 1) == (sign == "P")
         pos += size
     assert from_frobenius(f) == p

@@ -242,6 +242,38 @@ def test_json_round_trip():
     assert QSeries.from_json_dict(data) == a
 
 
+def test_json_round_trip_negative_and_past_64_bits():
+    a = QSeries((-(2**64) - 1, 0, 2**70, -3))
+    data = a.to_json_dict()
+    assert data == {"precision": 3,
+                    "coeffs": [str(-(2**64) - 1), "0", str(2**70), "-3"]}
+    back = QSeries.from_json_dict(data)
+    assert back.coeffs == a.coeffs and back.precision == 3
+    # plain ints are read as well
+    assert QSeries.from_json_dict({"precision": 1, "coeffs": [-5, 2**65]}).coeffs == (-5, 2**65)
+
+
+@pytest.mark.parametrize("data, entry", [
+    ({"precision": 1.9, "coeffs": [1, 2]}, "'precision'"),
+    ({"precision": True, "coeffs": [1, 2]}, "'precision'"),
+    ({"precision": "1", "coeffs": ["1", "2"]}, "'precision'"),
+    ({"coeffs": ["1"]}, "'precision'"),
+    ({"precision": 1, "coeffs": [True, 2]}, r"coeffs\[0\]"),
+    ({"precision": 1, "coeffs": [1, 2.7]}, r"coeffs\[1\]"),
+    ({"precision": 1, "coeffs": ["1", " 2 "]}, r"coeffs\[1\]"),
+    ({"precision": 1, "coeffs": ["1", "+2"]}, r"coeffs\[1\]"),
+    ({"precision": 1, "coeffs": ["1_0", "2"]}, r"coeffs\[0\]"),
+    ({"precision": 1, "coeffs": ["-", "2"]}, r"coeffs\[0\]"),
+    ({"precision": 1, "coeffs": ["1", "\u0662"]}, r"coeffs\[1\]"),
+    ({"precision": 0, "coeffs": "1"}, "'coeffs'"),
+])
+def test_json_rejects_what_to_json_dict_never_writes(data, entry):
+    # floats and bools are not rounded, and strings other than a decimal
+    # integer with an optional leading minus are not parsed
+    with pytest.raises(ValueError, match=entry):
+        QSeries.from_json_dict(data)
+
+
 # ----------------------------------------------------------------------
 # pochhammer and Gaussian binomials
 # ----------------------------------------------------------------------

@@ -6,12 +6,16 @@ import pytest
 
 import rankblocks.verify as verify_mod
 from rankblocks.lattice_paths import MarkedBallotPath, vmr
+from rankblocks.partitions import FrobeniusSymbol, parity_blocks
 from rankblocks.qseries import (
     MINUS,
     PLUS,
     QSeries,
     euler_inverse,
+    partition_number_or_zero,
     pentagonal_kernel,
+    series_by_blocks,
+    series_by_columns,
     series_exact,
 )
 from rankblocks.verify import (
@@ -177,6 +181,58 @@ def test_mutation_guard_poset_dp(monkeypatch):
     assert report.first_discrepancy["exponent"] == 7
     assert report.witnesses
     assert all(w["weight"] == 7 for w in report.witnesses)
+
+
+def _bump(series, exponent):
+    coeffs = list(series.coeffs)
+    coeffs[exponent] += 1
+    return QSeries(tuple(coeffs))
+
+
+def _witness_symbols(report, size):
+    # Every witness is the JSON of a Frobenius symbol of the discrepant size.
+    assert report.witnesses and len(report.witnesses) <= 5
+    symbols = [FrobeniusSymbol.from_json_dict(w) for w in report.witnesses]
+    assert all(f.size == size for f in symbols)
+    return symbols
+
+
+def test_mutation_guard_block_series(monkeypatch):
+    # thm-1.2: one closed-side coefficient off is located, and the witnesses
+    # are symbols of that size with m blocks and the requested last sign
+    monkeypatch.setattr(verify_mod, "series_by_blocks",
+                        lambda m, sign, precision: _bump(series_by_blocks(m, sign, precision), 20))
+    report = verify_mod.run_check("thm-1.2", m=2, sign=PLUS, precision=30)
+    assert not report.passed
+    assert report.first_discrepancy["exponent"] == 20
+    assert report.first_discrepancy["side"] == "series"
+    for f in _witness_symbols(report, 20):
+        blocks = parity_blocks(f)
+        assert (blocks.m, blocks.last_sign) == (2, "P")
+
+
+def test_mutation_guard_column_series(monkeypatch):
+    # thm-1.4: the witnesses have d columns and the requested last sign
+    monkeypatch.setattr(verify_mod, "series_by_columns",
+                        lambda d, sign, precision: _bump(series_by_columns(d, sign, precision), 18))
+    report = verify_mod.run_check("thm-1.4", d=2, sign=MINUS, precision=30)
+    assert not report.passed
+    assert report.first_discrepancy["exponent"] == 18
+    for f in _witness_symbols(report, 18):
+        assert f.d == 2 and parity_blocks(f).last_sign == "N"
+
+
+def test_mutation_guard_prefix_counts(monkeypatch):
+    # thm-5.1 at m = 2: p(10) off by one moves the N-case count at n = 10 + 5,
+    # and every witness's sign word starts with PN or NPN
+    monkeypatch.setattr(verify_mod, "partition_number_or_zero",
+                        lambda k: partition_number_or_zero(k) + (k == 10))
+    report = verify_mod.run_check("thm-5.1", m=2, precision=30)
+    assert not report.passed
+    assert report.first_discrepancy["exponent"] == 15
+    assert report.first_discrepancy["last_letter"] == "N"
+    for f in _witness_symbols(report, 15):
+        assert parity_blocks(f).sign_word.startswith(("PN", "NPN"))
 
 
 # ----------------------------------------------------------------------
