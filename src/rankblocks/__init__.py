@@ -33,6 +33,7 @@ from .partitions import (
     ParityBlocks,
     Partition,
     alternating_sign_word,
+    build_census,
     count_all_columns,
     count_by_blocks,
     count_by_columns,
@@ -71,7 +72,6 @@ from .qseries import (
     pentagonal_kernel,
     pochhammer,
     qbinomial,
-    qbinomial_column_sum_check,
     series_by_blocks,
     series_by_columns,
     series_exact,

@@ -16,6 +16,7 @@ from . import verify
 from .bijections import bijection_trace, pi_to_lambda
 from .partitions import (
     FrobeniusSymbol,
+    build_census,
     count_by_blocks,
     count_by_columns,
     count_exact,
@@ -122,7 +123,10 @@ def _cmd_count(args, parser):
     mode = args.mode
     count, flags = COUNT_MODES[mode]
     _check_flags(parser, args, f"mode {mode!r}", flags, ("d", "m"))
-    value = count(args.n, *(getattr(args, flag) for flag in flags), args.sign)
+    # Build only the tables the count reads; by-blocks reads every d with d*d <= n.
+    reach = ({d: args.n for d in range(1, args.n + 1) if d * d <= args.n}
+             if mode == "by-blocks" else {args.d: args.n})
+    value = count(build_census(reach), args.n, *(getattr(args, f) for f in flags), args.sign)
     payload = {"mode": mode, "n": args.n, "d": args.d, "m": args.m,
                "sign": args.sign, "count": value}
     _emit(args, payload, [str(value)],

@@ -1,13 +1,13 @@
 """Integer partitions, Frobenius symbols, successive ranks, and parity blocks.
 
-The counting functions read one census per column count d, built by a column
-DP over the two rows of a symbol with the staircase removed: one exact pass
-gives the counts for every size up to a bound.  Symbol enumeration stays for
-listing the symbols behind a count, for failure witnesses, for the bijection
-chain, and as the brute-force reference the tests compare the census against.
-Both serve as the enumeration oracle against which the closed-form series of
-:mod:`rankblocks.qseries` are verified, so they must not share any code path
-with those series.
+The counting functions read a census from :func:`build_census`, one table per
+column count d, built by a column DP over the two rows of a symbol with the
+staircase removed: one exact pass gives the counts for every size up to the
+declared bound.  Symbol enumeration stays for listing the symbols behind a
+count, for failure witnesses, for the bijection chain, and as the brute-force
+reference the tests compare the census against.  Both serve as the enumeration
+oracle against which the closed-form series of :mod:`rankblocks.qseries` are
+verified, so they must not share any code path with those series.
 """
 
 from dataclasses import dataclass
@@ -377,58 +377,49 @@ def _census_table(bound: int, d: int) -> list:
     return table
 
 
-# d -> census table; replaced by one built at n when a larger n is asked for.
-_CENSUS: dict[int, list] = {}
+def build_census(reach: dict) -> dict:
+    """The census the counts below read: d -> census table up to n = reach[d],
+    for each column count d >= 1.  It never grows: reading a d it lacks, or past
+    n, raises LookupError (a fault of the declared reach, not a ValueError)."""
+    return {d: _census_table(bound, d) for d, bound in reach.items() if d >= 1}
 
 
-def _block_census(n: int, d: int) -> dict:
-    """Counts of symbols of size n with d columns, keyed by (m, last block sign)."""
-    table = _CENSUS.get(d, ())
-    if len(table) <= n:
-        # Every census check asks for its largest n first, so building at
-        # exactly n builds each table once per depth asked for.
-        table = _CENSUS[d] = _census_table(n, d)
-    return table[n]
-
-
-def count_exact(n: int, d: int, m: int, sign: str) -> int:
+def count_exact(census: dict, n: int, d: int, m: int, sign: str) -> int:
     """Partitions of n with exactly d columns and m parity blocks, last block of
     the given sign.  Returns 0 whenever the combination is impossible."""
     check_sign(sign)
     if n < 1 or d < 1 or m < 1:
         return 0
-    return _block_census(n, d).get((m, SIGN_LETTER[sign]), 0)
+    return census[d][n].get((m, SIGN_LETTER[sign]), 0)
 
 
-def count_by_blocks(n: int, m: int, sign: str) -> int:
+def count_by_blocks(census: dict, n: int, m: int, sign: str) -> int:
     """Partitions of n with exactly m parity blocks (any column count)."""
     check_sign(sign)
     if n < 1:
         return 0
-    return sum(count_exact(n, d, m, sign) for d in range(1, isqrt(n) + 1))
+    return sum(count_exact(census, n, d, m, sign) for d in range(1, isqrt(n) + 1))
 
 
-def count_by_columns(n: int, d: int, sign: str) -> int:
+def count_by_columns(census: dict, n: int, d: int, sign: str) -> int:
     """Partitions of n with exactly d columns (any number of blocks)."""
     check_sign(sign)
     if n < 1 or d < 1:
         return 0
-    return sum(count_exact(n, d, m, sign) for m in range(1, d + 1))
+    return sum(count_exact(census, n, d, m, sign) for m in range(1, d + 1))
 
 
-def count_all_columns(n: int, d: int) -> int:
+def count_all_columns(census: dict, n: int, d: int) -> int:
     """Partitions of n with exactly d columns, regardless of block structure.
 
     Conventions: one empty partition with zero columns, so the (0, 0) case
     counts 1; negative n counts 0.
     """
-    if n < 0:
-        return 0
     if d == 0:
         return 1 if n == 0 else 0
     if n < 1:
         return 0
-    return sum(_block_census(n, d).values())
+    return sum(census[d][n].values())
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +427,7 @@ def count_all_columns(n: int, d: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def count_prefix_pattern(n: int, pattern) -> int:
+def count_prefix_pattern(census: dict, n: int, pattern) -> int:
     """Partitions of n whose parity-block sign word starts with the pattern.
 
     The pattern (a string or sequence over {'P','N'}) must alternate, since
@@ -455,5 +446,5 @@ def count_prefix_pattern(n: int, pattern) -> int:
     # starts with the alternating pattern iff it is long enough and the
     # first letters agree.
     return sum(c for d in range(1, isqrt(n) + 1)
-               for (m, last), c in _block_census(n, d).items()
+               for (m, last), c in census[d][n].items()
                if m >= len(word) and (not word or (last == word[0]) == (m % 2 == 1)))

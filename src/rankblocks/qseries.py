@@ -489,9 +489,3 @@ def qbinomial_column_sum_sides(d: int) -> tuple[QSeries, QSeries]:
         term = term * qbinomial(2 * d, d + m, precision)
         lhs = lhs + term
     return lhs * (one + q_d), (one - q_d) * qbinomial(2 * d, d, precision)
-
-
-def qbinomial_column_sum_check(d: int) -> bool:
-    """Exact polynomial check of the signed Gaussian-binomial column sum."""
-    lhs, rhs = qbinomial_column_sum_sides(d)
-    return lhs == rhs

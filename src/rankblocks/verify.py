@@ -33,6 +33,7 @@ from .partitions import (
     POSITIVE,
     SIGN_LETTER,
     alternating_sign_word,
+    build_census,
     count_all_columns,
     count_by_blocks,
     count_by_columns,
@@ -86,14 +87,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "parameters": self.parameters,
-            "status": self.status,
-            "first_discrepancy": self.first_discrepancy,
-            "elapsed": round(self.elapsed, 6),
-            "witnesses": self.witnesses,
-        }
+        return {**vars(self), "elapsed": round(self.elapsed, 6)}
 
 
 def _take(iterable, k=5):
@@ -110,34 +104,27 @@ def _first_discrepancy(lhs, rhs, start=0, **extra):
     return None
 
 
-def _counts(precision, count):
-    """``[count(1), ..., count(precision)]``, asked for from n = precision down
-    so that the census builds each of its tables once, at the sweep's bound,
-    instead of growing it step by step on the way up."""
-    return [count(n) for n in range(precision, 0, -1)][::-1]
-
-
 # ----------------------------------------------------------------------
 # series vs enumerated counts
 # ----------------------------------------------------------------------
 
 
-def verify_exact_series(d, m, sign, precision):
+def verify_exact_series(census, d, m, sign, precision):
     """Counts with fixed column number and block number vs their closed form."""
     closed = series_exact(d, m, sign, precision)
-    counts = _counts(precision, lambda n: count_exact(n, d, m, sign))
+    counts = [count_exact(census, n, d, m, sign) for n in range(1, precision + 1)]
     disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
     wits = disc and _take(f.to_json_dict() for f, _ in
                           iter_symbols_in_class(disc["exponent"], d, m, sign))
     return disc, wits
 
 
-def verify_block_series(m, sign, precision):
+def verify_block_series(census, m, sign, precision):
     """Counts with fixed block number vs both the finite partition-number
     formula and the pentagonal-kernel series."""
     closed = series_by_blocks(m, sign, precision)
     ns = range(1, precision + 1)
-    counts = _counts(precision, lambda n: count_by_blocks(n, m, sign))
+    counts = [count_by_blocks(census, n, m, sign) for n in ns]
     discs = [_first_discrepancy(counts, [block_count_formula(n, m, sign) for n in ns],
                                 1, side="formula"),
              _first_discrepancy(counts, closed.coeffs[1:], 1, side="series")]
@@ -147,14 +134,13 @@ def verify_block_series(m, sign, precision):
     return disc, wits
 
 
-def verify_column_series(d, sign, precision):
+def verify_column_series(census, d, sign, precision):
     """Counts with fixed column number vs their closed form."""
     closed = series_by_columns(d, sign, precision)
-    letter = SIGN_LETTER[sign]
-    counts = _counts(precision, lambda n: count_by_columns(n, d, sign))
+    counts = [count_by_columns(census, n, d, sign) for n in range(1, precision + 1)]
     disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
     wits = disc and _take(f.to_json_dict() for f in iter_frobenius_symbols(disc["exponent"], d)
-                          if parity_blocks(f).last_sign == letter)
+                          if parity_blocks(f).last_sign == SIGN_LETTER[sign])
     return disc, wits
 
 
@@ -299,7 +285,7 @@ def verify_word_path_gf(beta):
 # ----------------------------------------------------------------------
 
 
-def verify_prefix_counts(m, precision):
+def verify_prefix_counts(census, m, precision):
     """Sign-word prefix counts vs pentagonal-shifted partition numbers.
 
     For each terminal letter, partitions whose alternating sign word starts
@@ -312,8 +298,8 @@ def verify_prefix_counts(m, precision):
     cases = ((NEGATIVE, (3 * m * m - m) // 2), (POSITIVE, (3 * m * m + m) // 2))
     for letter, offset in cases:
         patterns = (alternating_sign_word(m, letter), alternating_sign_word(m + 1, letter))
-        counts = _counts(precision, lambda n: sum(count_prefix_pattern(n, pattern)
-                                                  for pattern in patterns))
+        counts = [sum(count_prefix_pattern(census, n, pattern) for pattern in patterns)
+                  for n in ns]
         disc = _first_discrepancy(counts, [partition_number_or_zero(n - offset) for n in ns],
                                   1, last_letter=letter)
         if disc:
@@ -324,46 +310,46 @@ def verify_prefix_counts(m, precision):
     return None, []
 
 
-def _count_relations(precision, max_m, max_d):
+def _count_relations(census, precision, max_m, max_d):
     # (lhs, rhs, labels) for every instance of the three relations, in order.
     ns = range(1, precision + 1)
     for m in range(1, max_m + 1):
         lo = (3 * m * m - m) // 2
         hi = (3 * m * m + m) // 2
-        yield (_counts(precision,
-                       lambda n: count_by_blocks(n, m, MINUS) - count_by_blocks(n, m, PLUS)),
+        yield ([count_by_blocks(census, n, m, MINUS) - count_by_blocks(census, n, m, PLUS)
+                for n in ns],
                [partition_number_or_zero(n - lo) - partition_number_or_zero(n - hi)
                 for n in ns],
                {"item": 1, "m": m})
     for d in range(1, max_d + 1):
         for m in range(1, d + 1):
-            yield (_counts(precision, lambda n: count_exact(n, d, m, MINUS)),
-                   _counts(precision, lambda n: count_exact(n + d, d, m, PLUS)),
+            yield ([count_exact(census, n, d, m, MINUS) for n in ns],
+                   [count_exact(census, n + d, d, m, PLUS) for n in ns],
                    {"item": 2, "d": d, "m": m})
     for d in range(1, max_d + 1):
-        yield (_counts(precision,
-                       lambda n: count_by_columns(n, d, MINUS) - count_by_columns(n, d, PLUS)),
-               _counts(precision, lambda n: sum(count_all_columns(n - 2 * d * j + 1, d - 1)
-                                                for j in range(1, (n + 1) // (2 * d) + 1))),
+        yield ([count_by_columns(census, n, d, MINUS) - count_by_columns(census, n, d, PLUS)
+                for n in ns],
+               [sum(count_all_columns(census, n - 2 * d * j + 1, d - 1)
+                    for j in range(1, (n + 1) // (2 * d) + 1)) for n in ns],
                {"item": 3, "d": d})
 
 
-def verify_count_relations(precision, max_m, max_d):
+def verify_count_relations(census, precision, max_m, max_d):
     """Three relations between the count families, all by double enumeration:
     (1) the minus/plus by-blocks difference equals a difference of shifted
     partition numbers, (2) the minus counts shift into plus counts at n + d,
     (3) the by-columns minus/plus difference telescopes into counts one column
     narrower."""
     discs = (_first_discrepancy(lhs, rhs, 1, **labels)
-             for lhs, rhs, labels in _count_relations(precision, max_m, max_d))
+             for lhs, rhs, labels in _count_relations(census, precision, max_m, max_d))
     return next(filter(None, discs), None), []
 
 
-def verify_partition_unity(precision):
+def verify_partition_unity(census, precision):
     """Every nonempty partition is counted once over all (d, m, sign) classes."""
-    totals = _counts(precision, lambda n: sum(count_exact(n, d, m, sign)
-                                              for d in range(1, isqrt(n) + 1)
-                                              for m in range(1, d + 1) for sign in SIGNS))
+    totals = [sum(count_exact(census, n, d, m, sign) for d in range(1, isqrt(n) + 1)
+                  for m in range(1, d + 1) for sign in SIGNS)
+              for n in range(1, precision + 1)]
     disc = _first_discrepancy(totals, [partition_number(n) for n in range(1, precision + 1)], 1)
     return disc, []
 
@@ -380,13 +366,15 @@ class Spec:
     the bounds giving them; a point override of that name replaces them), the
     check arguments read from the bounds, and the constraint a grid point must
     meet, given the point and the bounds.  Those functions are handed only the
-    bounds declared here."""
+    bounds declared here.  A census target's check takes the census first; its
+    ``reach`` maps a grid point to ``{d: the largest n the check reads}``."""
 
     check: Callable
     bounds: dict
     axes: dict
     args: Callable = lambda bounds: {}
     where: Callable = lambda point, bounds: True
+    reach: Callable | None = None
 
     @property
     def honours(self) -> frozenset:
@@ -406,14 +394,20 @@ def _precision(bounds):
     return {"precision": bounds["precision"]}
 
 
+def _every_column(point):
+    return dict.fromkeys(range(1, isqrt(point["precision"]) + 1), point["precision"])
+
+
 SPECS = {
     "thm-main": Spec(verify_exact_series, {"precision": 40, "max_d": 5, "max_m": 5},
                      {"d": _upto("max_d"), "m": _upto("max_m"), "sign": SIGNS},
-                     _precision, lambda p, bounds: p["m"] <= p["d"]),
+                     _precision, lambda p, bounds: p["m"] <= p["d"],
+                     reach=lambda p: {p["d"]: p["precision"]}),
     "thm-1.2": Spec(verify_block_series, {"precision": 40, "max_m": 5},
-                    {"m": _upto("max_m"), "sign": SIGNS}, _precision),
+                    {"m": _upto("max_m"), "sign": SIGNS}, _precision, reach=_every_column),
     "thm-1.4": Spec(verify_column_series, {"precision": 40, "max_d": 5},
-                    {"d": _upto("max_d"), "sign": SIGNS}, _precision),
+                    {"d": _upto("max_d"), "sign": SIGNS}, _precision,
+                    reach=lambda p: {p["d"]: p["precision"]}),
     "cor-1.3": Spec(verify_euler_expansion, {"precision": 40, "max_m": 5},
                     {"m": _upto("max_m")}, _precision),
     "cor-1.5": Spec(verify_qbinomial_column_sum, {}, {"d": range(1, 11)}),
@@ -426,10 +420,15 @@ SPECS = {
     "prop-3.9": Spec(verify_poset_partition_gf, {"max_d": 4, "precision": 20},
                      {"beta": _compositions_upto}, _precision),
     "prop-3.10": Spec(verify_word_path_gf, {"max_d": 5}, {"beta": _compositions_upto}),
-    "thm-5.1": Spec(verify_prefix_counts, {"precision": 30}, {"m": range(1, 5)}, _precision),
+    "thm-5.1": Spec(verify_prefix_counts, {"precision": 30}, {"m": range(1, 5)}, _precision,
+                    reach=_every_column),
     "remarks": Spec(verify_count_relations, {"precision": 30, "max_d": 4}, {},
-                    lambda bounds: {**_precision(bounds), "max_m": 4, "max_d": bounds["max_d"]}),
-    "partition-unity": Spec(verify_partition_unity, {"precision": 30}, {}, _precision),
+                    lambda bounds: {**_precision(bounds), "max_m": 4, "max_d": bounds["max_d"]},
+                    # relation (2) reads count_exact(n + d, ...) up to precision + d
+                    reach=lambda p: {**_every_column(p), **{d: p["precision"] + d
+                                                            for d in range(1, p["max_d"] + 1)}}),
+    "partition-unity": Spec(verify_partition_unity, {"precision": 30}, {}, _precision,
+                            reach=_every_column),
 }
 
 
@@ -468,21 +467,31 @@ def grid_points(name, bounds=None, overrides=None):
     return points
 
 
-def run_check(name, **point):
+def run_check(name, census=None, /, **point):
     """Run target ``name``'s check at one grid point and build its report:
     the check's time, the target name, ``point`` as the parameters, and the
     status.  A check returns ``(first_discrepancy, witnesses)``, the first
-    None when its two sides agree."""
+    None when its two sides agree.  A census target's check reads ``census``,
+    or else a census built for the point's reach before the clock starts."""
+    census_args = [census or _census([(name, point)])] if SPECS[name].reach else []
     started = time.perf_counter()
-    discrepancy, witnesses = SPECS[name].check(**point)
+    discrepancy, witnesses = SPECS[name].check(*census_args, **point)
     elapsed = time.perf_counter() - started
     if discrepancy is None:
         return VerificationReport(name, point, "pass", None, elapsed)
     return VerificationReport(name, point, "fail", discrepancy, elapsed, list(witnesses))
 
 
-def _sweep(name, bounds=None, overrides=None):
-    return [run_check(name, **point) for point in grid_points(name, bounds, overrides)]
+def _census(points):
+    """The census read at (target, grid point) pairs: each d up to the largest n."""
+    reaches = [SPECS[name].reach(point) for name, point in points if SPECS[name].reach]
+    return build_census({d: max(r.get(d, 0) for r in reaches) for d in set().union(*reaches)})
+
+
+def _sweep(name, bounds=None, overrides=None, census=None):
+    points = grid_points(name, bounds, overrides)
+    census = census or _census((name, point) for point in points)
+    return [run_check(name, census, **point) for point in points]
 
 
 TARGETS = {name: partial(_sweep, name) for name in SPECS}
@@ -509,12 +518,13 @@ def run_reports(targets="all", bounds=None, overrides=None):
     to a value of at least 1; ``overrides`` fixes grid axes to one value each.
     A bound below 1, a bound or override that a selected target does not
     honour, and an override that leaves a selected target with no grid point
-    raise ValueError before any check runs.
+    raise ValueError before any check runs.  The census the selected targets
+    read is built once, before any check runs.
     """
     names = target_names(targets)
     _reject_unusable(names, bounds or {}, overrides or {})
-    for name in names:
-        grid_points(name, bounds, overrides)
-    reports = [r for name in names for r in TARGETS[name](bounds, overrides)]
+    census = _census((name, point) for name in names
+                     for point in grid_points(name, bounds, overrides))
+    reports = [r for name in names for r in TARGETS[name](bounds, overrides, census)]
     reports.sort(key=lambda r: (r.target, json.dumps(r.parameters, sort_keys=True)))
     return reports

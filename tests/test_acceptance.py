@@ -20,6 +20,7 @@ from rankblocks.lattice_paths import (
 from rankblocks.partitions import (
     FrobeniusSymbol,
     Partition,
+    build_census,
     count_exact,
     enumerate_partitions,
     from_frobenius,
@@ -48,7 +49,7 @@ def _criterion(num, description, ok, elapsed, limit):
 
 def test_criterion_01_point_count_and_symbols():
     start = time.perf_counter()
-    count = count_exact(15, 3, 2, PLUS)
+    count = count_exact(build_census({3: 15}), 15, 3, 2, PLUS)
     found = {(f.top, f.bottom)
              for f in iter_frobenius_symbols(15, 3)
              if parity_blocks(f).m == 2 and parity_blocks(f).last_sign == "P"}
@@ -142,8 +143,9 @@ def test_criterion_08_poset_identities_and_bijection():
 def test_criterion_09_partition_of_unity():
     start = time.perf_counter()
     ok = True
+    census = build_census(dict.fromkeys(range(1, isqrt(30) + 1), 30))
     for n in range(1, 31):
-        total = sum(count_exact(n, d, m, sign)
+        total = sum(count_exact(census, n, d, m, sign)
                     for d in range(1, isqrt(n) + 1)
                     for m in range(1, d + 1)
                     for sign in ("plus", "minus"))

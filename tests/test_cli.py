@@ -35,13 +35,15 @@ def test_count_exact(capsys):
     assert out.strip() == "3"
 
 
-def test_count_exact_deep_point_within_budget(capsys):
+def test_count_exact_deep_point_within_budget(capsys, census_builds):
+    # count builds only the table it reads: d = 4, up to n = 80
     started = time.perf_counter()
     code, out, _ = run_cli(capsys, "count", "--n", "80", "--d", "4", "--m", "2",
                            "--sign", "plus")
     assert code == 0
     assert out.strip() == "666064"
     assert time.perf_counter() - started < 10.0
+    assert census_builds == [("build", 4, 80)]
 
 
 def test_count_minus_base(capsys):

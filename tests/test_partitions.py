@@ -14,6 +14,7 @@ from rankblocks.partitions import (
     Partition,
     _census_table,
     alternating_sign_word,
+    build_census,
     count_all_columns,
     count_by_blocks,
     count_by_columns,
@@ -207,13 +208,18 @@ def test_block_invariants(p):
 
 
 def test_count_exact_paper_point():
-    assert count_exact(15, 3, 2, PLUS) == 3
+    assert count_exact(build_census({3: 15}), 15, 3, 2, PLUS) == 3
     found = {(f.top, f.bottom)
              for f in iter_frobenius_symbols(15, 3)
              if parity_blocks(f).m == 2 and parity_blocks(f).last_sign == "P"}
     assert found == {((3, 2, 1), (5, 1, 0)),
                      ((4, 2, 1), (4, 1, 0)),
                      ((3, 2, 1), (4, 2, 0))}
+
+
+def every_column(n):
+    """The reach of a count over all column counts at size n: each d <= isqrt(n)."""
+    return dict.fromkeys(range(1, isqrt(n) + 1), n)
 
 
 def brute_force_census(n, d):
@@ -225,6 +231,7 @@ def brute_force_census(n, d):
 
 def test_column_dp_matches_brute_force():
     # a table built for a larger bound prunes differently and must agree too
+    census = build_census(dict.fromkeys(range(1, 7), 40))
     for d in range(1, 7):
         wider = _census_table(57, d)
         for n in range(1, 41):
@@ -232,62 +239,93 @@ def test_column_dp_matches_brute_force():
             assert wider[n] == reference, (n, d)
             for m in range(1, d + 2):
                 for sign, letter in ((PLUS, "P"), (MINUS, "N")):
-                    assert count_exact(n, d, m, sign) == reference[(m, letter)], \
+                    assert count_exact(census, n, d, m, sign) == reference[(m, letter)], \
                         (n, d, m, sign)
-            assert count_all_columns(n, d) == sum(reference.values())
+            assert count_all_columns(census, n, d) == sum(reference.values())
 
 
 def test_count_exact_deep_point():
     # beyond the reach of symbol enumeration; pinned, and checked against the
     # closed form
-    assert count_exact(80, 4, 2, PLUS) == 666064 == series_exact(4, 2, PLUS, 80).coeffs[80]
+    census = build_census({4: 80})
+    assert count_exact(census, 80, 4, 2, PLUS) == 666064 == series_exact(4, 2, PLUS, 80).coeffs[80]
 
 
 def test_count_exact_smallest_cases():
-    assert count_exact(2, 1, 1, PLUS) == 1
-    assert count_exact(1, 1, 1, MINUS) == 1
-    assert count_exact(1, 1, 1, PLUS) == 0
-    assert count_exact(10, 2, 3, PLUS) == 0  # m > d impossible, not an error
+    census = build_census({1: 2, 2: 10, 5: 20})
+    assert count_exact(census, 2, 1, 1, PLUS) == 1
+    assert count_exact(census, 1, 1, 1, MINUS) == 1
+    assert count_exact(census, 1, 1, 1, PLUS) == 0
+    assert count_exact(census, 10, 2, 3, PLUS) == 0  # m > d impossible, not an error
+    assert count_exact(census, 20, 5, 1, PLUS) == 0  # d * d > n, not an error
 
 
 def test_minus_equals_shifted_plus():
+    census = build_census({d: 30 + d for d in range(1, 6)})
     for d in range(1, 6):
         for m in range(1, d + 1):
             for n in range(1, 31):
-                assert count_exact(n, d, m, MINUS) == count_exact(n + d, d, m, PLUS)
+                assert (count_exact(census, n, d, m, MINUS)
+                        == count_exact(census, n + d, d, m, PLUS))
+
+
+def test_census_answers_ascending_n_with_one_build(census_builds):
+    # A census is built once, at its declared reach, and never grows: asking
+    # past that reach is the caller's fault (not a ValueError, which the CLI
+    # reports as a usage error) and builds nothing.
+    census = build_census({4: 100})
+    counts = [count_exact(census, n, 4, 2, PLUS) for n in range(1, 101)]
+    assert counts == list(series_exact(4, 2, PLUS, 100).coeffs[1:])
+    assert census_builds == [("build", 4, 100)]
+    for ask_past_reach in (lambda: count_exact(census, 101, 4, 2, PLUS),
+                           lambda: count_all_columns(census, 101, 4),
+                           lambda: count_by_columns(census, 101, 4, PLUS),
+                           lambda: count_exact(census, 50, 3, 2, PLUS),
+                           lambda: count_by_blocks(census, 50, 2, PLUS),
+                           lambda: count_prefix_pattern(census, 50, "N")):
+        with pytest.raises(LookupError):
+            ask_past_reach()
+    assert census_builds == [("build", 4, 100)]
 
 
 def test_count_by_blocks_m1_and_base():
+    census = build_census(every_column(30))
     for n in range(1, 31):
-        assert count_by_blocks(n, 1, PLUS) == partition_number(n) - partition_number_or_zero(n - 1)
-    assert count_by_blocks(1, 1, MINUS) == 1
+        assert count_by_blocks(census, n, 1, PLUS) == \
+            partition_number(n) - partition_number_or_zero(n - 1)
+    assert count_by_blocks(census, 1, 1, MINUS) == 1
 
 
 def test_partition_of_unity_by_blocks():
+    census = build_census(every_column(30))
     for n in range(1, 31):
-        total = sum(count_by_blocks(n, m, sign)
+        total = sum(count_by_blocks(census, n, m, sign)
                     for m in range(1, isqrt(n) + 1) for sign in (PLUS, MINUS))
         assert total == partition_number(n)
 
 
 def test_partition_of_unity_by_columns():
+    census = build_census(every_column(30))
     for n in range(1, 31):
-        total = sum(count_by_columns(n, d, sign)
+        total = sum(count_by_columns(census, n, d, sign)
                     for d in range(1, isqrt(n) + 1) for sign in (PLUS, MINUS))
         assert total == partition_number(n)
 
 
 def test_count_by_columns_small():
-    assert count_by_columns(2, 1, PLUS) == 1
-    assert count_by_columns(1, 1, MINUS) == 1
+    census = build_census({1: 2})
+    assert count_by_columns(census, 2, 1, PLUS) == 1
+    assert count_by_columns(census, 1, 1, MINUS) == 1
 
 
 def test_count_all_columns_conventions():
-    assert count_all_columns(0, 0) == 1
-    assert count_all_columns(3, 0) == 0
-    assert count_all_columns(-2, 1) == 0
+    census = build_census(every_column(20))
+    assert count_all_columns(census, 0, 0) == 1
+    assert count_all_columns(census, 3, 0) == 0
+    assert count_all_columns(census, -2, 1) == 0
     for n in range(1, 21):
-        assert sum(count_all_columns(n, d) for d in range(1, isqrt(n) + 1)) == partition_number(n)
+        assert sum(count_all_columns(census, n, d)
+                   for d in range(1, isqrt(n) + 1)) == partition_number(n)
 
 
 def test_iter_frobenius_symbols_sizes():
@@ -312,14 +350,16 @@ def test_alternating_sign_word():
 def test_prefix_n_counts_shifted_partitions():
     # partitions whose sign word starts with N are counted by p(n-1) together
     # with the PN starters; the N prefix alone plus the PN prefix gives p(n-1)
+    census = build_census(every_column(30))
     for n in range(1, 31):
-        total = count_prefix_pattern(n, "N") + count_prefix_pattern(n, "PN")
+        total = count_prefix_pattern(census, n, "N") + count_prefix_pattern(census, n, "PN")
         assert total == partition_number_or_zero(n - 1)
 
 
 def test_prefix_empty_pattern():
+    census = build_census(every_column(15))
     for n in range(1, 16):
-        assert count_prefix_pattern(n, "") == partition_number(n)
+        assert count_prefix_pattern(census, n, "") == partition_number(n)
 
 
 def test_symbol_census_matches_partition_census():
@@ -336,31 +376,33 @@ def test_prefix_counts_match_partition_sign_words():
     # prefix counts project the symbol census; the oracle here builds the
     # sign words from enumerate_partitions instead
     patterns = [""] + [alternating_sign_word(k, last) for k in range(1, 5) for last in "PN"]
+    census = build_census(every_column(25))
     for n in range(1, 26):
         words = [parity_blocks(to_frobenius(p)).sign_word for p in enumerate_partitions(n)]
         for pattern in patterns:
             expected = sum(w.startswith(pattern) for w in words)
-            assert count_prefix_pattern(n, pattern) == expected, (n, pattern)
+            assert count_prefix_pattern(census, n, pattern) == expected, (n, pattern)
 
 
 def test_prefix_counts_match_startswith_definition():
     # The first-letter test against the definition it replaces: build each
-    # block word and ask startswith.  Descending n builds each table once.
-    from rankblocks.partitions import _block_census
+    # block word and ask startswith.
     patterns = [""] + [alternating_sign_word(k, last) for k in range(1, 9) for last in "PN"]
-    for n in range(60, 0, -1):
-        census = [_block_census(n, d) for d in range(1, isqrt(n) + 1)]
+    census = build_census(every_column(60))
+    for n in range(1, 61):
+        rows = [census[d][n] for d in range(1, isqrt(n) + 1)]
         for pattern in patterns:
-            expected = sum(c for table in census for (m, last), c in table.items()
+            expected = sum(c for row in rows for (m, last), c in row.items()
                            if alternating_sign_word(m, last).startswith(pattern))
-            assert count_prefix_pattern(n, pattern) == expected, (n, pattern)
+            assert count_prefix_pattern(census, n, pattern) == expected, (n, pattern)
 
 
 def test_prefix_pattern_validation():
+    census = build_census(every_column(5))
     with pytest.raises(ValueError):
-        count_prefix_pattern(5, "NN")
+        count_prefix_pattern(census, 5, "NN")
     with pytest.raises(ValueError):
-        count_prefix_pattern(5, "X")
+        count_prefix_pattern(census, 5, "X")
 
 
 def test_split_parity_runs_requires_columns():

@@ -1,6 +1,7 @@
 """The verification registry: paper-anchored points, the mutation guard,
 determinism, and report structure."""
 
+import dataclasses
 import json
 import pytest
 
@@ -136,9 +137,9 @@ def test_mutation_guard_leading_exponent(monkeypatch):
 
 
 def test_mutation_guard_enumeration_side(monkeypatch):
-    def overcount(n, d, m, sign):
+    def overcount(census, n, d, m, sign):
         from rankblocks.partitions import count_exact
-        return count_exact(n, d, m, sign) + (1 if n == 17 else 0)
+        return count_exact(census, n, d, m, sign) + (1 if n == 17 else 0)
 
     monkeypatch.setattr(verify_mod, "count_exact", overcount)
     report = verify_mod.run_check("thm-main", d=3, m=2, sign=PLUS, precision=20)
@@ -265,24 +266,30 @@ def test_repeated_target_runs_once():
     assert [r.parameters for r in twice] == [r.parameters for r in once]
 
 
-def test_census_targets_build_no_table_past_their_reach(monkeypatch):
-    # The six census targets read count_exact up to precision + max_d (the
-    # n + d of remarks' relation 2), so no census table is built past that.
-    import rankblocks.partitions as partitions_mod
-    bounds = []
-    build = partitions_mod._census_table
-
-    def recording(bound, d):
-        bounds.append(bound)
-        return build(bound, d)
-
-    monkeypatch.setattr(partitions_mod, "_CENSUS", {})
-    monkeypatch.setattr(partitions_mod, "_census_table", recording)
+def test_census_targets_build_no_table_past_their_reach(census_builds):
+    # One table per column count d <= isqrt(150), each built once, at the
+    # largest n any of the six targets reads: remarks' relation (2) reads
+    # count_exact(n + d, ...) up to precision + d for d <= max_d = 4.
     reports = run_reports(["thm-main", "thm-1.2", "thm-1.4", "thm-5.1", "remarks",
                            "partition-unity"], {"precision": 150})
     assert all(r.passed for r in reports)
-    max_d = SPECS["remarks"].bounds["max_d"]
-    assert bounds and max(bounds) <= 150 + max_d
+    assert sorted(census_builds) == [("build", d, 150 + d if d <= 4 else 150)
+                                     for d in range(1, 13)]
+
+
+def test_census_is_built_before_any_check_runs(monkeypatch, census_builds):
+    # So a check's elapsed time does not depend on which check ran first.
+    events = census_builds
+    for name in ("thm-main", "thm-1.4"):
+        spec = SPECS[name]
+        check = lambda *args, _check=spec.check, **point: (
+            events.append(("check",)) or _check(*args, **point))
+        monkeypatch.setitem(SPECS, name, dataclasses.replace(spec, check=check))
+    reports = run_reports(["thm-main", "thm-1.4"], {"precision": 60})
+    assert all(r.passed for r in reports)
+    kinds = [event[0] for event in events]
+    assert kinds.count("check") == len(reports) == 40
+    assert "build" in kinds and "build" not in kinds[kinds.index("check"):]
 
 
 def test_run_reports_unknown_target():
