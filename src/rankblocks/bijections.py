@@ -10,13 +10,18 @@ plausible-looking array.
 
 gamma and pi keep ``values`` in the natural label order of S_beta: block l
 holds the labels 2 r_{l-1} + 1 .. 2 r_l, top row first.  So ``values`` is the
-concatenation over the blocks of (top slice, bottom slice), b_l entries each,
-and every stage is a slice pass: block l's columns of mu_hat fill its two
-slices, and the row constants shift its top slice by row l's offset and its
-bottom slice by row l+1's.
+concatenation over the blocks of (top slice, bottom slice), b_l entries each.
+The placement of mu's entries into those slices depends only on the parity
+blocks (sizes, last sign), so it is built once per pair and cached with its
+inverse: mu -> gamma and gamma -> mu are each one gather.  Likewise the row
+constants give one cached shift per label, and gamma -> pi and pi -> gamma
+subtract or add them in one pass.  Every stage is still built through its
+validating constructor.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, itemgetter, sub
 
 from .partitions import (
     NEGATIVE,
@@ -51,7 +56,8 @@ class FrobeniusArray:
             raise ValueError("rows must have equal positive length")
         for row in (top, bottom):
             for i, x in enumerate(row):
-                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+                if (type(x) is not int and (not isinstance(x, int) or isinstance(x, bool))
+                        or x < 0):
                     raise ValueError(f"entries must be nonnegative integers, got {x!r}")
                 if i and row[i - 1] < x:
                     raise ValueError(f"rows must be weakly decreasing, got {row}")
@@ -72,20 +78,16 @@ class FrobeniusArray:
 
 def symbol_to_array(f: FrobeniusSymbol) -> FrobeniusArray:
     """Subtract the staircase d-1, ..., 1, 0 from each row."""
-    d = f.d
-    return FrobeniusArray(
-        tuple(x - (d - 1 - i) for i, x in enumerate(f.top)),
-        tuple(y - (d - 1 - i) for i, y in enumerate(f.bottom)),
-    )
+    staircase = range(f.d - 1, -1, -1)
+    return FrobeniusArray(tuple(map(sub, f.top, staircase)),
+                          tuple(map(sub, f.bottom, staircase)))
 
 
 def array_to_symbol(a: FrobeniusArray) -> FrobeniusSymbol:
     """Add the staircase back; weak decrease turns into strict decrease."""
-    d = a.d
-    return FrobeniusSymbol(
-        tuple(x + (d - 1 - i) for i, x in enumerate(a.top)),
-        tuple(y + (d - 1 - i) for i, y in enumerate(a.bottom)),
-    )
+    staircase = range(a.d - 1, -1, -1)
+    return FrobeniusSymbol(tuple(map(add, a.top, staircase)),
+                           tuple(map(add, a.bottom, staircase)))
 
 
 def sign_of_last_block(f) -> str:
@@ -102,17 +104,25 @@ def _resolve_sign(blocks: ParityBlocks, sign: str | None) -> str:
     return inferred
 
 
-def _flip_negative_blocks(top, bottom, sizes, signs):
-    # Interchange the two rows inside every negative block.
-    top = list(top)
-    bottom = list(bottom)
+@lru_cache(maxsize=None)
+def _placement(sizes: tuple[int, ...], last_sign: str):
+    # (place, unplace) for the parity blocks (sizes, last_sign).  place maps
+    # top + bottom of an array to gamma's values in label order: block l's top
+    # slice takes the block's columns of the top row and its bottom slice
+    # those of the bottom row, the other way round in a negative block.
+    # unplace is its inverse.
+    d = sum(sizes)
+    index = []
     pos = 0
-    for size, s in zip(sizes, signs):
-        end = pos + size
-        if s == NEGATIVE:
-            top[pos:end], bottom[pos:end] = bottom[pos:end], top[pos:end]
-        pos = end
-    return tuple(top), tuple(bottom)
+    for size, sign in zip(sizes, alternating_sign_word(len(sizes), last_sign)):
+        upper, lower = (d + pos, pos) if sign == NEGATIVE else (pos, d + pos)
+        index += range(upper, upper + size)
+        index += range(lower, lower + size)
+        pos += size
+    inverse = [0] * (2 * d)
+    for label, source in enumerate(index):
+        inverse[source] = label
+    return itemgetter(*index), itemgetter(*inverse)
 
 
 def flipped_rows(a: FrobeniusArray, blocks: ParityBlocks | None = None
@@ -120,21 +130,23 @@ def flipped_rows(a: FrobeniusArray, blocks: ParityBlocks | None = None
     """The array rows after interchanging top and bottom in each negative block.
     ``blocks``, when given, must be the array's parity blocks."""
     blocks = parity_blocks(a) if blocks is None else blocks
-    return _flip_negative_blocks(a.top, a.bottom, blocks.sizes, blocks.signs)
+    values = _placement(blocks.sizes, blocks.last_sign)[0](a.top + a.bottom)
+    hat_top = hat_bottom = ()
+    start = 0
+    for b in blocks.sizes:
+        hat_top += values[start:start + b]
+        hat_bottom += values[start + b:start + 2 * b]
+        start += 2 * b
+    return hat_top, hat_bottom
 
 
 def array_to_gamma(a: FrobeniusArray, blocks: ParityBlocks | None = None) -> PosetPartition:
-    """Flip the negative blocks, then drop block l's columns into rows l, l+1
-    of the block poset.  The composition is read off the array's parity
-    blocks; ``blocks``, when given, must be those blocks."""
+    """Flip the negative blocks and drop block l's columns into rows l, l+1
+    of the block poset, in one gather.  The composition is read off the
+    array's parity blocks; ``blocks``, when given, must be those blocks."""
     blocks = parity_blocks(a) if blocks is None else blocks
-    hat_top, hat_bottom = flipped_rows(a, blocks)
-    values = []
-    pos = 0
-    for b in blocks.sizes:
-        values += hat_top[pos:pos + b] + hat_bottom[pos:pos + b]
-        pos += b
-    gamma = PosetPartition(build_s_beta(blocks.sizes), values)
+    place = _placement(blocks.sizes, blocks.last_sign)[0]
+    gamma = PosetPartition(build_s_beta(blocks.sizes), place(a.top + a.bottom))
     if gamma.weight != a.weight:
         raise AssertionError("placement must preserve the weight")
     return gamma
@@ -150,50 +162,51 @@ def _row_offsets(m: int, sign: str) -> tuple[int, ...]:
     return tuple((m + 1 - i) // 2 for i in range(1, m + 2))
 
 
-def _expected_drop(beta: Composition, sign: str) -> int:
-    sums = beta.partial_sums
+@lru_cache(maxsize=None)
+def _row_shifts(parts: tuple[int, ...], sign: str) -> tuple[int, ...]:
+    # The row constant of every label: block l's top slice lies in row l and
+    # its bottom slice in row l+1.
+    offsets = _row_offsets(len(parts), sign)
+    return tuple(offsets[l + half] for l, b in enumerate(parts) for half in (0, 1)
+                 for _ in range(b))
+
+
+@lru_cache(maxsize=None)
+def _expected_drop(parts: tuple[int, ...], sign: str) -> int:
+    sums = Composition(parts).partial_sums
     if sign == PLUS:
         return sum(sums[1:])
     return sum(sums[1:-1])
-
-
-def _shift_rows(values, parts, offsets) -> list[int]:
-    # Add offsets[i] to row i+1: block l's top slice lies in row l and its
-    # bottom slice in row l+1.
-    shifts = [offsets[l + half] for l, b in enumerate(parts) for half in (0, 1)
-              for _ in range(b)]
-    return [v + shift for v, shift in zip(values, shifts)]
 
 
 def gamma_to_pi(g: PosetPartition, sign: str) -> PosetPartition:
     """Subtract the per-row constants; valid only for gamma arising from an
     array whose last block matches the sign (otherwise entries go negative or
     the order-reversing check fails, both of which raise)."""
-    beta = g.structure.beta
-    offsets = _row_offsets(beta.m, sign)
-    values = _shift_rows(g.values, beta.parts, [-offset for offset in offsets])
+    parts = g.structure.beta.parts
+    values = tuple(map(sub, g.values, _row_shifts(parts, sign)))
     if min(values) < 0:
         raise ValueError(
             f"row subtraction drives an entry negative; gamma is not a "
-            f"{sign}-case image (row offsets {offsets})")
+            f"{sign}-case image (row offsets {_row_offsets(len(parts), sign)})")
     pi = PosetPartition(g.structure, values)
     drop = g.weight - pi.weight
-    if drop != _expected_drop(beta, sign):
+    if drop != _expected_drop(parts, sign):
         raise AssertionError(
             f"weight drop {drop} disagrees with the partial-sum total "
-            f"{_expected_drop(beta, sign)}")
+            f"{_expected_drop(parts, sign)}")
     return pi
 
 
 def pi_to_gamma(p: PosetPartition, sign: str) -> PosetPartition:
     """Add the per-row constants back."""
-    beta = p.structure.beta
-    offsets = _row_offsets(beta.m, sign)
-    return PosetPartition(p.structure, _shift_rows(p.values, beta.parts, offsets))
+    shifts = _row_shifts(p.structure.beta.parts, sign)
+    return PosetPartition(p.structure, tuple(map(add, p.values, shifts)))
 
 
 def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
-    """Split gamma back into a two-row array and unflip the negative blocks.
+    """Gather gamma back into a two-row array with the negative blocks
+    unflipped.
 
     Raises ValueError when the result is not a weakly decreasing array whose
     parity blocks reproduce the structure's composition with the requested
@@ -201,21 +214,14 @@ def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
     """
     beta = g.structure.beta
     letter = SIGN_LETTER[check_sign(sign)]
-    signs = alternating_sign_word(beta.m, letter)
-    hat_top = []
-    hat_bottom = []
-    start = 0
-    for b in beta.parts:
-        hat_top += g.values[start:start + b]
-        hat_bottom += g.values[start + b:start + 2 * b]
-        start += 2 * b
-    top, bottom = _flip_negative_blocks(hat_top, hat_bottom, beta.parts, signs)
-    array = FrobeniusArray(top, bottom)
+    rows = _placement(beta.parts, letter)[1](g.values)
+    array = FrobeniusArray(rows[:beta.d], rows[beta.d:])
     blocks = parity_blocks(array)
     if blocks.sizes != beta.parts or blocks.last_sign != letter:
         raise ValueError(
             f"reconstructed array has blocks {blocks.sizes}/{blocks.sign_word}, "
-            f"expected {beta.parts}/{signs}; not in the forward image")
+            f"expected {beta.parts}/{alternating_sign_word(beta.m, letter)}; "
+            f"not in the forward image")
     return array
 
 

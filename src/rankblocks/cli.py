@@ -11,6 +11,7 @@ are documented in each subcommand's --help.
 import argparse
 import json
 import sys
+from math import isqrt
 
 from . import verify
 from .bijections import bijection_trace, pi_to_lambda
@@ -123,10 +124,17 @@ def _cmd_count(args, parser):
     mode = args.mode
     count, flags = COUNT_MODES[mode]
     _check_flags(parser, args, f"mode {mode!r}", flags, ("d", "m"))
-    # Build only the tables the count reads; by-blocks reads every d with d*d <= n.
-    reach = ({d: args.n for d in range(1, args.n + 1) if d * d <= args.n}
-             if mode == "by-blocks" else {args.d: args.n})
-    value = count(build_census(reach), args.n, *(getattr(args, f) for f in flags), args.sign)
+    # Build only the tables the count reads.  It returns 0 without reading one
+    # when n, d or m is below 1 or m > d, so by-blocks reads the d with
+    # m <= d <= isqrt(n) and the other modes their one d, if any.
+    given = [getattr(args, f) for f in flags]
+    if args.n < 1 or min(given) < 1:
+        columns = ()
+    elif mode == "by-blocks":
+        columns = range(args.m, isqrt(args.n) + 1)
+    else:
+        columns = (args.d,) if args.m is None or args.m <= args.d else ()
+    value = count(build_census(dict.fromkeys(columns, args.n)), args.n, *given, args.sign)
     payload = {"mode": mode, "n": args.n, "d": args.d, "m": args.m,
                "sign": args.sign, "count": value}
     _emit(args, payload, [str(value)],

@@ -56,13 +56,25 @@ class MarkedBallotPath:
             prev = ch
         object.__setattr__(self, "_valleys", tuple(valleys))
         object.__setattr__(self, "_returns", tuple(rets))
+        self._check_marks()
+
+    def _check_marks(self):
         prev = 0
-        for x in marks:
+        for x in self.marks:
             if x <= prev:
                 raise ValueError("marks must be strictly increasing")
-            if x not in rets:
-                raise ValueError(f"mark at x={x} is not a return of {steps!r}")
+            if x not in self._returns:
+                raise ValueError(f"mark at x={x} is not a return of {self.steps!r}")
             prev = x
+
+    def _remarked(self, marks: tuple[int, ...]) -> "MarkedBallotPath":
+        # The same word with other marks: the walk's record is copied, not
+        # redone, and only the marks are checked.
+        path = object.__new__(MarkedBallotPath)
+        path.__dict__.update(steps=self.steps, marks=marks, _valleys=self._valleys,
+                             _returns=self._returns)
+        path._check_marks()
+        return path
 
     @property
     def s(self) -> int:
@@ -123,36 +135,52 @@ def vmr(p: MarkedBallotPath) -> int:
     return maj_path(p) - total // 2
 
 
-def enumerate_ballot_words(s: int, t: int):
-    """All ballot words with s up-steps and t down-steps, lexicographic (d < u)."""
-    if s < 0 or t < 0:
-        raise ValueError("step counts must be nonnegative")
-
+def _ballot_words(s: int, t: int, least_returns: int):
     # Depth-first over prefixes; the u branch is pushed first so that the d
-    # branch pops first, which keeps the words in lexicographic order.
-    stack = [("", s, t, 0)]
+    # branch pops first, which keeps the words in lexicographic order.  A
+    # prefix carries the number of returns it still misses.  While some are
+    # missing, the prefix is dropped once the steps left cannot supply them:
+    # each return needs its own u step and the d step before it, and the first
+    # one also the descent from the current height h.  With nothing missing no
+    # bound is computed, so least_returns = 0 lists every ballot word; a word
+    # that is yielded has made at least least_returns returns.
+    stack = [("", s, t, 0, least_returns)]
     while stack:
-        prefix, u_left, d_left, height = stack.pop()
+        prefix, u_left, d_left, height, missing = stack.pop()
+        if missing:
+            after_down = prefix[-1:] == DOWN
+            if missing > min(u_left, d_left - height + 1 if height else d_left + after_down):
+                continue
         if u_left == 0 and d_left == 0:
             yield prefix
             continue
         if u_left > 0:
-            stack.append((prefix + UP, u_left - 1, d_left, height + 1))
+            # A u step from the x-axis right after a d step is a return.
+            returned = missing and height == 0 and after_down
+            stack.append((prefix + UP, u_left - 1, d_left, height + 1, missing - returned))
         if d_left > 0 and height > 0:
-            stack.append((prefix + DOWN, u_left, d_left - 1, height - 1))
+            stack.append((prefix + DOWN, u_left, d_left - 1, height - 1, missing))
+
+
+def enumerate_ballot_words(s: int, t: int):
+    """All ballot words with s up-steps and t down-steps, lexicographic (d < u)."""
+    if s < 0 or t < 0:
+        raise ValueError("step counts must be nonnegative")
+    yield from _ballot_words(s, t, 0)
 
 
 def enumerate_marked_paths(s: int, t: int, min_marks: int = 0):
     """Every (path, mark-subset) pair with at least min_marks marked returns.
 
     The same underlying word appears once per qualifying mark subset; subsets
-    are generated in binary-counter order over the word's return list.
+    are generated in binary-counter order over the word's return list.  Only
+    words that can have min_marks returns are walked.
     """
     if s < t:
         raise ValueError(f"need s >= t, got s={s}, t={t}")
     if min_marks < 0:
         raise ValueError("min_marks must be nonnegative")
-    for word in enumerate_ballot_words(s, t):
+    for word in _ballot_words(s, t, min_marks):
         base = MarkedBallotPath(word)
         rets = base.returns()
         k = len(rets)
@@ -162,7 +190,7 @@ def enumerate_marked_paths(s: int, t: int, min_marks: int = 0):
             if mask.bit_count() < min_marks:
                 continue
             marks = tuple(rets[j] for j in range(k) if mask >> j & 1)
-            yield MarkedBallotPath(word, marks) if marks else base
+            yield base._remarked(marks) if marks else base
 
 
 def enumerate_exact_marks(s: int, r: int):
@@ -171,13 +199,13 @@ def enumerate_exact_marks(s: int, r: int):
         raise ValueError("s must be positive")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    for word in enumerate_ballot_words(s, s):
+    for word in _ballot_words(s, s, r):
         base = MarkedBallotPath(word)
         rets = base.returns()
         if len(rets) < r:
             continue
         for marks in combinations(rets, r):
-            yield MarkedBallotPath(word, marks) if marks else base
+            yield base._remarked(marks) if marks else base
 
 
 def enumerate_fixed_returns(d: int, positions):
@@ -197,11 +225,11 @@ def enumerate_fixed_returns(d: int, positions):
             raise ValueError(f"positions must be < d={d}, got {positions}")
         prev = p
     marks = tuple(2 * p for p in positions)
-    for word in enumerate_ballot_words(d, d):
+    for word in _ballot_words(d, d, len(marks)):
         base = MarkedBallotPath(word)
         rets = base.returns()
         if all(x in rets for x in marks):
-            yield MarkedBallotPath(word, marks) if marks else base
+            yield base._remarked(marks) if marks else base
 
 
 def gf_vmr(objects, precision: int | None = None) -> QSeries:

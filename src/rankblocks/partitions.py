@@ -12,6 +12,7 @@ verified, so they must not share any code path with those series.
 
 from dataclasses import dataclass
 from math import comb, isqrt
+from operator import sub
 
 from .qseries import MINUS, PLUS, check_sign
 
@@ -98,7 +99,8 @@ class FrobeniusSymbol:
             raise ValueError("rows must have equal positive length")
         for row in (top, bottom):
             for i, x in enumerate(row):
-                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+                if (type(x) is not int and (not isinstance(x, int) or isinstance(x, bool))
+                        or x < 0):
                     raise ValueError(f"entries must be nonnegative integers, got {x!r}")
                 if i and row[i - 1] <= x:
                     raise ValueError(f"rows must be strictly decreasing, got {row}")
@@ -162,7 +164,7 @@ def from_frobenius(f: FrobeniusSymbol) -> Partition:
 
 def successive_ranks(f: FrobeniusSymbol) -> tuple[int, ...]:
     """The i-th rank is top[i] - bottom[i]."""
-    return tuple(x - y for x, y in zip(f.top, f.bottom))
+    return tuple(map(sub, f.top, f.bottom))
 
 
 def alternating_sign_word(length: int, last: str) -> str:
@@ -191,7 +193,8 @@ class ParityBlocks:
         if not sizes:
             raise ValueError("need at least one block")
         for size in sizes:
-            if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            if (type(size) is not int
+                    and (not isinstance(size, int) or isinstance(size, bool)) or size < 1):
                 raise ValueError(f"block sizes must be positive integers, got {size!r}")
         if self.last_sign not in (POSITIVE, NEGATIVE):
             raise ValueError(f"last sign must be 'P' or 'N', got {self.last_sign!r}")
@@ -388,7 +391,7 @@ def count_exact(census: dict, n: int, d: int, m: int, sign: str) -> int:
     """Partitions of n with exactly d columns and m parity blocks, last block of
     the given sign.  Returns 0 whenever the combination is impossible."""
     check_sign(sign)
-    if n < 1 or d < 1 or m < 1:
+    if n < 1 or d < 1 or m < 1 or m > d:
         return 0
     return census[d][n].get((m, SIGN_LETTER[sign]), 0)
 

@@ -209,7 +209,8 @@ class PosetPartition:
         if len(values) != self.structure.size:
             raise ValueError("one value per poset element required")
         for v in values:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if (type(v) is not int and (not isinstance(v, int) or isinstance(v, bool))
+                    or v < 0):
                 raise ValueError(f"values must be nonnegative integers, got {v!r}")
         for bi, covers in enumerate(self.structure.lower_covers):
             for ai in covers:

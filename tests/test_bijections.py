@@ -356,3 +356,105 @@ def test_round_trip_runs_each_validator_as_often_as_before(monkeypatch):
     n = len(symbols)
     assert calls == {"FrobeniusArray": 2 * n, "PosetPartition": 3 * n,
                      "ParityBlocks": 2 * n, "FrobeniusSymbol": n}
+
+
+# ----------------------------------------------------------------------
+# the cached gathers against the flip-then-slice passes
+# ----------------------------------------------------------------------
+#
+# The references below are the passes the chain made before its placement
+# and row constants became one cached gather and one shift per label.
+
+
+def _ref_flip_then_slice(top, bottom, sizes, signs):
+    hat_top, hat_bottom = _ref_flip(top, bottom, sizes, signs)
+    values = []
+    pos = 0
+    for b in sizes:
+        values += hat_top[pos:pos + b] + hat_bottom[pos:pos + b]
+        pos += b
+    return tuple(values)
+
+
+def _ref_row_shifts(parts, sign):
+    offsets = _ref_offsets(len(parts), sign)
+    return tuple(offsets[l + half] for l, b in enumerate(parts) for half in (0, 1)
+                 for _ in range(b))
+
+
+def test_placement_gather_matches_flip_then_slice():
+    for d in range(1, 8):
+        # Distinct entries, so the gather must move every one to its label.
+        top, bottom = tuple(range(d)), tuple(range(d, 2 * d))
+        for parts in compositions(d):
+            for sign in (PLUS, MINUS):
+                letter = SIGN_LETTER[sign]
+                place, unplace = bijections_mod._placement(parts, letter)
+                signs = alternating_sign_word(len(parts), letter)
+                values = place(top + bottom)
+                assert values == _ref_flip_then_slice(top, bottom, parts, signs), (parts, sign)
+                assert unplace(values) == top + bottom
+                shifts = bijections_mod._row_shifts(parts, sign)
+                assert shifts == _ref_row_shifts(parts, sign)
+                assert bijections_mod._expected_drop(parts, sign) == sum(shifts)
+
+
+def test_flipped_rows_match_the_row_interchange():
+    for f in all_symbols_up_to(14):
+        a = symbol_to_array(f)
+        blocks = parity_blocks(a)
+        assert flipped_rows(a) == _ref_flip(a.top, a.bottom, blocks.sizes, blocks.signs)
+
+
+@pytest.mark.parametrize("stage, parts, rows, sign, message", [
+    # a negative entry
+    (gamma_to_pi, (1, 1), [[0], [0, 0], [0]], PLUS,
+     "row subtraction drives an entry negative; gamma is not a plus-case image "
+     "(row offsets (1, 1, 0))"),
+    # the wrong sign
+    (gamma_to_array, (1,), [[0], [0]], PLUS,
+     "reconstructed array has blocks (1,)/N, expected (1,)/P; not in the forward image"),
+    (gamma_to_array, (2, 1), [[3, 3], [3, 3, 1], [0]], MINUS,
+     "reconstructed array has blocks (3,)/N, expected (2, 1)/PN; not in the forward image"),
+    # a broken order
+    (gamma_to_pi, (1, 1), [[1], [1, 0], [0]], MINUS,
+     "assignment is not order-reversing at elements (1, 1) < (2, 1)"),
+])
+def test_non_images_raise_the_same_messages(stage, parts, rows, sign, message):
+    gamma = PosetPartition.from_rows(build_s_beta(parts), rows)
+    with pytest.raises(ValueError) as raised:
+        stage(gamma, sign)
+    assert str(raised.value) == message
+
+
+class _Int(int):
+    pass
+
+
+def _validator_message(record, x):
+    # Build one record with x in a checked entry; None when it is accepted.
+    build = {
+        FrobeniusSymbol: lambda: FrobeniusSymbol((x,), (0,)),
+        FrobeniusArray: lambda: FrobeniusArray((x,), (0,)),
+        PosetPartition: lambda: PosetPartition(build_s_beta((1,)), (x, 0)),
+        ParityBlocks: lambda: ParityBlocks((x,), "P"),
+    }[record]
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("record, prefix", [
+    (FrobeniusSymbol, "entries must be nonnegative integers"),
+    (FrobeniusArray, "entries must be nonnegative integers"),
+    (PosetPartition, "values must be nonnegative integers"),
+    (ParityBlocks, "block sizes must be positive integers"),
+])
+def test_validators_keep_their_verdicts_on_non_ints(record, prefix):
+    # bool and non-int types are refused, negatives too; int subclasses pass.
+    for x in (True, False, -1, 2.0, "3", None):
+        assert _validator_message(record, x) == f"{prefix}, got {x!r}", x
+    assert _validator_message(record, _Int(3)) is None
+    assert _validator_message(record, 3) is None

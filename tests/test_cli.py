@@ -46,6 +46,30 @@ def test_count_exact_deep_point_within_budget(capsys, census_builds):
     assert census_builds == [("build", 4, 80)]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "250", "--d", "8", "--m", "0"),
+    ("--n", "250", "--d", "8", "--m", "9"),
+    ("--n", "0", "--d", "2", "--m", "1"),
+    ("--mode", "by-blocks", "--n", "120", "--m", "0"),
+    ("--mode", "by-blocks", "--n", "30", "--m", "6"),
+    ("--mode", "by-columns", "--n", "30", "--d", "0"),
+    ("--mode", "by-columns", "--n", "-3", "--d", "2"),
+])
+def test_count_of_an_empty_class_builds_no_census(capsys, census_builds, argv):
+    # n, d or m below 1, or more blocks than columns: 0 with no table built
+    code, out, _ = run_cli(capsys, "count", *argv, "--sign", "plus")
+    assert (code, out) == (0, "0\n")
+    assert census_builds == []
+
+
+def test_count_by_blocks_builds_only_columns_that_hold_m_blocks(capsys, census_builds):
+    code, out, _ = run_cli(capsys, "count", "--mode", "by-blocks", "--n", "30", "--m", "3",
+                           "--sign", "minus")
+    assert code == 0
+    assert int(out) == block_count_formula(30, 3, "minus")
+    assert census_builds == [("build", d, 30) for d in (3, 4, 5)]
+
+
 def test_count_minus_base(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "1", "--d", "1", "--m", "1",
                            "--sign", "minus")

@@ -7,6 +7,7 @@ import pytest
 
 from rankblocks.lattice_paths import (
     MarkedBallotPath,
+    _ballot_words,
     enumerate_ballot_words,
     enumerate_exact_marks,
     enumerate_fixed_returns,
@@ -297,3 +298,82 @@ def test_ballot_words_match_the_recursive_listing():
     for s in range(17):
         for t in range(min(s, 16 - s) + 1):
             assert list(enumerate_ballot_words(s, t)) == list(_ballot_words_recursive(s, t)), (s, t)
+
+
+# ----------------------------------------------------------------------
+# the pruned listing against the listing of every word
+# ----------------------------------------------------------------------
+#
+# The references below walk every ballot word and build each marked variant
+# through the validating constructor, as the listings did before they dropped
+# words that cannot carry enough returns and reused the base path's walk.
+
+
+def _ref_marked_paths(s, t, min_marks):
+    for word in _ballot_words_recursive(s, t):
+        rets = MarkedBallotPath(word).returns()
+        k = len(rets)
+        for mask in range(1 << k):
+            if mask.bit_count() >= min_marks:
+                yield MarkedBallotPath(word, tuple(rets[j] for j in range(k) if mask >> j & 1))
+
+
+def _ref_exact_marks(s, r):
+    for word in _ballot_words_recursive(s, s):
+        for marks in combinations(MarkedBallotPath(word).returns(), r):
+            yield MarkedBallotPath(word, marks)
+
+
+def _walked(paths):
+    return [(p, p.valleys(), p.returns()) for p in paths]
+
+
+@pytest.mark.parametrize("s", range(13))
+def test_marked_paths_match_the_listing_of_every_word(s):
+    # s + t <= 14, the grid of the transfer benchmark: the full t <= s grid at
+    # s = 12 holds about 1.5e7 marked paths.
+    for t in range(min(s, 14 - s) + 1):
+        for r in range(8):
+            assert (_walked(enumerate_marked_paths(s, t, r))
+                    == _walked(_ref_marked_paths(s, t, r))), (s, t, r)
+
+
+@pytest.mark.parametrize("s", range(1, 11))
+def test_exact_marks_match_the_listing_of_every_word(s):
+    for r in range(8):
+        assert _walked(enumerate_exact_marks(s, r)) == _walked(_ref_exact_marks(s, r)), (s, r)
+
+
+def test_pruned_words_are_exactly_those_with_enough_returns():
+    # The bound counts the returns a prefix has made, so no word short of
+    # least_returns is walked at all.
+    for s in range(13):
+        for t in range(min(s, 14 - s) + 1):
+            words = list(_ballot_words_recursive(s, t))
+            for r in range(8):
+                wanted = [w for w in words if len(MarkedBallotPath(w).returns()) >= r]
+                assert list(_ballot_words(s, t, r)) == wanted, (s, t, r)
+
+
+def test_remarked_path_is_the_directly_built_path():
+    for word in chain(_ballot_words_recursive(6, 6), _ballot_words_recursive(7, 4)):
+        base = MarkedBallotPath(word)
+        rets = base.returns()
+        for marks in chain.from_iterable(combinations(rets, k) for k in range(len(rets) + 1)):
+            direct = MarkedBallotPath(word, marks)
+            remarked = base._remarked(marks)
+            assert remarked == direct
+            assert hash(remarked) == hash(direct)
+            assert repr(remarked) == repr(direct)
+            assert remarked.valleys() == direct.valleys()
+            assert remarked.returns() == direct.returns()
+
+
+@pytest.mark.parametrize("marks", [(2, 2), (4, 2), (0,), (3,), (6,), (2, 8)])
+def test_remarked_path_rejects_bad_marks_as_the_constructor_does(marks):
+    base = MarkedBallotPath("ududuudd")
+    with pytest.raises(ValueError) as direct:
+        MarkedBallotPath(base.steps, marks)
+    with pytest.raises(ValueError) as remarked:
+        base._remarked(marks)
+    assert str(remarked.value) == str(direct.value)
