@@ -3,25 +3,24 @@
 Forward direction: remove the staircase from a symbol to get a weakly
 decreasing two-row array, flip the rows inside every negative parity block,
 drop the columns into the block poset (giving gamma), then subtract a fixed
-constant from each row (giving pi).  Every step is invertible given the
-composition and the sign of the last block, and every step's weight change is
-checked explicitly, so a wrong assumption fails loudly instead of producing a
-plausible-looking array.
+constant from each row (giving pi).  The composition beta and the sign of the
+last block are read off the input's parity blocks, so the forward functions
+take nothing else; the inverse functions take the sign, which pi does not
+determine.  Every step's weight change is checked explicitly, so a wrong
+assumption fails loudly instead of producing a plausible-looking array.
 
 gamma and pi keep ``values`` in the natural label order of S_beta: block l
-holds the labels 2 r_{l-1} + 1 .. 2 r_l, top row first.  So ``values`` is the
-concatenation over the blocks of (top slice, bottom slice), b_l entries each.
-The placement of mu's entries into those slices depends only on the parity
-blocks (sizes, last sign), so it is built once per pair and cached with its
-inverse: mu -> gamma and gamma -> mu are each one gather.  Likewise the row
-constants give one cached shift per label, and gamma -> pi and pi -> gamma
-subtract or add them in one pass.  Every stage is still built through its
-validating constructor.
+holds the labels 2 r_{l-1} + 1 .. 2 r_l as its (top slice, bottom slice), b_l
+entries each.  Everything the chain derives from (beta, sign) is one cached
+layout: S_beta, the gathers mu -> gamma and gamma -> mu, the row constants with
+each label's shift, and the weight drop.  Every stage is still built through
+its validating constructor.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter, sub
+from typing import NamedTuple
 
 from .partitions import (
     NEGATIVE,
@@ -32,7 +31,7 @@ from .partitions import (
     alternating_sign_word,
     parity_blocks,
 )
-from .posets import Composition, PosetPartition, build_s_beta
+from .posets import Composition, PosetPartition, SBetaStructure, build_s_beta
 from .qseries import MINUS, PLUS, check_sign
 
 
@@ -92,115 +91,112 @@ def array_to_symbol(a: FrobeniusArray) -> FrobeniusSymbol:
 
 def sign_of_last_block(f) -> str:
     """'plus' or 'minus' according to the sign of the final parity block of a
-    symbol or an array (both have the same column ranks)."""
-    return _resolve_sign(parity_blocks(f), None)
+    symbol or an array (both have the same column ranks), or of their
+    ``ParityBlocks``."""
+    blocks = f if isinstance(f, ParityBlocks) else parity_blocks(f)
+    return PLUS if blocks.last_sign == POSITIVE else MINUS
 
 
-def _resolve_sign(blocks: ParityBlocks, sign: str | None) -> str:
-    # The sign, when supplied, must match the symbol's last parity block.
-    inferred = PLUS if blocks.last_sign == POSITIVE else MINUS
-    if sign is not None and check_sign(sign) != inferred:
-        raise ValueError(f"symbol's last block is {inferred}, not {sign}")
-    return inferred
+class _Layout(NamedTuple):
+    """Everything the chain derives from a composition and a last-block sign."""
+
+    sign: str
+    structure: SBetaStructure
+    place: itemgetter  # an array's top + bottom -> gamma's values in label order
+    unplace: itemgetter  # gamma's values -> the array's top + bottom
+    offsets: tuple[int, ...]  # the constant of each of the m+1 rows, from the top
+    shifts: tuple[int, ...]  # the row constant of every label
+    drop: int  # gamma's weight less pi's
 
 
 @lru_cache(maxsize=None)
-def _placement(sizes: tuple[int, ...], last_sign: str):
-    # (place, unplace) for the parity blocks (sizes, last_sign).  place maps
-    # top + bottom of an array to gamma's values in label order: block l's top
-    # slice takes the block's columns of the top row and its bottom slice
-    # those of the bottom row, the other way round in a negative block.
-    # unplace is its inverse.
-    d = sum(sizes)
+def _layout(parts: tuple[int, ...], sign: str) -> _Layout:
+    # Block l's top slice takes the block's columns of the top row and its
+    # bottom slice those of the bottom row, the other way round in a negative
+    # block.  The top slice lies in row l and the bottom slice in row l+1.
+    d, m = sum(parts), len(parts)
     index = []
     pos = 0
-    for size, sign in zip(sizes, alternating_sign_word(len(sizes), last_sign)):
-        upper, lower = (d + pos, pos) if sign == NEGATIVE else (pos, d + pos)
+    for size, letter in zip(parts, alternating_sign_word(m, SIGN_LETTER[check_sign(sign)])):
+        upper, lower = (d + pos, pos) if letter == NEGATIVE else (pos, d + pos)
         index += range(upper, upper + size)
         index += range(lower, lower + size)
         pos += size
     inverse = [0] * (2 * d)
     for label, source in enumerate(index):
         inverse[source] = label
-    return itemgetter(*index), itemgetter(*inverse)
+    # Counted from the bottom row the constants are 0,1,1,2,2,... for plus
+    # and 0,0,1,1,2,... for minus.
+    top = m + 2 if sign == PLUS else m + 1
+    offsets = tuple((top - i) // 2 for i in range(1, m + 2))
+    shifts = tuple(offsets[l + half] for l, b in enumerate(parts) for half in (0, 1)
+                   for _ in range(b))
+    # Summed from the partial sums, not from the shifts, so that the drop
+    # check in gamma -> pi compares two independent counts.
+    sums = Composition(parts).partial_sums
+    drop = sum(sums[1:]) if sign == PLUS else sum(sums[1:-1])
+    return _Layout(sign, build_s_beta(parts), itemgetter(*index), itemgetter(*inverse),
+                   offsets, shifts, drop)
 
 
-def flipped_rows(a: FrobeniusArray, blocks: ParityBlocks | None = None
-                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The array rows after interchanging top and bottom in each negative block.
-    ``blocks``, when given, must be the array's parity blocks."""
-    blocks = parity_blocks(a) if blocks is None else blocks
-    values = _placement(blocks.sizes, blocks.last_sign)[0](a.top + a.bottom)
-    hat_top = hat_bottom = ()
-    start = 0
-    for b in blocks.sizes:
-        hat_top += values[start:start + b]
-        hat_bottom += values[start + b:start + 2 * b]
-        start += 2 * b
-    return hat_top, hat_bottom
+def _layout_of(blocks: ParityBlocks) -> _Layout:
+    return _layout(blocks.sizes, sign_of_last_block(blocks))
 
 
-def array_to_gamma(a: FrobeniusArray, blocks: ParityBlocks | None = None) -> PosetPartition:
-    """Flip the negative blocks and drop block l's columns into rows l, l+1
-    of the block poset, in one gather.  The composition is read off the
-    array's parity blocks; ``blocks``, when given, must be those blocks."""
-    blocks = parity_blocks(a) if blocks is None else blocks
-    place = _placement(blocks.sizes, blocks.last_sign)[0]
-    gamma = PosetPartition(build_s_beta(blocks.sizes), place(a.top + a.bottom))
+def _array_to_gamma(a: FrobeniusArray, layout: _Layout) -> PosetPartition:
+    gamma = PosetPartition(layout.structure, layout.place(a.top + a.bottom))
     if gamma.weight != a.weight:
         raise AssertionError("placement must preserve the weight")
     return gamma
 
 
-def _row_offsets(m: int, sign: str) -> tuple[int, ...]:
-    # Constant subtracted from each of the m+1 rows, indexed from the top.
-    # Counted from the bottom these are 0,1,1,2,2,... for the plus case and
-    # 0,0,1,1,2,... for minus.
-    check_sign(sign)
-    if sign == PLUS:
-        return tuple((m + 2 - i) // 2 for i in range(1, m + 2))
-    return tuple((m + 1 - i) // 2 for i in range(1, m + 2))
+def array_to_gamma(a: FrobeniusArray) -> PosetPartition:
+    """Flip the negative blocks and drop block l's columns into rows l, l+1
+    of the block poset, in one gather.  The composition and the sign are read
+    off the array's parity blocks."""
+    return _array_to_gamma(a, _layout_of(parity_blocks(a)))
 
 
-@lru_cache(maxsize=None)
-def _row_shifts(parts: tuple[int, ...], sign: str) -> tuple[int, ...]:
-    # The row constant of every label: block l's top slice lies in row l and
-    # its bottom slice in row l+1.
-    offsets = _row_offsets(len(parts), sign)
-    return tuple(offsets[l + half] for l, b in enumerate(parts) for half in (0, 1)
-                 for _ in range(b))
+def _hat_rows(gamma: PosetPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # gamma's values are each block's (top slice, bottom slice) in turn.
+    hat_top = hat_bottom = ()
+    start = 0
+    for b in gamma.structure.beta.parts:
+        hat_top += gamma.values[start:start + b]
+        hat_bottom += gamma.values[start + b:start + 2 * b]
+        start += 2 * b
+    return hat_top, hat_bottom
 
 
-@lru_cache(maxsize=None)
-def _expected_drop(parts: tuple[int, ...], sign: str) -> int:
-    sums = Composition(parts).partial_sums
-    if sign == PLUS:
-        return sum(sums[1:])
-    return sum(sums[1:-1])
+def flipped_rows(a: FrobeniusArray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The array rows after interchanging top and bottom in each negative block."""
+    return _hat_rows(array_to_gamma(a))
+
+
+def _gamma_to_pi(g: PosetPartition, layout: _Layout) -> PosetPartition:
+    values = tuple(map(sub, g.values, layout.shifts))
+    if min(values) < 0:
+        raise ValueError(
+            f"row subtraction drives an entry negative; gamma is not a "
+            f"{layout.sign}-case image (row offsets {layout.offsets})")
+    pi = PosetPartition(g.structure, values)
+    drop = g.weight - pi.weight
+    if drop != layout.drop:
+        raise AssertionError(
+            f"weight drop {drop} disagrees with the partial-sum total {layout.drop}")
+    return pi
 
 
 def gamma_to_pi(g: PosetPartition, sign: str) -> PosetPartition:
     """Subtract the per-row constants; valid only for gamma arising from an
     array whose last block matches the sign (otherwise entries go negative or
     the order-reversing check fails, both of which raise)."""
-    parts = g.structure.beta.parts
-    values = tuple(map(sub, g.values, _row_shifts(parts, sign)))
-    if min(values) < 0:
-        raise ValueError(
-            f"row subtraction drives an entry negative; gamma is not a "
-            f"{sign}-case image (row offsets {_row_offsets(len(parts), sign)})")
-    pi = PosetPartition(g.structure, values)
-    drop = g.weight - pi.weight
-    if drop != _expected_drop(parts, sign):
-        raise AssertionError(
-            f"weight drop {drop} disagrees with the partial-sum total "
-            f"{_expected_drop(parts, sign)}")
-    return pi
+    return _gamma_to_pi(g, _layout(g.structure.beta.parts, sign))
 
 
 def pi_to_gamma(p: PosetPartition, sign: str) -> PosetPartition:
     """Add the per-row constants back."""
-    shifts = _row_shifts(p.structure.beta.parts, sign)
+    shifts = _layout(p.structure.beta.parts, sign).shifts
     return PosetPartition(p.structure, tuple(map(add, p.values, shifts)))
 
 
@@ -213,10 +209,10 @@ def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
     last-block sign (i.e. the input was not in the forward image).
     """
     beta = g.structure.beta
-    letter = SIGN_LETTER[check_sign(sign)]
-    rows = _placement(beta.parts, letter)[1](g.values)
+    rows = _layout(beta.parts, sign).unplace(g.values)
     array = FrobeniusArray(rows[:beta.d], rows[beta.d:])
     blocks = parity_blocks(array)
+    letter = SIGN_LETTER[sign]
     if blocks.sizes != beta.parts or blocks.last_sign != letter:
         raise ValueError(
             f"reconstructed array has blocks {blocks.sizes}/{blocks.sign_word}, "
@@ -233,25 +229,24 @@ def pi_to_lambda(p: PosetPartition, sign: str) -> FrobeniusSymbol:
     return array_to_symbol(array)
 
 
-def lambda_to_pi(f: FrobeniusSymbol, sign: str | None = None) -> PosetPartition:
-    """Full forward chain.  The sign, when supplied, must match the symbol's
-    last parity block."""
-    blocks = parity_blocks(f)
-    sign = _resolve_sign(blocks, sign)
-    return gamma_to_pi(array_to_gamma(symbol_to_array(f), blocks), sign)
+def lambda_to_pi(f: FrobeniusSymbol) -> PosetPartition:
+    """Full forward chain; the composition and the sign are read off the
+    symbol's parity blocks."""
+    layout = _layout_of(parity_blocks(f))
+    return _gamma_to_pi(_array_to_gamma(symbol_to_array(f), layout), layout)
 
 
-def bijection_trace(f: FrobeniusSymbol, sign: str | None = None) -> list[dict]:
+def bijection_trace(f: FrobeniusSymbol) -> list[dict]:
     """JSON-friendly stage-by-stage record of the forward chain."""
     blocks = parity_blocks(f)
-    sign = _resolve_sign(blocks, sign)
+    layout = _layout_of(blocks)
     array = symbol_to_array(f)
-    hat_top, hat_bottom = flipped_rows(array, blocks)
-    gamma = array_to_gamma(array, blocks)
-    pi = gamma_to_pi(gamma, sign)
+    gamma = _array_to_gamma(array, layout)
+    pi = _gamma_to_pi(gamma, layout)
+    hat_top, hat_bottom = _hat_rows(gamma)
     return [
         {"stage": "lambda", "top": list(f.top), "bottom": list(f.bottom),
-         "blocks": blocks.to_json_dict(), "sign": sign, "weight": f.size},
+         "blocks": blocks.to_json_dict(), "sign": layout.sign, "weight": f.size},
         {"stage": "mu", "top": list(array.top), "bottom": list(array.bottom),
          "weight": array.weight},
         {"stage": "mu_hat", "top": list(hat_top), "bottom": list(hat_bottom),

@@ -125,15 +125,16 @@ def _cmd_count(args, parser):
     count, flags = COUNT_MODES[mode]
     _check_flags(parser, args, f"mode {mode!r}", flags, ("d", "m"))
     # Build only the tables the count reads.  It returns 0 without reading one
-    # when n, d or m is below 1 or m > d, so by-blocks reads the d with
-    # m <= d <= isqrt(n) and the other modes their one d, if any.
+    # when n, d or m is below 1, m > d or d * d > n, so by-blocks reads the d
+    # with m <= d <= isqrt(n) and the other modes their one d, if any.
     given = [getattr(args, f) for f in flags]
     if args.n < 1 or min(given) < 1:
         columns = ()
     elif mode == "by-blocks":
         columns = range(args.m, isqrt(args.n) + 1)
     else:
-        columns = (args.d,) if args.m is None or args.m <= args.d else ()
+        fits = args.d * args.d <= args.n and (args.m is None or args.m <= args.d)
+        columns = (args.d,) if fits else ()
     value = count(build_census(dict.fromkeys(columns, args.n)), args.n, *given, args.sign)
     payload = {"mode": mode, "n": args.n, "d": args.d, "m": args.m,
                "sign": args.sign, "count": value}
@@ -156,7 +157,7 @@ def _cmd_list(args, parser):
 
 def _cmd_biject(args, parser):
     symbol = _parse_symbol(args.symbol)
-    trace = bijection_trace(symbol, args.sign)
+    trace = bijection_trace(symbol)
     if args.invert:
         pi_stage = trace[-1]
         sign = trace[0]["sign"]
@@ -243,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_list)
 
     p_biject = sub.add_parser("biject", help="trace a symbol through the "
-                                             "weight-controlled chain")
+                                             "weight-controlled chain; the "
+                                             "composition and the sign are read "
+                                             "off its parity blocks")
     p_biject.add_argument("--symbol", required=True,
                           help="JSON {\"top\": [...], \"bottom\": [...]} or "
                                "inline '3 2 1 / 5 1 0'")
-    p_biject.add_argument("--sign", choices=SIGNS,
-                          help="defaults to the sign of the last parity block")
     p_biject.add_argument("--invert", action="store_true",
                           help="also run the inverse chain and check the round trip")
     add_format(p_biject, ("text", "json"))

@@ -391,7 +391,7 @@ def count_exact(census: dict, n: int, d: int, m: int, sign: str) -> int:
     """Partitions of n with exactly d columns and m parity blocks, last block of
     the given sign.  Returns 0 whenever the combination is impossible."""
     check_sign(sign)
-    if n < 1 or d < 1 or m < 1 or m > d:
+    if n < 1 or d < 1 or m < 1 or m > d or d * d > n:
         return 0
     return census[d][n].get((m, SIGN_LETTER[sign]), 0)
 
@@ -420,7 +420,7 @@ def count_all_columns(census: dict, n: int, d: int) -> int:
     """
     if d == 0:
         return 1 if n == 0 else 0
-    if n < 1:
+    if n < 1 or d * d > n:
         return 0
     return sum(census[d][n].values())
 

@@ -65,13 +65,13 @@ class QSeries:
         return cls((value,) + (0,) * precision)
 
     @classmethod
-    def monomial(cls, exponent: int, precision: int, coefficient: int = 1) -> "QSeries":
-        """``coefficient * q**exponent`` truncated; zero when exponent > precision."""
+    def monomial(cls, exponent: int, precision: int) -> "QSeries":
+        """``q**exponent`` truncated; zero when exponent > precision."""
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         coeffs = [0] * (precision + 1)
         if exponent <= precision:
-            coeffs[exponent] = coefficient
+            coeffs[exponent] = 1
         return cls(tuple(coeffs))
 
     @classmethod
@@ -246,14 +246,12 @@ def pochhammer(start_exp: int, count: int, precision: int) -> QSeries:
         raise ValueError("start_exp must be a positive integer")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if precision < 0:
+        raise ValueError("precision must be nonnegative")
     coeffs = [0] * (precision + 1)
     coeffs[0] = 1
-    for j in range(count):
-        a = start_exp + j
-        if a > precision:
-            break
-        for k in range(precision, a - 1, -1):
-            coeffs[k] -= coeffs[k - a]
+    for a in range(start_exp, min(start_exp + count, precision + 1)):
+        _times_one_minus(coeffs, a)
     return QSeries(tuple(coeffs))
 
 

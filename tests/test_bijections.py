@@ -1,5 +1,7 @@
 """The staircase / flip / row-subtraction chain and its inverse."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,7 +158,7 @@ def test_gamma_to_array_detects_wrong_sign():
 
 
 def test_full_chain_round_trip_paper_example():
-    pi = lambda_to_pi(PAPER_SYMBOL, PLUS)
+    pi = lambda_to_pi(PAPER_SYMBOL)
     assert pi_to_lambda(pi, PLUS) == PAPER_SYMBOL
 
 
@@ -171,7 +173,7 @@ def test_round_trip_weight_ledger_and_injectivity():
     images = {}
     for f in all_symbols_up_to(22):
         sign = sign_of_last_block(f)
-        pi = lambda_to_pi(f, sign)
+        pi = lambda_to_pi(f)
         assert pi_to_lambda(pi, sign) == f
         beta = pi.structure.beta
         sums = beta.partial_sums
@@ -183,9 +185,20 @@ def test_round_trip_weight_ledger_and_injectivity():
             images[key] = f
 
 
-def test_lambda_to_pi_rejects_mismatched_sign():
-    with pytest.raises(ValueError):
+def test_forward_chain_takes_only_its_input():
+    # The forward chain reads beta and the sign off its input's parity blocks,
+    # so there is no second argument to disagree with them.  The inverse
+    # direction keeps its sign, which pi does not determine.
+    for forward in (lambda_to_pi, bijection_trace, array_to_gamma, flipped_rows):
+        assert len(inspect.signature(forward).parameters) == 1, forward.__name__
+    for inverse in (gamma_to_pi, pi_to_gamma, gamma_to_array, pi_to_lambda):
+        assert list(inspect.signature(inverse).parameters)[1:] == ["sign"], inverse.__name__
+    with pytest.raises(TypeError):
         lambda_to_pi(PAPER_SYMBOL, MINUS)
+    # An array of three rank-0 columns is one negative block, so gamma lies
+    # on S_(3), whatever blocks a caller might have had in mind.
+    gamma = array_to_gamma(FrobeniusArray((3, 3, 3), (3, 3, 3)))
+    assert gamma.structure == build_s_beta((3,))
 
 
 def test_bijection_trace_stage_weights():
@@ -352,14 +365,14 @@ def test_round_trip_runs_each_validator_as_often_as_before(monkeypatch):
     symbols = [(f, sign_of_last_block(f)) for f in all_symbols_up_to(12)]
     calls.clear()
     for f, sign in symbols:
-        assert pi_to_lambda(lambda_to_pi(f, sign), sign) == f
+        assert pi_to_lambda(lambda_to_pi(f), sign) == f
     n = len(symbols)
     assert calls == {"FrobeniusArray": 2 * n, "PosetPartition": 3 * n,
                      "ParityBlocks": 2 * n, "FrobeniusSymbol": n}
 
 
 # ----------------------------------------------------------------------
-# the cached gathers against the flip-then-slice passes
+# the cached layout against the flip-then-slice passes
 # ----------------------------------------------------------------------
 #
 # The references below are the passes the chain made before its placement
@@ -382,21 +395,31 @@ def _ref_row_shifts(parts, sign):
                  for _ in range(b))
 
 
+def _ref_drop(parts, sign):
+    # r_1 + ... + r_m in the plus case, r_1 + ... + r_{m-1} in the minus case.
+    r, sums = 0, []
+    for b in parts:
+        r += b
+        sums.append(r)
+    return sum(sums) if sign == PLUS else sum(sums[:-1])
+
+
 def test_placement_gather_matches_flip_then_slice():
     for d in range(1, 8):
         # Distinct entries, so the gather must move every one to its label.
         top, bottom = tuple(range(d)), tuple(range(d, 2 * d))
         for parts in compositions(d):
             for sign in (PLUS, MINUS):
-                letter = SIGN_LETTER[sign]
-                place, unplace = bijections_mod._placement(parts, letter)
-                signs = alternating_sign_word(len(parts), letter)
-                values = place(top + bottom)
+                layout = bijections_mod._layout(parts, sign)
+                assert layout.sign == sign
+                assert layout.structure == build_s_beta(parts)
+                signs = alternating_sign_word(len(parts), SIGN_LETTER[sign])
+                values = layout.place(top + bottom)
                 assert values == _ref_flip_then_slice(top, bottom, parts, signs), (parts, sign)
-                assert unplace(values) == top + bottom
-                shifts = bijections_mod._row_shifts(parts, sign)
-                assert shifts == _ref_row_shifts(parts, sign)
-                assert bijections_mod._expected_drop(parts, sign) == sum(shifts)
+                assert layout.unplace(values) == top + bottom
+                assert layout.offsets == _ref_offsets(len(parts), sign)
+                assert layout.shifts == _ref_row_shifts(parts, sign)
+                assert layout.drop == _ref_drop(parts, sign) == sum(layout.shifts)
 
 
 def test_flipped_rows_match_the_row_interchange():

@@ -54,9 +54,12 @@ def test_count_exact_deep_point_within_budget(capsys, census_builds):
     ("--mode", "by-blocks", "--n", "30", "--m", "6"),
     ("--mode", "by-columns", "--n", "30", "--d", "0"),
     ("--mode", "by-columns", "--n", "-3", "--d", "2"),
+    ("--n", "8000000", "--d", "3000", "--m", "1"),
+    ("--mode", "by-columns", "--n", "24", "--d", "5"),
 ])
 def test_count_of_an_empty_class_builds_no_census(capsys, census_builds, argv):
-    # n, d or m below 1, or more blocks than columns: 0 with no table built
+    # n, d or m below 1, more blocks than columns, or more cells in the
+    # d x d square than n: 0 with no table built
     code, out, _ = run_cli(capsys, "count", *argv, "--sign", "plus")
     assert (code, out) == (0, "0\n")
     assert census_builds == []
@@ -166,10 +169,14 @@ def test_biject_inline_symbol(capsys):
     assert trace[0]["weight"] == 15
 
 
-def test_biject_mismatched_sign_is_usage_error(capsys):
+def test_biject_sign_flag_is_usage_error(capsys):
+    # The sign is read off the symbol's parity blocks, so biject has no --sign,
+    # not even for the value it would infer.
     with pytest.raises(SystemExit) as exc:
-        main(["biject", "--symbol", "3 2 1 / 5 1 0", "--sign", "minus"])
+        main(["biject", "--symbol", "3 2 1 / 5 1 0", "--sign", "plus"])
     assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["rankblocks: error: unrecognized arguments: --sign plus"]
 
 
 @pytest.mark.parametrize("symbol, message", [
@@ -470,7 +477,7 @@ FUZZ_FLAGS = {
                "precision": SMALL, "format": st.sampled_from(["text", "json", "csv"])},
     "list": {"n": SMALL, "d": SMALL, "m": SMALL, "sign": SIGN,
              "format": st.sampled_from(["text", "json", "csv"])},
-    "biject": {"sign": SIGN, "format": st.sampled_from(["text", "json"])},
+    "biject": {"format": st.sampled_from(["text", "json"])},
     "verify": {"precision": SMALL, "max-d": SMALL, "max-m": SMALL,
                "max-s": SMALL, "d": SMALL, "m": SMALL, "s": SMALL, "t": SMALL,
                "r": SMALL, "sign": SIGN},

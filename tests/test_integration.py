@@ -37,7 +37,7 @@ def test_chain_weight_matches_count_decomposition():
                 sign = sign_of_last_block(f)
                 if sign != PLUS:
                     continue
-                pi = lambda_to_pi(f, sign)
+                pi = lambda_to_pi(f)
                 beta = pi.structure.beta.parts
                 weights_by_beta.setdefault(beta, []).append(pi.weight)
             for beta, weights in weights_by_beta.items():

@@ -258,6 +258,8 @@ def test_count_exact_smallest_cases():
     assert count_exact(census, 1, 1, 1, PLUS) == 0
     assert count_exact(census, 10, 2, 3, PLUS) == 0  # m > d impossible, not an error
     assert count_exact(census, 20, 5, 1, PLUS) == 0  # d * d > n, not an error
+    # d * d > n is answered without reading a table, so an empty census will do
+    assert count_exact({}, 20, 5, 1, PLUS) == count_all_columns({}, 20, 5) == 0
 
 
 def test_minus_equals_shifted_plus():

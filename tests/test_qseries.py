@@ -292,6 +292,12 @@ def test_pochhammer_against_naive_product():
     assert pochhammer(3, 4, 20).coeffs == naive_product(factors, 20)
 
 
+def test_pochhammer_rejects_a_negative_precision_as_euler_inverse_does():
+    for build in (lambda: pochhammer(1, 3, -1), lambda: euler_inverse(-1)):
+        with pytest.raises(ValueError, match="^precision must be nonnegative$"):
+            build()
+
+
 def test_qbinomial_boundaries():
     for n in range(9):
         assert qbinomial(n, 0) == QSeries((1,))
