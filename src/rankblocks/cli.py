@@ -55,9 +55,9 @@ SERIES_TARGETS = {
     "qbinomial": (qbinomial, ("n", "k"), None),
 }
 
-# verify flags passed through as grid bounds and as point overrides
-VERIFY_BOUNDS = ("precision", "max_d", "max_m", "max_s")
-VERIFY_OVERRIDES = ("d", "m", "s", "t", "r", "sign")
+# verify flags, passed through as one settings dict: each moves a bound or
+# fixes a grid axis of every selected target
+VERIFY_FLAGS = ("precision", "max_d", "max_m", "max_s", "d", "m", "s", "t", "r", "sign")
 
 
 def _render_symbol(f: FrobeniusSymbol) -> str:
@@ -196,8 +196,8 @@ def _cmd_series(args, parser):
 
 def _cmd_verify(args, parser):
     wanted = [t for chunk in args.targets for t in chunk.split(",") if t]
-    given = lambda flags: {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
-    reports = verify.run_reports(wanted or "all", given(VERIFY_BOUNDS), given(VERIFY_OVERRIDES))
+    settings = {k: getattr(args, k) for k in VERIFY_FLAGS if getattr(args, k) is not None}
+    reports = verify.run_reports(wanted or "all", settings)
     failures = 0
     for report in reports:
         print(json.dumps(report.to_json_dict()))
@@ -216,8 +216,15 @@ def _cmd_verify(args, parser):
 # ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Report a usage error in one stderr line, without the usage banner."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankblocks",
         description="Exact enumeration of partitions by successive-rank parity "
                     "blocks, with closed-form verification.")
@@ -271,16 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
                                              "(JSON lines + summary on stdout)")
     p_verify.add_argument("--targets", nargs="+", default=["all"],
                           help="target names or 'all': " + ", ".join(verify.TARGETS))
-    p_verify.add_argument("--precision", type=int)
-    p_verify.add_argument("--max-d", dest="max_d", type=int)
-    p_verify.add_argument("--max-m", dest="max_m", type=int)
-    p_verify.add_argument("--max-s", dest="max_s", type=int)
-    p_verify.add_argument("--d", type=int)
-    p_verify.add_argument("--m", type=int)
-    p_verify.add_argument("--s", type=int)
-    p_verify.add_argument("--t", type=int)
-    p_verify.add_argument("--r", type=int)
-    p_verify.add_argument("--sign", choices=SIGNS)
+    for flag in VERIFY_FLAGS:
+        kind = {"choices": SIGNS} if flag == "sign" else {"type": int}
+        p_verify.add_argument("--" + flag.replace("_", "-"), dest=flag, **kind)
     return parser
 
 

@@ -169,7 +169,7 @@ def enumerate_ballot_words(s: int, t: int):
     yield from _ballot_words(s, t, 0)
 
 
-def enumerate_marked_paths(s: int, t: int, min_marks: int = 0):
+def enumerate_marked_paths(s: int, t: int, min_marks: int):
     """Every (path, mark-subset) pair with at least min_marks marked returns.
 
     The same underlying word appears once per qualifying mark subset; subsets
@@ -232,19 +232,14 @@ def enumerate_fixed_returns(d: int, positions):
             yield base._remarked(marks) if marks else base
 
 
-def gf_vmr(objects, precision: int | None = None) -> QSeries:
-    """Sum of q**vmr over a finite collection of marked paths.
-
-    With ``precision=None`` the result is the exact polynomial (precision =
-    largest vmr seen, or 0 for an empty collection).
-    """
+def gf_vmr(objects) -> QSeries:
+    """Sum of q**vmr over a finite collection of marked paths: the exact
+    polynomial, with precision the largest vmr seen, or 0 for an empty
+    collection."""
     exponents = [vmr(p) for p in objects]
-    if precision is None:
-        precision = max(exponents, default=0)
-    coeffs = [0] * (precision + 1)
+    coeffs = [0] * (max(exponents, default=0) + 1)
     for e in exponents:
-        if e <= precision:
-            coeffs[e] += 1
+        coeffs[e] += 1
     return QSeries(tuple(coeffs))
 
 

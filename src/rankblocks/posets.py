@@ -10,7 +10,6 @@ uses the labels 2 r_{l-1} + 1 .. 2 r_l with the top row first.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -113,15 +112,9 @@ class SBetaStructure:
                 "labels": [[i, j, self.label_of[(i, j)]] for (i, j) in self.elements]}
 
 
-@lru_cache(maxsize=None)
-def _cached_structure(parts: tuple[int, ...]) -> SBetaStructure:
-    return SBetaStructure(Composition(parts))
-
-
 def build_s_beta(beta) -> SBetaStructure:
-    """Build (or fetch, structures are immutable) the poset for a composition."""
-    parts = tuple(beta.parts) if isinstance(beta, Composition) else tuple(beta)
-    return _cached_structure(parts)
+    """Build the poset for a composition (a ``Composition`` or its parts)."""
+    return SBetaStructure(beta)
 
 
 # ----------------------------------------------------------------------

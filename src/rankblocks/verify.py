@@ -6,10 +6,10 @@ reports per-coefficient agreement.  On failure the report carries the first
 discrepant exponent plus up to five witness objects from the enumeration side
 at that weight.
 
-Every target is one entry of :data:`SPECS`: a check, the command-line bounds
-it honours with their defaults, the grid axes it sweeps, and the constraint on
-a grid point.  A check returns only ``(first_discrepancy, witnesses)``;
-:func:`run_check` alone turns that into a report.
+Every target is one entry of :data:`SPECS`: a check, its bounds with their
+defaults, the grid axes it sweeps, and the constraint on a grid point.  A
+check returns only ``(first_discrepancy, witnesses)``; :func:`run_check` alone
+turns that into a report.
 """
 
 import json
@@ -90,8 +90,8 @@ class VerificationReport:
         return {**vars(self), "elapsed": round(self.elapsed, 6)}
 
 
-def _take(iterable, k=5):
-    return list(islice(iterable, k))
+def _take(iterable):
+    return list(islice(iterable, 5))
 
 
 def _first_discrepancy(lhs, rhs, start=0, **extra):
@@ -361,13 +361,14 @@ def verify_partition_unity(census, precision):
 
 @dataclass(frozen=True)
 class Spec:
-    """One target: its check, the command-line bounds it honours (bound name ->
-    default), the grid axes it sweeps (axis name -> values, or a function of
-    the bounds giving them; a point override of that name replaces them), the
-    check arguments read from the bounds, and the constraint a grid point must
-    meet, given the point and the bounds.  Those functions are handed only the
-    bounds declared here.  A census target's check takes the census first; its
-    ``reach`` maps a grid point to ``{d: the largest n the check reads}``."""
+    """One target: its check, its bounds (bound name -> default), the grid axes
+    it sweeps (axis name -> values, or a function of the bounds giving them),
+    the check arguments read from the bounds, and the constraint a grid point
+    must meet, given the point and the bounds.  A setting names a bound, which
+    it moves, or an axis, which it fixes to one value.  Those functions are
+    handed only the bounds declared here.  A census target's check takes the
+    census first; its ``reach`` maps a grid point to ``{d: the largest n the
+    check reads}``."""
 
     check: Callable
     bounds: dict
@@ -375,11 +376,6 @@ class Spec:
     args: Callable = lambda bounds: {}
     where: Callable = lambda point, bounds: True
     reach: Callable | None = None
-
-    @property
-    def honours(self) -> frozenset:
-        """Every bound and point-override name this target takes into account."""
-        return frozenset(self.axes) | frozenset(self.bounds)
 
 
 def _upto(bound):
@@ -432,27 +428,34 @@ SPECS = {
 }
 
 
-def _reject_unusable(names, bounds, overrides):
+# Every name that is a bound of some target: a setting of one must be at least 1.
+_BOUND_NAMES = frozenset().union(*(spec.bounds for spec in SPECS.values()))
+
+
+def _reject_unusable(names, settings):
     # A bound below 1, which would leave every check with nothing to compare,
-    # or a bound or point override that a selected target would ignore.
-    for flag, value in bounds.items():
-        if value < 1:
+    # or a setting that names neither a bound nor an axis of a selected target.
+    for flag, value in settings.items():
+        if flag in _BOUND_NAMES and value < 1:
             raise ValueError(f"--{flag.replace('_', '-')}: must be at least 1, got {value}")
-    for flag in [*overrides, *bounds]:
-        ignoring = [name for name in names if flag not in SPECS[name].honours]
+    for flag in settings:
+        ignoring = [name for name in names
+                    if flag not in SPECS[name].bounds and flag not in SPECS[name].axes]
         if ignoring:
             raise ValueError(f"--{flag.replace('_', '-')} is not honoured by "
                              f"{', '.join(ignoring)}")
 
 
-def grid_points(name, bounds=None, overrides=None):
+def grid_points(name, settings=None):
     """The keyword arguments of every check the target runs, in sweep order.
-    ``bounds`` and ``overrides`` may name only what the target honours, every
-    bound must be at least 1, and the grid must not be empty."""
+    Each setting must name a bound of the target, which it moves, or an axis,
+    which it fixes; every bound must be at least 1, and the grid must not be
+    empty."""
     spec = SPECS[name]
-    bounds, overrides = bounds or {}, overrides or {}
-    _reject_unusable([name], bounds, overrides)
-    bounds = {**spec.bounds, **bounds}
+    settings = settings or {}
+    _reject_unusable([name], settings)
+    bounds = {bound: settings.get(bound, default) for bound, default in spec.bounds.items()}
+    overrides = {axis: settings[axis] for axis in spec.axes if axis in settings}
     points = [{}]
     for axis, values in spec.axes.items():
         if axis in overrides:
@@ -472,8 +475,11 @@ def run_check(name, census=None, /, **point):
     the check's time, the target name, ``point`` as the parameters, and the
     status.  A check returns ``(first_discrepancy, witnesses)``, the first
     None when its two sides agree.  A census target's check reads ``census``,
-    or else a census built for the point's reach before the clock starts."""
-    census_args = [census or _census([(name, point)])] if SPECS[name].reach else []
+    or, when none is given, a census built for the point's reach before the
+    clock starts."""
+    if SPECS[name].reach and census is None:
+        census = _census([(name, point)])
+    census_args = [census] if SPECS[name].reach else []
     started = time.perf_counter()
     discrepancy, witnesses = SPECS[name].check(*census_args, **point)
     elapsed = time.perf_counter() - started
@@ -488,9 +494,7 @@ def _census(points):
     return build_census({d: max(r.get(d, 0) for r in reaches) for d in set().union(*reaches)})
 
 
-def _sweep(name, bounds=None, overrides=None, census=None):
-    points = grid_points(name, bounds, overrides)
-    census = census or _census((name, point) for point in points)
+def _sweep(name, points, census):
     return [run_check(name, census, **point) for point in points]
 
 
@@ -510,21 +514,23 @@ def target_names(targets="all") -> list:
     return names
 
 
-def run_reports(targets="all", bounds=None, overrides=None):
+def run_reports(targets="all", settings=None):
     """Run the requested verification targets and return the reports in
     canonical (target, parameters) order.
 
-    ``bounds`` maps any of ``precision``, ``max_d``, ``max_m`` and ``max_s``
-    to a value of at least 1; ``overrides`` fixes grid axes to one value each.
-    A bound below 1, a bound or override that a selected target does not
-    honour, and an override that leaves a selected target with no grid point
-    raise ValueError before any check runs.  The census the selected targets
-    read is built once, before any check runs.
+    Each setting names a bound of every selected target (``precision``,
+    ``max_d``, ``max_m`` or ``max_s``, at least 1), which moves it, or one of
+    its grid axes, which it fixes to one value.  A bound below 1, a setting
+    that a selected target has neither as a bound nor as an axis, and a
+    setting that leaves a selected target with no grid point raise ValueError
+    before any check runs.  Each target's grid is built once, and so is the
+    census the selected targets read, before any check runs.
     """
     names = target_names(targets)
-    _reject_unusable(names, bounds or {}, overrides or {})
-    census = _census((name, point) for name in names
-                     for point in grid_points(name, bounds, overrides))
-    reports = [r for name in names for r in TARGETS[name](bounds, overrides, census)]
+    settings = settings or {}
+    _reject_unusable(names, settings)
+    grids = {name: grid_points(name, settings) for name in names}
+    census = _census((name, point) for name, points in grids.items() for point in points)
+    reports = [r for name, points in grids.items() for r in TARGETS[name](points, census)]
     reports.sort(key=lambda r: (r.target, json.dumps(r.parameters, sort_keys=True)))
     return reports

@@ -36,7 +36,6 @@ from rankblocks.qseries import (
     qbinomial,
     series_exact,
 )
-BOUNDS = {}
 
 
 def _criterion(num, description, ok, elapsed, limit):
@@ -63,7 +62,7 @@ def test_criterion_02_marked_path_family():
     start = time.perf_counter()
     objects = list(enumerate_marked_paths(3, 2, 1))
     multiset = sorted(vmr(o) for o in objects)
-    gf = gf_vmr(objects, 5)
+    gf = QSeries.from_coeffs(gf_vmr(objects).coeffs, 5)
     closed = QSeries.monomial(1, 5) * qbinomial(5, 4, 5)
     ok = len(objects) == 5 and multiset == [1, 2, 3, 4, 5] and gf == closed
     _criterion(2, "five marked ballot paths with statistic values 1..5",
@@ -104,7 +103,7 @@ def test_criterion_04_bijection_trace_weights():
 
 def test_criterion_05_exact_series_sweep():
     start = time.perf_counter()
-    reports = verify_mod.TARGETS["thm-main"](BOUNDS, {})
+    reports = verify_mod.run_reports(["thm-main"])
     ok = len(reports) == 30 and all(r.passed for r in reports)
     _criterion(5, "columns-and-blocks series vs the census, d<=5, n<=40",
                ok, time.perf_counter() - start, 60)
@@ -112,9 +111,7 @@ def test_criterion_05_exact_series_sweep():
 
 def test_criterion_06_block_and_column_series_sweeps():
     start = time.perf_counter()
-    reports = []
-    for name in ("thm-1.2", "thm-1.4", "cor-1.3", "cor-1.5"):
-        reports.extend(verify_mod.TARGETS[name](BOUNDS, {}))
+    reports = verify_mod.run_reports(["thm-1.2", "thm-1.4", "cor-1.3", "cor-1.5"])
     ok = all(r.passed for r in reports) and len(reports) == 10 + 10 + 5 + 10
     _criterion(6, "by-blocks/by-columns series and both corollaries, n<=40",
                ok, time.perf_counter() - start, 60)
@@ -122,9 +119,7 @@ def test_criterion_06_block_and_column_series_sweeps():
 
 def test_criterion_07_path_identities():
     start = time.perf_counter()
-    reports = []
-    for name in ("lemma-2.2", "lemma-2.4", "cor-2.5"):
-        reports.extend(verify_mod.TARGETS[name](BOUNDS, {}))
+    reports = verify_mod.run_reports(["lemma-2.2", "lemma-2.4", "cor-2.5"])
     ok = all(r.passed for r in reports)
     _criterion(7, "marked-path polynomial identities, s+t<=12, r<=6",
                ok, time.perf_counter() - start, 30)
@@ -132,9 +127,7 @@ def test_criterion_07_path_identities():
 
 def test_criterion_08_poset_identities_and_bijection():
     start = time.perf_counter()
-    reports = []
-    for name in ("prop-3.9", "prop-3.10"):
-        reports.extend(verify_mod.TARGETS[name](BOUNDS, {}))
+    reports = verify_mod.run_reports(["prop-3.9", "prop-3.10"])
     ok = all(r.passed for r in reports)
     _criterion(8, "poset-partition series (d<=4) and word/path bijection (d<=5)",
                ok, time.perf_counter() - start, 60)
@@ -158,8 +151,7 @@ def test_criterion_09_partition_of_unity():
 
 def test_criterion_10_remark_identities_and_prefix_counts():
     start = time.perf_counter()
-    reports = verify_mod.TARGETS["remarks"](BOUNDS, {})
-    reports.extend(verify_mod.TARGETS["thm-5.1"](BOUNDS, {}))
+    reports = verify_mod.run_reports(["remarks", "thm-5.1"])
     ok = all(r.passed for r in reports) and len(reports) == 1 + 4
     _criterion(10, "count relations and prefix-pattern counts, m<=4, n<=30",
                ok, time.perf_counter() - start, 60)

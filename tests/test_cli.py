@@ -98,6 +98,8 @@ def test_count_missing_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--n", "15", "--sign", "plus"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "rankblocks: error: mode 'exact' needs --d and --m"]
 
 
 def test_list_matches_paper_and_count(capsys):
@@ -175,8 +177,8 @@ def test_biject_sign_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["biject", "--symbol", "3 2 1 / 5 1 0", "--sign", "plus"])
     assert exc.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert errors == ["rankblocks: error: unrecognized arguments: --sign plus"]
+    assert capsys.readouterr().err.splitlines() == [
+        "rankblocks: error: unrecognized arguments: --sign plus"]
 
 
 @pytest.mark.parametrize("symbol, message", [
@@ -191,8 +193,8 @@ def test_biject_bad_json_symbol_is_usage_error(capsys, symbol, message):
     with pytest.raises(SystemExit) as exc:
         main(["biject", "--symbol", symbol])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.strip().splitlines()[-1].endswith(message)
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.endswith(message)
 
 
 def test_biject_small_symbol_two_chain(capsys):
@@ -257,8 +259,8 @@ def test_unused_flag_is_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert message in err.strip().splitlines()[-1]
+    [line] = capsys.readouterr().err.splitlines()
+    assert message in line
 
 
 def test_series_sign_defaults_to_plus(capsys):
@@ -312,12 +314,16 @@ def test_verify_bad_override_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--targets", "thm-main", "--d", "2", "--m", "3"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "rankblocks: error: thm-main has no grid point under overrides {'d': 2, 'm': 3}"]
 
 
 def test_verify_unknown_target_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--targets", "no-such-claim"])
     assert exc.value.code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("rankblocks: error: unknown verification targets: ['no-such-claim']")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -351,8 +357,8 @@ def test_verify_rejects_unhonoured_flags(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(["verify", *argv])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.strip().splitlines()[-1].endswith(message)
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.endswith(message)
 
 
 @pytest.mark.parametrize("flag, target", [
@@ -368,8 +374,8 @@ def test_verify_rejects_bound_below_one(capsys, flag, target):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--targets", target, flag, "0"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.strip().splitlines()[-1].endswith(f"{flag}: must be at least 1, got 0")
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.endswith(f"{flag}: must be at least 1, got 0")
 
 
 def _steps(p):
@@ -401,6 +407,8 @@ def test_verify_override_outside_grid_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--targets", "thm-main", "--m", "6"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "rankblocks: error: thm-main has no grid point under overrides {'m': 6}"]
 
 
 # SHA-256 of `rankblocks verify --targets all` stdout with every "elapsed"
@@ -510,7 +518,7 @@ def _usual_flags(command, draw):
         names = draw(st.lists(st.sampled_from(sorted(SPECS) + ["all"]),
                               min_size=1, max_size=2, unique=True))
         honoured = {flag.replace("_", "-") for name in names if name != "all"
-                    for flag in SPECS[name].honours}
+                    for flag in [*SPECS[name].bounds, *SPECS[name].axes]}
         return ["--targets", ",".join(names)], honoured & set(FUZZ_FLAGS["verify"])
     if command == "biject":
         argv = ["--symbol", draw(_symbol_text())]
@@ -544,3 +552,5 @@ def test_cli_fuzz_exits_cleanly(command, data):
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:  # a usage error is one stderr line
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())

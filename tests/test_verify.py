@@ -308,31 +308,65 @@ def test_report_json_shape():
 
 def test_override_validation():
     with pytest.raises(ValueError):
-        run_reports(["thm-main"], {"precision": 10},
-                    overrides={"d": 2, "m": 3})
+        run_reports(["thm-main"], {"precision": 10, "d": 2, "m": 3})
 
 
 def test_spec_honours_exactly_the_bounds_that_move_its_grid():
-    # The table's claim that a target honours a command-line bound must match
-    # what the bound does to the target's grid.
-    base = {}
+    # A setting that names one of a target's bounds must move its grid, one
+    # that names an axis must fix it, and any other is refused.
+    names = {flag for spec in SPECS.values() for flag in [*spec.bounds, *spec.axes]}
     for name, spec in SPECS.items():
-        for flag in ("precision", "max_d", "max_m", "max_s"):
+        base = grid_points(name)
+        for flag in sorted(names):
             if flag in spec.bounds:
-                changed = {flag: spec.bounds[flag] - 1}
-                moved = grid_points(name, changed) != grid_points(name, base)
+                assert grid_points(name, {flag: spec.bounds[flag] - 1}) != base, (name, flag)
+            elif flag in spec.axes:
+                value = base[-1][flag]
+                assert grid_points(name, {flag: value}) == [
+                    p for p in base if p[flag] == value], (name, flag)
             else:  # refused, so it cannot move the grid unnoticed
                 with pytest.raises(ValueError, match=f"is not honoured by {name}$"):
                     grid_points(name, {flag: 1})
-                moved = False
-            assert moved == (flag in spec.honours), (name, flag)
 
 
 def test_point_overrides_fix_their_axis():
-    points = grid_points("lemma-2.2", {}, {"t": 3, "r": 0})
+    points = grid_points("lemma-2.2", {"t": 3, "r": 0})
     assert [(p["s"], p["t"], p["r"]) for p in points] == [(s, 3, 0) for s in range(4, 10)]
-    assert grid_points("thm-main", {}, {"m": 4, "sign": "plus"}) == [
+    assert grid_points("thm-main", {"m": 4, "sign": "plus"}) == [
         {"d": d, "m": 4, "sign": "plus", "precision": 40} for d in (4, 5)]
+
+
+def test_one_settings_dict_moves_bounds_and_fixes_axes():
+    reports = run_reports(["thm-main"], {"d": 2, "precision": 5})
+    assert [(r.parameters["d"], r.parameters["precision"]) for r in reports] == [(2, 5)] * 4
+    reports = run_reports(["thm-main"], {"precision": 5, "max_d": 1})
+    assert [r.parameters for r in reports] == [
+        {"d": 1, "m": 1, "sign": sign, "precision": 5} for sign in (MINUS, PLUS)]
+
+
+def test_run_reports_refuses_a_setting_that_is_neither_bound_nor_axis(monkeypatch):
+    ran = []
+    for name in ("thm-main", "thm-1.2"):
+        monkeypatch.setitem(verify_mod.TARGETS, name, lambda *a: ran.append(a) or [])
+    with pytest.raises(ValueError, match="^--beta is not honoured by thm-main, thm-1.2$"):
+        run_reports(["thm-main", "thm-1.2"], {"beta": (1,)})
+    assert ran == []
+
+
+def test_run_reports_builds_each_grid_once(monkeypatch):
+    calls = []
+    compositions_upto = SPECS["prop-3.10"].axes["beta"]
+    monkeypatch.setitem(SPECS["prop-3.10"].axes, "beta",
+                        lambda bounds: calls.append(bounds) or compositions_upto(bounds))
+    reports = run_reports(["prop-3.10"], {"max_d": 3})
+    assert len(reports) == 1 + 2 + 4 and all(r.passed for r in reports)
+    assert calls == [{"max_d": 3}]
+
+
+def test_run_check_reads_the_census_it_is_given():
+    # An empty census is read as given, never replaced by one built for the point.
+    with pytest.raises(LookupError):
+        run_check("thm-main", {}, d=2, m=1, sign=PLUS, precision=15)
 
 
 def test_run_reports_rejects_unhonoured_bound_before_any_check(monkeypatch):
@@ -346,9 +380,9 @@ def test_run_reports_rejects_unhonoured_bound_before_any_check(monkeypatch):
 
 def test_run_reports_rejects_unhonoured_override():
     with pytest.raises(ValueError, match="^--m is not honoured by lemma-2.2, thm-1.4$"):
-        run_reports(["thm-main", "lemma-2.2", "thm-1.4"], overrides={"m": 2})
+        run_reports(["thm-main", "lemma-2.2", "thm-1.4"], {"m": 2})
     with pytest.raises(ValueError, match="^--d is not honoured by prop-3.9$"):
-        grid_points("prop-3.9", overrides={"d": 2})
+        grid_points("prop-3.9", {"d": 2})
 
 
 def test_path_and_poset_bounds_move_their_grids():
@@ -376,7 +410,7 @@ def test_run_reports_rejects_empty_grid_before_any_check(monkeypatch):
     ran = []
     monkeypatch.setitem(verify_mod.TARGETS, "cor-1.3", lambda *a: ran.append(a) or [])
     with pytest.raises(ValueError, match="^thm-main has no grid point under overrides"):
-        run_reports(["cor-1.3", "thm-main"], None, {"m": 6})
+        run_reports(["cor-1.3", "thm-main"], {"m": 6})
     assert ran == []
     with pytest.raises(ValueError, match="^thm-main has no grid point"):
-        grid_points("thm-main", {}, {"m": 6})
+        grid_points("thm-main", {"m": 6})
