@@ -2,7 +2,9 @@
 and the verification sweep.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-error (an unexpected exception, reported in one stderr line).  The verify
+error (an unexpected exception, reported in one stderr line), 130 interrupted
+(Ctrl-C, reported in one stderr line), 141 stdout closed by its reader (as in
+``| head -1``; nothing is printed).  The verify
 subcommand writes one JSON line per report to stdout followed by an aggregate
 summary object; diagnostics go to stderr.  CSV columns for tabular commands
 are documented in each subcommand's --help.
@@ -10,6 +12,7 @@ are documented in each subcommand's --help.
 
 import argparse
 import json
+import os
 import sys
 from math import isqrt
 
@@ -297,10 +300,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, parser)
+        code = _HANDLERS[args.command](args, parser)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except ValueError as exc:
         parser.error(str(exc))
-        return 2  # unreachable; parser.error raises SystemExit(2)
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the final flush
+        # at exit writes nothing, and exit as a shell reports SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        print("rankblocks: interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:
         # A fault of the program, not of its input: keep exit 1 for a failed
         # verification and 2 for a usage error.

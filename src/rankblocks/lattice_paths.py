@@ -76,14 +76,6 @@ class MarkedBallotPath:
         path._check_marks()
         return path
 
-    @property
-    def s(self) -> int:
-        return self.steps.count(UP)
-
-    @property
-    def t(self) -> int:
-        return self.steps.count(DOWN)
-
     def valleys(self) -> tuple[int, ...]:
         """x-coordinates where a d step is immediately followed by a u step."""
         return self._valleys
@@ -101,20 +93,6 @@ class MarkedBallotPath:
             if i in marks:
                 out.append("|")
         return "".join(out)
-
-    @classmethod
-    def from_string(cls, text: str) -> "MarkedBallotPath":
-        """Parse the bar notation produced by :meth:`bar_string`."""
-        steps = []
-        marks = []
-        for ch in text:
-            if ch in (UP, DOWN):
-                steps.append(ch)
-            elif ch == "|":
-                marks.append(len(steps))
-            elif not ch.isspace():
-                raise ValueError(f"unexpected character {ch!r} in path {text!r}")
-        return cls("".join(steps), tuple(marks))
 
     def to_json_dict(self) -> dict:
         return {"steps": self.steps, "marks": list(self.marks)}
@@ -169,6 +147,16 @@ def enumerate_ballot_words(s: int, t: int):
     yield from _ballot_words(s, t, 0)
 
 
+def _marked_variants(s: int, t: int, least: int, mark_sets):
+    # Each ballot word with at least ``least`` returns is walked once; its
+    # marked variants take the mark sets that ``mark_sets`` draws from its
+    # returns and reuse the word's walk.
+    for word in _ballot_words(s, t, least):
+        base = MarkedBallotPath(word)
+        for marks in mark_sets(base.returns()):
+            yield base._remarked(marks) if marks else base
+
+
 def enumerate_marked_paths(s: int, t: int, min_marks: int):
     """Every (path, mark-subset) pair with at least min_marks marked returns.
 
@@ -180,17 +168,9 @@ def enumerate_marked_paths(s: int, t: int, min_marks: int):
         raise ValueError(f"need s >= t, got s={s}, t={t}")
     if min_marks < 0:
         raise ValueError("min_marks must be nonnegative")
-    for word in _ballot_words(s, t, min_marks):
-        base = MarkedBallotPath(word)
-        rets = base.returns()
-        k = len(rets)
-        if k < min_marks:
-            continue
-        for mask in range(1 << k):
-            if mask.bit_count() < min_marks:
-                continue
-            marks = tuple(rets[j] for j in range(k) if mask >> j & 1)
-            yield base._remarked(marks) if marks else base
+    yield from _marked_variants(s, t, min_marks, lambda rets: (
+        tuple(x for j, x in enumerate(rets) if mask >> j & 1)
+        for mask in range(1 << len(rets)) if mask.bit_count() >= min_marks))
 
 
 def enumerate_exact_marks(s: int, r: int):
@@ -199,37 +179,35 @@ def enumerate_exact_marks(s: int, r: int):
         raise ValueError("s must be positive")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    for word in _ballot_words(s, s, r):
-        base = MarkedBallotPath(word)
-        rets = base.returns()
-        if len(rets) < r:
-            continue
-        for marks in combinations(rets, r):
-            yield base._remarked(marks) if marks else base
+    yield from _marked_variants(s, s, r, lambda rets: combinations(rets, r))
+
+
+def _dyck_concatenations(sizes, prefix=""):
+    # One Dyck word per block, nested so that only one word per block is held.
+    if not sizes:
+        yield prefix
+        return
+    for block in _ballot_words(sizes[0], sizes[0], 0):
+        yield from _dyck_concatenations(sizes[1:], prefix + block)
 
 
 def enumerate_fixed_returns(d: int, positions):
     """Dyck paths of length 2d whose mark set is exactly {2*p for p in positions}.
 
     Positions must be strictly increasing and lie strictly between 0 and d;
-    the empty tuple gives all unmarked Dyck paths.
+    the empty tuple gives all unmarked Dyck paths.  Marks at those returns cut
+    a path into one nonempty Dyck path per block, so the paths are the
+    concatenations of one Dyck word per block size; the blocks have fixed
+    lengths, so the concatenations come out in lexicographic (d < u) order.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
     positions = tuple(positions)
-    prev = 0
-    for p in positions:
-        if p <= prev:
-            raise ValueError(f"positions must be strictly increasing, got {positions}")
-        if p >= d:
-            raise ValueError(f"positions must be < d={d}, got {positions}")
-        prev = p
+    bounds = (0, *positions, d)
+    sizes = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    if min(sizes) < 1:
+        raise ValueError(f"need 0 < p_1 < ... < d, got d={d}, positions={positions}")
     marks = tuple(2 * p for p in positions)
-    for word in _ballot_words(d, d, len(marks)):
-        base = MarkedBallotPath(word)
-        rets = base.returns()
-        if all(x in rets for x in marks):
-            yield base._remarked(marks) if marks else base
+    for word in _dyck_concatenations(sizes):
+        yield MarkedBallotPath(word, marks)
 
 
 def gf_vmr(objects) -> QSeries:

@@ -96,16 +96,6 @@ class QSeries:
                 f"exponent {exponent} outside the tracked range 0..{self.precision}")
         return self.coeffs[exponent]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def truncate(self, precision: int) -> "QSeries":
-        if precision < 0:
-            raise ValueError("precision must be nonnegative")
-        if precision > self.precision:
-            raise ValueError("truncate cannot extend precision")
-        return QSeries(self.coeffs[: precision + 1])
-
     # ------------------------------------------------------------------
     # arithmetic: results always carry the minimum operand precision
     # ------------------------------------------------------------------
@@ -240,17 +230,15 @@ class QSeries:
 # ----------------------------------------------------------------------
 
 
-def pochhammer(start_exp: int, count: int, precision: int) -> QSeries:
-    """Product of ``(1 - q**(start_exp + j))`` for ``j in 0..count-1``, truncated."""
-    if start_exp < 1:
-        raise ValueError("start_exp must be a positive integer")
+def pochhammer(count: int, precision: int) -> QSeries:
+    """``(q;q)_count``, the product of ``(1 - q**a)`` for ``a in 1..count``, truncated."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if precision < 0:
         raise ValueError("precision must be nonnegative")
     coeffs = [0] * (precision + 1)
     coeffs[0] = 1
-    for a in range(start_exp, min(start_exp + count, precision + 1)):
+    for a in range(1, min(count, precision) + 1):
         _times_one_minus(coeffs, a)
     return QSeries(tuple(coeffs))
 

@@ -234,7 +234,7 @@ def verify_poset_partition_gf(beta, precision):
     over linear extensions divided by the length-2d Pochhammer product."""
     structure = build_s_beta(beta)
     hist = enumerate_poset_partitions(structure, precision)
-    series = pochhammer(1, structure.size, precision).invert_unit()
+    series = pochhammer(structure.size, precision).invert_unit()
     maj_counts = [0] * (precision + 1)
     for w in linear_extensions(structure):
         e = maj_word(w)

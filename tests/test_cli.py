@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -470,6 +471,51 @@ def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "rankblocks: internal error: KeyError: 'census slot'\n"
+
+
+def _cli_process(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(rankblocks.__file__).parents[1]))
+    return subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+
+
+def test_closed_stdout_pipe_exits_141_silently():
+    # as `| head -1`: the listing is about 190 kB, far more than a pipe holds,
+    # so the writer is still writing when its reader goes
+    proc = _cli_process("-m", "rankblocks.cli", "list", "--n", "50", "--d", "3", "--m", "2",
+                        "--sign", "plus")
+    assert proc.stdout.readline().startswith(b"(")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_sigint_exits_130_with_one_line():
+    # the run takes many seconds; the interrupt comes once the CLI is imported
+    script = ("import sys; from rankblocks import cli; print('ready', flush=True); "
+              "sys.exit(cli.main())")
+    proc = _cli_process("-c", script, "verify", "--targets", "thm-1.2", "--precision", "300")
+    assert proc.stdout.readline() == b"ready\n"
+    time.sleep(0.3)
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert out == b""
+    assert err == b"rankblocks: interrupted\n"
+
+
+def test_keyboard_interrupt_exits_130_with_one_line(capsys, monkeypatch):
+    import rankblocks.verify as verify_mod
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify_mod, "run_reports", interrupted)
+    code, out, err = run_cli(capsys, "verify", "--targets", "thm-main")
+    assert code == 130
+    assert out == ""
+    assert err == "rankblocks: interrupted\n"
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Marked ballot paths, maj and vmr, the enumeration families."""
 
+import tracemalloc
 from itertools import chain, combinations, product
 from math import comb
 
@@ -118,17 +119,20 @@ def test_recorded_walk_stays_out_of_equality_hash_and_repr():
 
 def test_bar_string_round_trip():
     p = MarkedBallotPath("ududu", (2, 4))
-    assert p.bar_string() == "ud|ud|u"
-    assert MarkedBallotPath.from_string("ud|ud|u") == p
-    assert MarkedBallotPath.from_string("udud u") == MarkedBallotPath("ududu")
+    assert p.bar_string() == str(p) == "ud|ud|u"
+    assert p.bar_string().replace("|", "") == p.steps
+    assert MarkedBallotPath("ududu").bar_string() == "ududu"
+
+
+# The paper's example path udud|uduudd|ud|uudd, marked at the returns x = 4, 10, 12.
+PAPER_PATH = MarkedBallotPath("udud" "uduudd" "ud" "uudd", (4, 10, 12))
 
 
 def test_maj_examples():
     assert maj_path(MarkedBallotPath("uudd")) == 0
     assert maj_path(MarkedBallotPath("ududu")) == 6
-    paper = MarkedBallotPath.from_string("udud|uduudd|ud|uudd")
-    assert maj_path(paper) == 34
-    assert paper.marks == (4, 10, 12)
+    assert maj_path(PAPER_PATH) == 34
+    assert PAPER_PATH.bar_string() == "udud|uduudd|ud|uudd"
 
 
 def test_vmr_examples():
@@ -238,11 +242,43 @@ def test_fixed_returns_no_positions_is_unmarked_family():
 
 def test_fixed_returns_contains_paper_path():
     family = set(enumerate_fixed_returns(8, (2, 5, 6)))
-    assert MarkedBallotPath.from_string("udud|uduudd|ud|uudd") in family
+    assert PAPER_PATH in family
 
 
 def test_fixed_returns_single_position():
     assert [p.bar_string() for p in enumerate_fixed_returns(2, (1,))] == ["ud|ud"]
+
+
+def _ref_fixed_returns(d, positions):
+    # The walk-and-filter listing that the product of Dyck blocks replaced,
+    # kept as the reference for its order: every Dyck word whose returns
+    # include the marks.
+    marks = tuple(2 * p for p in positions)
+    for word in _ballot_words_recursive(d, d):
+        if set(marks) <= set(MarkedBallotPath(word).returns()):
+            yield MarkedBallotPath(word, marks)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_fixed_returns_match_the_walk_and_filter_listing(d):
+    for k in range(d):
+        for positions in combinations(range(1, d), k):
+            assert (_walked(enumerate_fixed_returns(d, positions))
+                    == _walked(_ref_fixed_returns(d, positions))), (d, positions)
+
+
+@pytest.mark.parametrize("positions", [(), (1,)])
+def test_fixed_returns_stream(positions):
+    # 35,357,670 Dyck words of length 32 for one block, 9,694,845 for the
+    # second block after (1,): holding either would take gigabytes
+    tracemalloc.start()
+    try:
+        first = next(enumerate_fixed_returns(16, positions))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == MarkedBallotPath("ud" * 16, tuple(2 * p for p in positions))
+    assert peak < 100_000
 
 
 def test_fixed_returns_validation():
@@ -261,7 +297,7 @@ def test_enumerated_objects_satisfy_invariants():
     for s in range(1, 5):
         for t in range(s + 1):
             for obj in enumerate_marked_paths(s, t, 0):
-                assert obj.s == s and obj.t == t
+                assert (obj.steps.count("u"), obj.steps.count("d")) == (s, t)
                 height = 0
                 for ch in obj.steps:
                     height += 1 if ch == "u" else -1

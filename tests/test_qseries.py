@@ -76,7 +76,7 @@ def dense_series_exact(d, m, sign, precision):
     shift = d * d + m * (m - 1) // 2 + (d if sign == PLUS else 0)
     one = QSeries.one(precision)
     out = QSeries.monomial(shift, precision)
-    out = out * pochhammer(1, 2 * d, precision).invert_unit()
+    out = out * pochhammer(2 * d, precision).invert_unit()
     out = out * (one - QSeries.monomial(m, precision))
     out = out * (one - QSeries.monomial(d, precision)).invert_unit()
     return out * qbinomial(2 * d, d + m, precision)
@@ -85,7 +85,7 @@ def dense_series_exact(d, m, sign, precision):
 def dense_series_by_columns(d, sign, precision):
     """The by-columns closed form by full-width multiplies and generic inverses."""
     shift = d * d + (d if sign == PLUS else 0)
-    poch = pochhammer(1, d, precision)
+    poch = pochhammer(d, precision)
     one_plus = QSeries.one(precision) + QSeries.monomial(d, precision)
     return (QSeries.monomial(shift, precision) * (poch * poch).invert_unit()
             * one_plus.invert_unit())
@@ -168,7 +168,7 @@ def test_invert_one():
 
 
 def test_invert_multiply_back():
-    poch = pochhammer(1, 3, 10)
+    poch = pochhammer(3, 10)
     assert poch.invert_unit() * poch == QSeries.one(10)
 
 
@@ -177,13 +177,6 @@ def test_invert_rejects_non_unit():
         QSeries.from_coeffs([2, 1], 4).invert_unit()
     with pytest.raises(ValueError):
         QSeries.zero(4).invert_unit()
-
-
-def test_truncate_never_extends():
-    a = QSeries.one(4)
-    assert a.truncate(2).precision == 2
-    with pytest.raises(ValueError):
-        a.truncate(9)
 
 
 def test_equality_up_to_common_precision():
@@ -280,20 +273,22 @@ def test_json_rejects_what_to_json_dict_never_writes(data, entry):
 
 
 def test_pochhammer_empty_product():
-    assert pochhammer(1, 0, 8) == QSeries.one(8)
+    assert pochhammer(0, 8) == QSeries.one(8)
 
 
 def test_pochhammer_small_expansion():
-    assert pochhammer(1, 2, 5).coeffs == (1, -1, -1, 1, 0, 0)
+    assert pochhammer(2, 5).coeffs == (1, -1, -1, 1, 0, 0)
 
 
 def test_pochhammer_against_naive_product():
+    # (1 - q^3) ... (1 - q^6) as (q;q)_6 / (q;q)_2
     factors = [{0: 1, 3 + j: -1} for j in range(4)]
-    assert pochhammer(3, 4, 20).coeffs == naive_product(factors, 20)
+    quotient = pochhammer(6, 20) * pochhammer(2, 20).invert_unit()
+    assert quotient.coeffs == naive_product(factors, 20)
 
 
 def test_pochhammer_rejects_a_negative_precision_as_euler_inverse_does():
-    for build in (lambda: pochhammer(1, 3, -1), lambda: euler_inverse(-1)):
+    for build in (lambda: pochhammer(3, -1), lambda: euler_inverse(-1)):
         with pytest.raises(ValueError, match="^precision must be nonnegative$"):
             build()
 
@@ -313,8 +308,8 @@ def test_qbinomial_box_oracle():
 
 
 def test_qbinomial_out_of_range_is_zero():
-    assert qbinomial(3, 5).is_zero()
-    assert qbinomial(3, -1).is_zero()
+    assert qbinomial(3, 5).coeffs == (0,)
+    assert qbinomial(3, -1).coeffs == (0,)
 
 
 @pytest.mark.parametrize("n", range(17))
@@ -375,7 +370,7 @@ def test_euler_inverse_coefficients():
 
 def test_euler_inverse_defining_property():
     series = euler_inverse(25)
-    assert series * pochhammer(1, 25, 25) == QSeries.one(25)
+    assert series * pochhammer(25, 25) == QSeries.one(25)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import rankblocks.verify as verify_mod
-from rankblocks.lattice_paths import MarkedBallotPath, vmr
+from rankblocks.lattice_paths import enumerate_marked_paths, vmr
 from rankblocks.partitions import FrobeniusSymbol, parity_blocks
 from rankblocks.qseries import (
     MINUS,
@@ -163,7 +163,8 @@ def test_mutation_guard_path_dp(monkeypatch):
     assert report.first_discrepancy["exponent"] == 4
     assert report.first_discrepancy["expected"] == report.first_discrepancy["actual"] + 1
     assert report.witnesses
-    assert all(vmr(MarkedBallotPath.from_string(w)) == 4 for w in report.witnesses)
+    assert set(report.witnesses) <= {p.bar_string() for p in enumerate_marked_paths(5, 3, 1)
+                                     if vmr(p) == 4}
     for report in (verify_mod.run_check("lemma-2.4", s=4, r=1), verify_mod.run_check("cor-2.5", s=4, r=1)):
         assert not report.passed and report.witnesses
 
