@@ -13,8 +13,9 @@ gamma and pi keep ``values`` in the natural label order of S_beta: block l
 holds the labels 2 r_{l-1} + 1 .. 2 r_l as its (top slice, bottom slice), b_l
 entries each.  Everything the chain derives from (beta, sign) is one cached
 layout: S_beta, the gathers mu -> gamma and gamma -> mu, the row constants with
-each label's shift, and the weight drop.  Every stage is still built through
-its validating constructor.
+each label's shift, and the weight drop.  lambda_to_pi and pi_to_lambda run
+the stages inline rather than through the stage functions, but every stage is
+still built through its validating constructor and checked as there.
 """
 
 from dataclasses import dataclass
@@ -24,18 +25,18 @@ from typing import NamedTuple
 
 from .partitions import (
     NEGATIVE,
-    POSITIVE,
     SIGN_LETTER,
     FrobeniusSymbol,
     ParityBlocks,
+    _tuple_fields,
     alternating_sign_word,
     parity_blocks,
 )
 from .posets import Composition, PosetPartition, SBetaStructure, build_s_beta
-from .qseries import MINUS, PLUS, check_sign
+from .qseries import PLUS, check_sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrobeniusArray:
     """Two equal-length weakly decreasing rows of nonnegative integers.
 
@@ -49,19 +50,18 @@ class FrobeniusArray:
     bottom: tuple[int, ...]
 
     def __post_init__(self):
-        top = tuple(self.top)
-        bottom = tuple(self.bottom)
+        top, bottom = _tuple_fields(self)
         if len(top) != len(bottom) or not top:
             raise ValueError("rows must have equal positive length")
         for row in (top, bottom):
-            for i, x in enumerate(row):
+            prev = None
+            for x in row:
                 if (type(x) is not int and (not isinstance(x, int) or isinstance(x, bool))
                         or x < 0):
                     raise ValueError(f"entries must be nonnegative integers, got {x!r}")
-                if i and row[i - 1] < x:
+                if prev is not None and prev < x:
                     raise ValueError(f"rows must be weakly decreasing, got {row}")
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
+                prev = x
 
     @property
     def d(self) -> int:
@@ -75,18 +75,26 @@ class FrobeniusArray:
         return {"top": list(self.top), "bottom": list(self.bottom)}
 
 
+@lru_cache(maxsize=256)
+def _staircase(d: int) -> tuple[int, ...]:
+    return tuple(range(d - 1, -1, -1))
+
+
 def symbol_to_array(f: FrobeniusSymbol) -> FrobeniusArray:
     """Subtract the staircase d-1, ..., 1, 0 from each row."""
-    staircase = range(f.d - 1, -1, -1)
+    staircase = _staircase(len(f.top))
     return FrobeniusArray(tuple(map(sub, f.top, staircase)),
                           tuple(map(sub, f.bottom, staircase)))
 
 
 def array_to_symbol(a: FrobeniusArray) -> FrobeniusSymbol:
     """Add the staircase back; weak decrease turns into strict decrease."""
-    staircase = range(a.d - 1, -1, -1)
+    staircase = _staircase(len(a.top))
     return FrobeniusSymbol(tuple(map(add, a.top, staircase)),
                            tuple(map(add, a.bottom, staircase)))
+
+
+_SIGN_OF_LETTER = {letter: sign for sign, letter in SIGN_LETTER.items()}
 
 
 def sign_of_last_block(f) -> str:
@@ -94,7 +102,7 @@ def sign_of_last_block(f) -> str:
     symbol or an array (both have the same column ranks), or of their
     ``ParityBlocks``."""
     blocks = f if isinstance(f, ParityBlocks) else parity_blocks(f)
-    return PLUS if blocks.last_sign == POSITIVE else MINUS
+    return _SIGN_OF_LETTER[blocks.last_sign]
 
 
 class _Layout(NamedTuple):
@@ -109,7 +117,7 @@ class _Layout(NamedTuple):
     drop: int  # gamma's weight less pi's
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _layout(parts: tuple[int, ...], sign: str) -> _Layout:
     # Block l's top slice takes the block's columns of the top row and its
     # bottom slice those of the bottom row, the other way round in a negative
@@ -140,7 +148,29 @@ def _layout(parts: tuple[int, ...], sign: str) -> _Layout:
 
 
 def _layout_of(blocks: ParityBlocks) -> _Layout:
-    return _layout(blocks.sizes, sign_of_last_block(blocks))
+    return _layout(blocks.sizes, _SIGN_OF_LETTER[blocks.last_sign])
+
+
+# The messages of the stage checks, shared by the stage functions and by the
+# two directions of the chain, which run the stages inline.
+
+
+def _negative_entry(layout: _Layout) -> ValueError:
+    return ValueError(
+        f"row subtraction drives an entry negative; gamma is not a "
+        f"{layout.sign}-case image (row offsets {layout.offsets})")
+
+
+def _wrong_drop(drop: int, layout: _Layout) -> AssertionError:
+    return AssertionError(
+        f"weight drop {drop} disagrees with the partial-sum total {layout.drop}")
+
+
+def _not_an_image(blocks: ParityBlocks, beta: Composition, letter: str) -> ValueError:
+    return ValueError(
+        f"reconstructed array has blocks {blocks.sizes}/{blocks.sign_word}, "
+        f"expected {beta.parts}/{alternating_sign_word(beta.m, letter)}; "
+        f"not in the forward image")
 
 
 def _array_to_gamma(a: FrobeniusArray, layout: _Layout) -> PosetPartition:
@@ -176,14 +206,11 @@ def flipped_rows(a: FrobeniusArray) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _gamma_to_pi(g: PosetPartition, layout: _Layout) -> PosetPartition:
     values = tuple(map(sub, g.values, layout.shifts))
     if min(values) < 0:
-        raise ValueError(
-            f"row subtraction drives an entry negative; gamma is not a "
-            f"{layout.sign}-case image (row offsets {layout.offsets})")
+        raise _negative_entry(layout)
     pi = PosetPartition(g.structure, values)
     drop = g.weight - pi.weight
     if drop != layout.drop:
-        raise AssertionError(
-            f"weight drop {drop} disagrees with the partial-sum total {layout.drop}")
+        raise _wrong_drop(drop, layout)
     return pi
 
 
@@ -214,26 +241,56 @@ def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
     blocks = parity_blocks(array)
     letter = SIGN_LETTER[sign]
     if blocks.sizes != beta.parts or blocks.last_sign != letter:
-        raise ValueError(
-            f"reconstructed array has blocks {blocks.sizes}/{blocks.sign_word}, "
-            f"expected {beta.parts}/{alternating_sign_word(beta.m, letter)}; "
-            f"not in the forward image")
+        raise _not_an_image(blocks, beta, letter)
     return array
 
 
 def pi_to_lambda(p: PosetPartition, sign: str) -> FrobeniusSymbol:
     """Inverse of the full chain: add row constants, split the grid, unflip,
-    add the staircase.  Raises ValueError when p is not in the forward image."""
-    gamma = pi_to_gamma(p, sign)
-    array = gamma_to_array(gamma, sign)
-    return array_to_symbol(array)
+    add the staircase.  Raises ValueError when p is not in the forward image.
+
+    The stages of pi_to_gamma, gamma_to_array and array_to_symbol run inline,
+    with the same constructors and checks."""
+    structure = p.structure
+    beta = structure.beta
+    layout = _layout(beta.parts, sign)
+    gamma = PosetPartition(structure, tuple(map(add, p.values, layout.shifts)))
+    rows = layout.unplace(gamma.values)
+    d = len(rows) // 2
+    array = FrobeniusArray(rows[:d], rows[d:])
+    blocks = parity_blocks(array)
+    letter = SIGN_LETTER[sign]
+    if blocks.sizes != beta.parts or blocks.last_sign != letter:
+        raise _not_an_image(blocks, beta, letter)
+    staircase = _staircase(d)
+    return FrobeniusSymbol(tuple(map(add, array.top, staircase)),
+                           tuple(map(add, array.bottom, staircase)))
 
 
 def lambda_to_pi(f: FrobeniusSymbol) -> PosetPartition:
     """Full forward chain; the composition and the sign are read off the
-    symbol's parity blocks."""
-    layout = _layout_of(parity_blocks(f))
-    return _gamma_to_pi(_array_to_gamma(symbol_to_array(f), layout), layout)
+    symbol's parity blocks.
+
+    The stages of symbol_to_array, array_to_gamma and gamma_to_pi run inline,
+    with the same constructors and checks."""
+    blocks = parity_blocks(f)
+    layout = _layout(blocks.sizes, _SIGN_OF_LETTER[blocks.last_sign])
+    staircase = _staircase(len(f.top))
+    array = FrobeniusArray(tuple(map(sub, f.top, staircase)),
+                           tuple(map(sub, f.bottom, staircase)))
+    rows = array.top + array.bottom
+    gamma = PosetPartition(layout.structure, layout.place(rows))
+    weight = sum(gamma.values)
+    if weight != sum(rows):
+        raise AssertionError("placement must preserve the weight")
+    values = tuple(map(sub, gamma.values, layout.shifts))
+    if min(values) < 0:
+        raise _negative_entry(layout)
+    pi = PosetPartition(layout.structure, values)
+    drop = weight - sum(values)
+    if drop != layout.drop:
+        raise _wrong_drop(drop, layout)
+    return pi
 
 
 def bijection_trace(f: FrobeniusSymbol) -> list[dict]:

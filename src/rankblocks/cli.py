@@ -200,17 +200,16 @@ def _cmd_series(args, parser):
 def _cmd_verify(args, parser):
     wanted = [t for chunk in args.targets for t in chunk.split(",") if t]
     settings = {k: getattr(args, k) for k in VERIFY_FLAGS if getattr(args, k) is not None}
-    reports = verify.run_reports(wanted or "all", settings)
-    failures = 0
-    for report in reports:
-        print(json.dumps(report.to_json_dict()))
-        if not report.passed:
-            failures += 1
-    summary = {"summary": {"total": len(reports), "passed": len(reports) - failures,
-                           "failed": failures}}
+    total = failures = 0
+    # Each report goes out as its check finishes, so an interrupted or piped
+    # run keeps the reports it finished.
+    for report in verify.iter_reports(wanted or "all", settings):
+        print(json.dumps(report.to_json_dict()), flush=True)
+        total += 1
+        failures += not report.passed
+    summary = {"summary": {"total": total, "passed": total - failures, "failed": failures}}
     print(json.dumps(summary))
-    print(f"verify: {len(reports) - failures}/{len(reports)} checks passed",
-          file=sys.stderr)
+    print(f"verify: {total - failures}/{total} checks passed", file=sys.stderr)
     return 0 if failures == 0 else 1
 
 

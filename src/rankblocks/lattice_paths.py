@@ -9,6 +9,7 @@ following u step), so the final return of a Dyck path is never markable.
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -18,7 +19,7 @@ UP = "u"
 DOWN = "d"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkedBallotPath:
     """A ballot-path word plus the x-coordinates of its marked returns."""
 
@@ -30,10 +31,12 @@ class MarkedBallotPath:
     _returns: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        steps = "".join(self.steps)
-        object.__setattr__(self, "steps", steps)
-        marks = tuple(self.marks)
-        object.__setattr__(self, "marks", marks)
+        steps = self.steps
+        if type(steps) is not str:
+            steps = "".join(steps)
+            object.__setattr__(self, "steps", steps)
+        if type(self.marks) is not tuple:
+            object.__setattr__(self, "marks", tuple(self.marks))
         # One walk: validate every step and record the valleys (a u step at
         # index x right after a d step) and, among them, the returns.
         valleys = []
@@ -61,6 +64,8 @@ class MarkedBallotPath:
     def _check_marks(self):
         prev = 0
         for x in self.marks:
+            if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+                raise ValueError(f"marks must be integers, got {x!r}")
             if x <= prev:
                 raise ValueError("marks must be strictly increasing")
             if x not in self._returns:
@@ -71,8 +76,11 @@ class MarkedBallotPath:
         # The same word with other marks: the walk's record is copied, not
         # redone, and only the marks are checked.
         path = object.__new__(MarkedBallotPath)
-        path.__dict__.update(steps=self.steps, marks=marks, _valleys=self._valleys,
-                             _returns=self._returns)
+        put = object.__setattr__
+        put(path, "steps", self.steps)
+        put(path, "marks", marks)
+        put(path, "_valleys", self._valleys)
+        put(path, "_returns", self._returns)
         path._check_marks()
         return path
 
@@ -157,6 +165,31 @@ def _marked_variants(s: int, t: int, least: int, mark_sets):
             yield base._remarked(marks) if marks else base
 
 
+# Up to this many returns, the subsets' index tuples are listed once per
+# (return count, least marks) and kept, at most 66 lists of at most 1024.  A
+# word of L steps has fewer than L/2 returns, so this covers every word of up
+# to 22 steps.
+_CACHED_RETURNS = 10
+
+
+@lru_cache(maxsize=None)
+def _counter_indices(k: int, least: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(j for j in range(k) if mask >> j & 1)
+                 for mask in range(1 << k) if mask.bit_count() >= least)
+
+
+def _counter_subsets(rets: tuple[int, ...], least: int):
+    # The subsets of rets with at least `least` members, in binary-counter
+    # order: bit j of the counter selects rets[j].  Past _CACHED_RETURNS they
+    # are generated one at a time.
+    k = len(rets)
+    if k > _CACHED_RETURNS:
+        return (tuple(x for j, x in enumerate(rets) if mask >> j & 1)
+                for mask in range(1 << k) if mask.bit_count() >= least)
+    pick = rets.__getitem__
+    return (tuple(map(pick, indices)) for indices in _counter_indices(k, least))
+
+
 def enumerate_marked_paths(s: int, t: int, min_marks: int):
     """Every (path, mark-subset) pair with at least min_marks marked returns.
 
@@ -168,9 +201,8 @@ def enumerate_marked_paths(s: int, t: int, min_marks: int):
         raise ValueError(f"need s >= t, got s={s}, t={t}")
     if min_marks < 0:
         raise ValueError("min_marks must be nonnegative")
-    yield from _marked_variants(s, t, min_marks, lambda rets: (
-        tuple(x for j, x in enumerate(rets) if mask >> j & 1)
-        for mask in range(1 << len(rets)) if mask.bit_count() >= min_marks))
+    yield from _marked_variants(s, t, min_marks,
+                                lambda rets: _counter_subsets(rets, min_marks))
 
 
 def enumerate_exact_marks(s: int, r: int):

@@ -11,8 +11,9 @@ verified, so they must not share any code path with those series.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, isqrt
-from operator import sub
+from operator import gt, sub
 
 from .qseries import MINUS, PLUS, check_sign
 
@@ -81,7 +82,17 @@ def enumerate_partitions(n: int):
         yield Partition(parts)
 
 
-@dataclass(frozen=True)
+def _tuple_fields(record) -> tuple[tuple, tuple]:
+    # The rows of a two-row record as tuples, stored back only when they were not.
+    top, bottom = record.top, record.bottom
+    if type(top) is not tuple or type(bottom) is not tuple:
+        top, bottom = tuple(top), tuple(bottom)
+        object.__setattr__(record, "top", top)
+        object.__setattr__(record, "bottom", bottom)
+    return top, bottom
+
+
+@dataclass(frozen=True, slots=True)
 class FrobeniusSymbol:
     """Two equal-length strictly decreasing rows of nonnegative integers.
 
@@ -93,19 +104,18 @@ class FrobeniusSymbol:
     bottom: tuple[int, ...]
 
     def __post_init__(self):
-        top = tuple(self.top)
-        bottom = tuple(self.bottom)
+        top, bottom = _tuple_fields(self)
         if len(top) != len(bottom) or not top:
             raise ValueError("rows must have equal positive length")
         for row in (top, bottom):
-            for i, x in enumerate(row):
+            prev = None
+            for x in row:
                 if (type(x) is not int and (not isinstance(x, int) or isinstance(x, bool))
                         or x < 0):
                     raise ValueError(f"entries must be nonnegative integers, got {x!r}")
-                if i and row[i - 1] <= x:
+                if prev is not None and prev <= x:
                     raise ValueError(f"rows must be strictly decreasing, got {row}")
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
+                prev = x
 
     @property
     def d(self) -> int:
@@ -178,7 +188,7 @@ def alternating_sign_word(length: int, last: str) -> str:
     return "".join(letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParityBlocks:
     """Maximal runs of same-sign columns; sign P means rank >= 1, N means rank <= 0.
 
@@ -189,7 +199,10 @@ class ParityBlocks:
     last_sign: str
 
     def __post_init__(self):
-        sizes = tuple(self.sizes)
+        sizes = self.sizes
+        if type(sizes) is not tuple:
+            sizes = tuple(sizes)
+            object.__setattr__(self, "sizes", sizes)
         if not sizes:
             raise ValueError("need at least one block")
         for size in sizes:
@@ -198,7 +211,6 @@ class ParityBlocks:
                 raise ValueError(f"block sizes must be positive integers, got {size!r}")
         if self.last_sign not in (POSITIVE, NEGATIVE):
             raise ValueError(f"last sign must be 'P' or 'N', got {self.last_sign!r}")
-        object.__setattr__(self, "sizes", sizes)
 
     @property
     def m(self) -> int:
@@ -233,9 +245,19 @@ def split_parity_runs(ranks) -> tuple[tuple[int, ...], tuple[str, ...]]:
     return tuple(sizes), tuple(signs)
 
 
+# The blocks depend only on which columns have rank >= 1, i.e. top > bottom.
+# The memo is bounded; its 2048 entries hold all 2046 patterns of d <= 10.
+@lru_cache(maxsize=2048)
+def _runs_of_pattern(pattern: tuple[bool, ...]) -> tuple[tuple[int, ...], str]:
+    # True >= 1 and False < 1, so the pattern splits exactly as the ranks do.
+    sizes, signs = split_parity_runs(pattern)
+    return sizes, signs[-1]
+
+
 def parity_blocks(f: FrobeniusSymbol) -> ParityBlocks:
-    sizes, signs = split_parity_runs(successive_ranks(f))
-    return ParityBlocks(sizes, signs[-1])
+    """The parity blocks of a symbol, or of an array with the same column
+    ranks; a fresh ``ParityBlocks`` is validated on every call."""
+    return ParityBlocks(*_runs_of_pattern(tuple(map(gt, f.top, f.bottom))))
 
 
 # ----------------------------------------------------------------------
@@ -245,14 +267,19 @@ def parity_blocks(f: FrobeniusSymbol) -> ParityBlocks:
 
 def _strict_desc_exact(length, total, cap=None):
     # Strictly decreasing nonnegative tuples of the given length and sum,
-    # entries < cap, in reverse-lexicographic order.
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
+    # entries < cap, in reverse-lexicographic order.  Lengths 1 and 2 are
+    # listed directly: one entry, or a first entry above half the total.
     hi = total - (length - 1) * (length - 2) // 2
     if cap is not None:
         hi = min(hi, cap - 1)
+    if length == 1:
+        if 0 <= total <= hi:
+            yield (total,)
+        return
+    if length == 2:
+        for first in range(hi, total // 2, -1):
+            yield (first, total - first)
+        return
     max_tail = (length - 1) * length // 2
     for first in range(hi, length - 2, -1):
         tail_total = total - first

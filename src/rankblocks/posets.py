@@ -66,6 +66,8 @@ class SBetaStructure:
         beta: the composition.
         elements: the 2d cells (i, j), indexed so elements[k] carries label k+1.
         lower_covers: for each label index, the label indices covered below it.
+        cover_pairs: every (covered, covering) pair of label indices, in the
+            order of ``lower_covers``.
     """
 
     def __init__(self, beta):
@@ -87,6 +89,7 @@ class SBetaStructure:
                 elements.append((l + 1, j))
         self.elements = tuple(elements)
         self.lower_covers = tuple(covers)
+        self.cover_pairs = tuple((a, b) for b, below in enumerate(covers) for a in below)
         self.label_of = {cell: k + 1 for k, cell in enumerate(elements)}
 
     @property
@@ -136,10 +139,9 @@ class LinearExtensionWord:
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"word must be a permutation of 1..{n}")
         pos = {label: k for k, label in enumerate(word)}
-        for bi, covers in enumerate(self.source.lower_covers):
-            for ai in covers:
-                if pos[ai + 1] >= pos[bi + 1]:
-                    raise ValueError("word does not extend the poset order")
+        for ai, bi in self.source.cover_pairs:
+            if pos[ai + 1] >= pos[bi + 1]:
+                raise ValueError("word does not extend the poset order")
 
     def __len__(self):
         return len(self.word)
@@ -189,7 +191,7 @@ def maj_word(w: LinearExtensionWord) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosetPartition:
     """Order-reversing assignment of nonnegative integers, stored in label order."""
 
@@ -197,20 +199,22 @@ class PosetPartition:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != self.structure.size:
+        values = self.values
+        if type(values) is not tuple:
+            values = tuple(values)
+            object.__setattr__(self, "values", values)
+        structure = self.structure
+        if len(values) != len(structure.elements):
             raise ValueError("one value per poset element required")
         for v in values:
             if (type(v) is not int and (not isinstance(v, int) or isinstance(v, bool))
                     or v < 0):
                 raise ValueError(f"values must be nonnegative integers, got {v!r}")
-        for bi, covers in enumerate(self.structure.lower_covers):
-            for ai in covers:
-                if values[ai] < values[bi]:
-                    raise ValueError(
-                        f"assignment is not order-reversing at elements "
-                        f"{self.structure.elements[ai]} < {self.structure.elements[bi]}")
+        for ai, bi in structure.cover_pairs:
+            if values[ai] < values[bi]:
+                raise ValueError(
+                    f"assignment is not order-reversing at elements "
+                    f"{structure.elements[ai]} < {structure.elements[bi]}")
 
     @property
     def weight(self) -> int:

@@ -495,7 +495,8 @@ def _census(points):
 
 
 def _sweep(name, points, census):
-    return [run_check(name, census, **point) for point in points]
+    for point in points:
+        yield run_check(name, census, **point)
 
 
 TARGETS = {name: partial(_sweep, name) for name in SPECS}
@@ -514,23 +515,35 @@ def target_names(targets="all") -> list:
     return names
 
 
-def run_reports(targets="all", settings=None):
-    """Run the requested verification targets and return the reports in
-    canonical (target, parameters) order.
+def _parameters_key(point):
+    return json.dumps(point, sort_keys=True)
+
+
+def iter_reports(targets="all", settings=None):
+    """Validate the request, build each grid and the census, and return an
+    iterator that runs the checks one at a time, yielding each report as it
+    finishes, in canonical (target, parameters) order.
 
     Each setting names a bound of every selected target (``precision``,
     ``max_d``, ``max_m`` or ``max_s``, at least 1), which moves it, or one of
     its grid axes, which it fixes to one value.  A bound below 1, a setting
     that a selected target has neither as a bound nor as an axis, and a
     setting that leaves a selected target with no grid point raise ValueError
-    before any check runs.  Each target's grid is built once, and so is the
-    census the selected targets read, before any check runs.
+    here, before any check runs.  Each target's grid is built once, and so is
+    the census the selected targets read.
     """
     names = target_names(targets)
     settings = settings or {}
     _reject_unusable(names, settings)
     grids = {name: grid_points(name, settings) for name in names}
     census = _census((name, point) for name, points in grids.items() for point in points)
-    reports = [r for name, points in grids.items() for r in TARGETS[name](points, census)]
-    reports.sort(key=lambda r: (r.target, json.dumps(r.parameters, sort_keys=True)))
-    return reports
+    # A report's parameters are its grid point, so running the points in
+    # canonical order yields the reports in canonical order.
+    return (report for name in sorted(grids)
+            for report in TARGETS[name](sorted(grids[name], key=_parameters_key), census))
+
+
+def run_reports(targets="all", settings=None):
+    """The reports of :func:`iter_reports`, as a list in canonical
+    (target, parameters) order."""
+    return list(iter_reports(targets, settings))

@@ -1,6 +1,7 @@
 """The staircase / flip / row-subtraction chain and its inverse."""
 
 import inspect
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -481,3 +482,144 @@ def test_validators_keep_their_verdicts_on_non_ints(record, prefix):
         assert _validator_message(record, x) == f"{prefix}, got {x!r}", x
     assert _validator_message(record, _Int(3)) is None
     assert _validator_message(record, 3) is None
+
+
+# ----------------------------------------------------------------------
+# the one-pass validators against the loops they replaced
+# ----------------------------------------------------------------------
+#
+# The references are the validators before each row became one loop carrying
+# the previous entry and before the covers became one flat list of pairs.
+
+
+def _ref_symbol(top, bottom):
+    top = tuple(top)
+    bottom = tuple(bottom)
+    if len(top) != len(bottom) or not top:
+        raise ValueError("rows must have equal positive length")
+    for row in (top, bottom):
+        for i, x in enumerate(row):
+            if (type(x) is not int and (not isinstance(x, int) or isinstance(x, bool))
+                    or x < 0):
+                raise ValueError(f"entries must be nonnegative integers, got {x!r}")
+            if i and row[i - 1] <= x:
+                raise ValueError(f"rows must be strictly decreasing, got {row}")
+
+
+def _ref_array(top, bottom):
+    top = tuple(top)
+    bottom = tuple(bottom)
+    if len(top) != len(bottom) or not top:
+        raise ValueError("rows must have equal positive length")
+    for row in (top, bottom):
+        for i, x in enumerate(row):
+            if (type(x) is not int and (not isinstance(x, int) or isinstance(x, bool))
+                    or x < 0):
+                raise ValueError(f"entries must be nonnegative integers, got {x!r}")
+            if i and row[i - 1] < x:
+                raise ValueError(f"rows must be weakly decreasing, got {row}")
+
+
+def _ref_poset_partition(structure, values):
+    values = tuple(values)
+    if len(values) != structure.size:
+        raise ValueError("one value per poset element required")
+    for v in values:
+        if (type(v) is not int and (not isinstance(v, int) or isinstance(v, bool))
+                or v < 0):
+            raise ValueError(f"values must be nonnegative integers, got {v!r}")
+    for bi, covers in enumerate(structure.lower_covers):
+        for ai in covers:
+            if values[ai] < values[bi]:
+                raise ValueError(
+                    f"assignment is not order-reversing at elements "
+                    f"{structure.elements[ai]} < {structure.elements[bi]}")
+
+
+def _ref_parity_blocks(sizes, last_sign):
+    sizes = tuple(sizes)
+    if not sizes:
+        raise ValueError("need at least one block")
+    for size in sizes:
+        if (type(size) is not int
+                and (not isinstance(size, int) or isinstance(size, bool)) or size < 1):
+            raise ValueError(f"block sizes must be positive integers, got {size!r}")
+    if last_sign not in ("P", "N"):
+        raise ValueError(f"last sign must be 'P' or 'N', got {last_sign!r}")
+
+
+def _verdict(build, *args):
+    try:
+        build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Entries with every defect a validator names: negative, bool, float, str and
+# None, next to ints and an int subclass, which pass.
+_ENTRIES = (0, 1, 2, 3, -1, True, 2.0, _Int(1), "3", None)
+
+
+def _rows(entries, longest):
+    return [row for n in range(longest + 1) for row in product(entries, repeat=n)]
+
+
+def test_two_row_validators_match_the_loops_they_replaced():
+    # Rows of up to two entries from every kind, and of three ints, so that one
+    # row can carry two defects (a bad entry and a rise, in either order).
+    rows = _rows(_ENTRIES, 2) + _rows((0, 1, 2, 3, -1, _Int(2)), 3)
+    checked = 0
+    for top in rows:
+        for bottom in rows:
+            for record, ref in ((FrobeniusSymbol, _ref_symbol), (FrobeniusArray, _ref_array)):
+                expected = _verdict(ref, top, bottom)
+                assert _verdict(record, top, bottom) == expected, (record, top, bottom)
+                if expected is None:
+                    built = record(list(top), list(bottom))
+                    assert (built.top, built.bottom) == (top, bottom)
+                    assert type(built.top) is type(built.bottom) is tuple
+                    checked += 1
+    assert checked > 1000
+
+
+def test_poset_partition_names_the_first_violated_cover_as_before():
+    # Every map to {0, 1, 2} of S_beta for d <= 3, most of which break several
+    # covers, and each with one entry replaced by a bad value.
+    checked = 0
+    for d in range(1, 4):
+        for beta in compositions(d):
+            structure = build_s_beta(beta)
+            for values in product((0, 1, 2), repeat=structure.size):
+                expected = _verdict(_ref_poset_partition, structure, values)
+                assert _verdict(PosetPartition, structure, values) == expected, (beta, values)
+                checked += expected is not None and "order-reversing" in expected
+            for bad in (-1, True, 2.0, _Int(1), None):
+                for k in range(structure.size):
+                    values = (2,) * k + (bad,) + (0,) * (structure.size - k - 1)
+                    assert (_verdict(PosetPartition, structure, values)
+                            == _verdict(_ref_poset_partition, structure, values)), values
+            for values in ((), (0,) * (structure.size + 1)):
+                assert (_verdict(PosetPartition, structure, values)
+                        == _verdict(_ref_poset_partition, structure, values))
+    assert checked > 1000
+
+
+def test_parity_blocks_record_matches_the_loop_it_replaced():
+    for sizes in _rows((1, 2, 0, -1, True, 2.0, _Int(2), "3"), 3):
+        for last_sign in ("P", "N", "p", None):
+            expected = _verdict(_ref_parity_blocks, sizes, last_sign)
+            assert _verdict(ParityBlocks, sizes, last_sign) == expected, (sizes, last_sign)
+            if expected is None:
+                assert ParityBlocks(list(sizes), last_sign).sizes == sizes
+
+
+def test_chain_runs_the_stages_it_inlines():
+    # lambda_to_pi and pi_to_lambda run the stage functions' steps inline.
+    for f in all_symbols_up_to(16):
+        sign = sign_of_last_block(f)
+        gamma = array_to_gamma(symbol_to_array(f))
+        pi = gamma_to_pi(gamma, sign)
+        assert lambda_to_pi(f) == pi
+        assert pi_to_lambda(pi, sign) == array_to_symbol(
+            gamma_to_array(pi_to_gamma(pi, sign), sign)) == f

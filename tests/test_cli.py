@@ -505,13 +505,57 @@ def test_sigint_exits_130_with_one_line():
     assert err == b"rankblocks: interrupted\n"
 
 
+def test_sigint_keeps_the_reports_finished_before_it():
+    # prop-3.10 at --max-d 9 reads no census and runs 511 checks, about 1.5 s,
+    # so the interrupt comes once three reports are out and many are still due.
+    # A run that held its reports back would write its first 8 kB, over 50 of
+    # them, at once.
+    proc = _cli_process("-m", "rankblocks.cli", "verify", "--targets", "prop-3.10",
+                        "--max-d", "9")
+    first = [proc.stdout.readline() for _ in range(3)]
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert err == b"rankblocks: interrupted\n"
+    reports = [json.loads(line) for line in b"".join(first + [out]).splitlines()]
+    assert 3 <= len(reports) < 50
+    assert {r["target"] for r in reports} == {"prop-3.10"}
+    assert all(r["status"] == "pass" for r in reports)
+    keys = [json.dumps(r["parameters"], sort_keys=True) for r in reports]
+    assert keys == sorted(keys)
+
+
+def test_verify_prints_each_report_as_its_check_finishes(capsys, monkeypatch):
+    # The fifth check is interrupted; the four before it are already out, in
+    # the order of the full run.
+    import rankblocks.verify as verify_mod
+
+    full = verify_mod.run_reports(["prop-3.10"], {"max_d": 3})
+    run_check = verify_mod.run_check
+    calls = []
+
+    def interrupted_fifth(*args, **point):
+        calls.append(point)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return run_check(*args, **point)
+
+    monkeypatch.setattr(verify_mod, "run_check", interrupted_fifth)
+    code, out, err = run_cli(capsys, "verify", "--targets", "prop-3.10", "--max-d", "3")
+    assert code == 130
+    assert err == "rankblocks: interrupted\n"
+    printed = [{**json.loads(line), "elapsed": 0} for line in out.splitlines()]
+    assert printed == [json.loads(json.dumps({**r.to_json_dict(), "elapsed": 0}))
+                       for r in full[:4]]
+
+
 def test_keyboard_interrupt_exits_130_with_one_line(capsys, monkeypatch):
     import rankblocks.verify as verify_mod
 
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(verify_mod, "run_reports", interrupted)
+    monkeypatch.setattr(verify_mod, "iter_reports", interrupted)
     code, out, err = run_cli(capsys, "verify", "--targets", "thm-main")
     assert code == 130
     assert out == ""

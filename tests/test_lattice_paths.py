@@ -7,8 +7,11 @@ from math import comb
 import pytest
 
 from rankblocks.lattice_paths import (
+    _CACHED_RETURNS,
     MarkedBallotPath,
     _ballot_words,
+    _counter_indices,
+    _counter_subsets,
     enumerate_ballot_words,
     enumerate_exact_marks,
     enumerate_fixed_returns,
@@ -107,6 +110,28 @@ def test_one_walk_validation_matches_reference():
                 assert p.returns() == _ref_returns(steps)
                 assert p.valleys() == tuple(
                     i + 1 for i in range(len(steps) - 1) if steps[i:i + 2] == "du")
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("mark", [2.0, True, False, "2", None])
+def test_marks_that_are_not_ints_are_refused(mark):
+    # A float mark equal to a return used to pass, and then broke gf_vmr.
+    with pytest.raises(ValueError) as direct:
+        MarkedBallotPath("udud", (mark,))
+    assert str(direct.value) == f"marks must be integers, got {mark!r}"
+    with pytest.raises(ValueError) as remarked:
+        MarkedBallotPath("udud")._remarked((mark,))
+    assert str(remarked.value) == str(direct.value)
+
+
+def test_int_subclass_marks_pass():
+    p = MarkedBallotPath("udud", (_Int(2),))
+    assert p == MarkedBallotPath("udud", (2,))
+    assert vmr(p) == 1
+    assert gf_vmr([p]).coeffs == (0, 1)
 
 
 def test_recorded_walk_stays_out_of_equality_hash_and_repr():
@@ -374,6 +399,19 @@ def test_marked_paths_match_the_listing_of_every_word(s):
         for r in range(8):
             assert (_walked(enumerate_marked_paths(s, t, r))
                     == _walked(_ref_marked_paths(s, t, r))), (s, t, r)
+
+
+def test_counter_subsets_in_binary_counter_order_on_both_sides_of_the_cache():
+    for k in range(_CACHED_RETURNS + 3):
+        rets = tuple(range(2, 2 * k + 1, 2))
+        for least in range(k + 1):
+            expected = [tuple(rets[j] for j in range(k) if mask >> j & 1)
+                        for mask in range(1 << k) if mask.bit_count() >= least]
+            assert list(_counter_subsets(rets, least)) == expected, (k, least)
+    # Index tuples are kept only for small return counts, at most one entry
+    # per (k, least) with least <= k; beyond, nothing is listed up front.
+    assert _counter_indices.cache_info().currsize <= (_CACHED_RETURNS + 1) * (_CACHED_RETURNS + 2) // 2
+    assert next(iter(_counter_subsets(tuple(range(2, 82, 2)), 0))) == ()
 
 
 @pytest.mark.parametrize("s", range(1, 11))

@@ -1,18 +1,22 @@
 """Partitions, Frobenius symbols, parity blocks, and the counts."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import isqrt
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankblocks.bijections import FrobeniusArray
 from rankblocks.partitions import (
     FrobeniusSymbol,
     ParityBlocks,
     Partition,
     _census_table,
+    _runs_of_pattern,
+    _strict_desc_exact,
     alternating_sign_word,
     build_census,
     count_all_columns,
@@ -183,6 +187,58 @@ def test_parity_blocks_match_split_runs_up_to_25():
                     sizes, signs, len(sizes), signs[-1])
                 assert pb.sign_word == "".join(signs)
                 assert pb.to_json_dict() == {"sizes": list(sizes), "signs": "".join(signs)}
+
+
+def test_parity_blocks_read_from_the_sign_pattern_match_split_runs():
+    # parity_blocks reads the pattern top > bottom and memoises its runs; the
+    # ranks split directly must agree on every symbol of size <= 30 and on
+    # arrays, whose columns may hold equal entries (rank 0, a negative column).
+    symbols = (f for n in range(1, 31) for d in range(1, isqrt(n) + 1)
+               for f in iter_frobenius_symbols(n, d))
+    rows = [row for d in range(1, 5) for row in combinations_with_replacement(range(3, -1, -1), d)]
+    arrays = (FrobeniusArray(top, bottom) for top in rows for bottom in rows
+              if len(top) == len(bottom))
+    for f in chain(symbols, arrays):
+        sizes, signs = split_parity_runs(successive_ranks(f))
+        pb = parity_blocks(f)
+        assert (pb.sizes, pb.last_sign) == (sizes, signs[-1]), f
+
+
+def test_parity_blocks_memo_stays_bounded():
+    # All 4096 sign patterns of 12 columns: column i is (2(12 - i) + bit, 2(12 - i)).
+    limit = _runs_of_pattern.cache_info().maxsize
+    assert limit is not None and limit < 4096
+    for bits in product((0, 1), repeat=12):
+        stair = range(24, 0, -2)
+        f = FrobeniusSymbol(tuple(map(add, stair, bits)), tuple(stair))
+        assert parity_blocks(f).sizes == split_parity_runs(successive_ranks(f))[0]
+        assert _runs_of_pattern.cache_info().currsize <= limit
+
+
+def _ref_strict_desc_exact(length, total, cap=None):
+    # The listing before lengths 1 and 2 were listed directly.
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    hi = total - (length - 1) * (length - 2) // 2
+    if cap is not None:
+        hi = min(hi, cap - 1)
+    max_tail = (length - 1) * length // 2
+    for first in range(hi, length - 2, -1):
+        tail_total = total - first
+        if tail_total > (length - 1) * first - max_tail:
+            break
+        for tail in _ref_strict_desc_exact(length - 1, tail_total, cap=first):
+            yield (first,) + tail
+
+
+def test_strict_listing_matches_the_recursion_it_shortcuts():
+    for length in range(1, 6):
+        for total in range(-2, 25):
+            for cap in (None, *range(0, 12)):
+                assert (list(_strict_desc_exact(length, total, cap))
+                        == list(_ref_strict_desc_exact(length, total, cap))), (length, total, cap)
 
 
 @given(partitions_strategy)
