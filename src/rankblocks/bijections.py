@@ -13,9 +13,8 @@ gamma and pi keep ``values`` in the natural label order of S_beta: block l
 holds the labels 2 r_{l-1} + 1 .. 2 r_l as its (top slice, bottom slice), b_l
 entries each.  Everything the chain derives from (beta, sign) is one cached
 layout: S_beta, the gathers mu -> gamma and gamma -> mu, the row constants with
-each label's shift, and the weight drop.  lambda_to_pi and pi_to_lambda run
-the stages inline rather than through the stage functions, but every stage is
-still built through its validating constructor and checked as there.
+each label's shift, and the weight drop.  Every stage is still built through
+its validating constructor.
 """
 
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from typing import NamedTuple
 
 from .partitions import (
     NEGATIVE,
+    POSITIVE,
     SIGN_LETTER,
     FrobeniusSymbol,
     ParityBlocks,
@@ -33,7 +33,7 @@ from .partitions import (
     parity_blocks,
 )
 from .posets import Composition, PosetPartition, SBetaStructure, build_s_beta
-from .qseries import PLUS, check_sign
+from .qseries import MINUS, PLUS, check_sign
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,26 +75,18 @@ class FrobeniusArray:
         return {"top": list(self.top), "bottom": list(self.bottom)}
 
 
-@lru_cache(maxsize=256)
-def _staircase(d: int) -> tuple[int, ...]:
-    return tuple(range(d - 1, -1, -1))
-
-
 def symbol_to_array(f: FrobeniusSymbol) -> FrobeniusArray:
     """Subtract the staircase d-1, ..., 1, 0 from each row."""
-    staircase = _staircase(len(f.top))
+    staircase = range(f.d - 1, -1, -1)
     return FrobeniusArray(tuple(map(sub, f.top, staircase)),
                           tuple(map(sub, f.bottom, staircase)))
 
 
 def array_to_symbol(a: FrobeniusArray) -> FrobeniusSymbol:
     """Add the staircase back; weak decrease turns into strict decrease."""
-    staircase = _staircase(len(a.top))
+    staircase = range(a.d - 1, -1, -1)
     return FrobeniusSymbol(tuple(map(add, a.top, staircase)),
                            tuple(map(add, a.bottom, staircase)))
-
-
-_SIGN_OF_LETTER = {letter: sign for sign, letter in SIGN_LETTER.items()}
 
 
 def sign_of_last_block(f) -> str:
@@ -102,7 +94,7 @@ def sign_of_last_block(f) -> str:
     symbol or an array (both have the same column ranks), or of their
     ``ParityBlocks``."""
     blocks = f if isinstance(f, ParityBlocks) else parity_blocks(f)
-    return _SIGN_OF_LETTER[blocks.last_sign]
+    return PLUS if blocks.last_sign == POSITIVE else MINUS
 
 
 class _Layout(NamedTuple):
@@ -148,29 +140,7 @@ def _layout(parts: tuple[int, ...], sign: str) -> _Layout:
 
 
 def _layout_of(blocks: ParityBlocks) -> _Layout:
-    return _layout(blocks.sizes, _SIGN_OF_LETTER[blocks.last_sign])
-
-
-# The messages of the stage checks, shared by the stage functions and by the
-# two directions of the chain, which run the stages inline.
-
-
-def _negative_entry(layout: _Layout) -> ValueError:
-    return ValueError(
-        f"row subtraction drives an entry negative; gamma is not a "
-        f"{layout.sign}-case image (row offsets {layout.offsets})")
-
-
-def _wrong_drop(drop: int, layout: _Layout) -> AssertionError:
-    return AssertionError(
-        f"weight drop {drop} disagrees with the partial-sum total {layout.drop}")
-
-
-def _not_an_image(blocks: ParityBlocks, beta: Composition, letter: str) -> ValueError:
-    return ValueError(
-        f"reconstructed array has blocks {blocks.sizes}/{blocks.sign_word}, "
-        f"expected {beta.parts}/{alternating_sign_word(beta.m, letter)}; "
-        f"not in the forward image")
+    return _layout(blocks.sizes, sign_of_last_block(blocks))
 
 
 def _array_to_gamma(a: FrobeniusArray, layout: _Layout) -> PosetPartition:
@@ -206,11 +176,14 @@ def flipped_rows(a: FrobeniusArray) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _gamma_to_pi(g: PosetPartition, layout: _Layout) -> PosetPartition:
     values = tuple(map(sub, g.values, layout.shifts))
     if min(values) < 0:
-        raise _negative_entry(layout)
+        raise ValueError(
+            f"row subtraction drives an entry negative; gamma is not a "
+            f"{layout.sign}-case image (row offsets {layout.offsets})")
     pi = PosetPartition(g.structure, values)
     drop = g.weight - pi.weight
     if drop != layout.drop:
-        raise _wrong_drop(drop, layout)
+        raise AssertionError(
+            f"weight drop {drop} disagrees with the partial-sum total {layout.drop}")
     return pi
 
 
@@ -241,56 +214,26 @@ def gamma_to_array(g: PosetPartition, sign: str) -> FrobeniusArray:
     blocks = parity_blocks(array)
     letter = SIGN_LETTER[sign]
     if blocks.sizes != beta.parts or blocks.last_sign != letter:
-        raise _not_an_image(blocks, beta, letter)
+        raise ValueError(
+            f"reconstructed array has blocks {blocks.sizes}/{blocks.sign_word}, "
+            f"expected {beta.parts}/{alternating_sign_word(beta.m, letter)}; "
+            f"not in the forward image")
     return array
 
 
 def pi_to_lambda(p: PosetPartition, sign: str) -> FrobeniusSymbol:
     """Inverse of the full chain: add row constants, split the grid, unflip,
-    add the staircase.  Raises ValueError when p is not in the forward image.
-
-    The stages of pi_to_gamma, gamma_to_array and array_to_symbol run inline,
-    with the same constructors and checks."""
-    structure = p.structure
-    beta = structure.beta
-    layout = _layout(beta.parts, sign)
-    gamma = PosetPartition(structure, tuple(map(add, p.values, layout.shifts)))
-    rows = layout.unplace(gamma.values)
-    d = len(rows) // 2
-    array = FrobeniusArray(rows[:d], rows[d:])
-    blocks = parity_blocks(array)
-    letter = SIGN_LETTER[sign]
-    if blocks.sizes != beta.parts or blocks.last_sign != letter:
-        raise _not_an_image(blocks, beta, letter)
-    staircase = _staircase(d)
-    return FrobeniusSymbol(tuple(map(add, array.top, staircase)),
-                           tuple(map(add, array.bottom, staircase)))
+    add the staircase.  Raises ValueError when p is not in the forward image."""
+    gamma = pi_to_gamma(p, sign)
+    array = gamma_to_array(gamma, sign)
+    return array_to_symbol(array)
 
 
 def lambda_to_pi(f: FrobeniusSymbol) -> PosetPartition:
     """Full forward chain; the composition and the sign are read off the
-    symbol's parity blocks.
-
-    The stages of symbol_to_array, array_to_gamma and gamma_to_pi run inline,
-    with the same constructors and checks."""
-    blocks = parity_blocks(f)
-    layout = _layout(blocks.sizes, _SIGN_OF_LETTER[blocks.last_sign])
-    staircase = _staircase(len(f.top))
-    array = FrobeniusArray(tuple(map(sub, f.top, staircase)),
-                           tuple(map(sub, f.bottom, staircase)))
-    rows = array.top + array.bottom
-    gamma = PosetPartition(layout.structure, layout.place(rows))
-    weight = sum(gamma.values)
-    if weight != sum(rows):
-        raise AssertionError("placement must preserve the weight")
-    values = tuple(map(sub, gamma.values, layout.shifts))
-    if min(values) < 0:
-        raise _negative_entry(layout)
-    pi = PosetPartition(layout.structure, values)
-    drop = weight - sum(values)
-    if drop != layout.drop:
-        raise _wrong_drop(drop, layout)
-    return pi
+    symbol's parity blocks."""
+    layout = _layout_of(parity_blocks(f))
+    return _gamma_to_pi(_array_to_gamma(symbol_to_array(f), layout), layout)
 
 
 def bijection_trace(f: FrobeniusSymbol) -> list[dict]:

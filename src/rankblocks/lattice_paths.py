@@ -166,10 +166,9 @@ def _marked_variants(s: int, t: int, least: int, mark_sets):
 
 
 # Up to this many returns, the subsets' index tuples are listed once per
-# (return count, least marks) and kept, at most 66 lists of at most 1024.  A
-# word of L steps has fewer than L/2 returns, so this covers every word of up
-# to 22 steps.
-_CACHED_RETURNS = 10
+# (return count, least marks) and kept: at most 35 lists of at most 64.  The
+# words of s + t <= 14 steps, the transfer benchmark's grid, have at most 6.
+_CACHED_RETURNS = 6
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +186,8 @@ def _counter_subsets(rets: tuple[int, ...], least: int):
         return (tuple(x for j, x in enumerate(rets) if mask >> j & 1)
                 for mask in range(1 << k) if mask.bit_count() >= least)
     pick = rets.__getitem__
-    return (tuple(map(pick, indices)) for indices in _counter_indices(k, least))
+    # Every least above k selects nothing, so one key serves them all.
+    return (tuple(map(pick, indices)) for indices in _counter_indices(k, min(least, k + 1)))
 
 
 def enumerate_marked_paths(s: int, t: int, min_marks: int):

@@ -404,13 +404,15 @@ def test_marked_paths_match_the_listing_of_every_word(s):
 def test_counter_subsets_in_binary_counter_order_on_both_sides_of_the_cache():
     for k in range(_CACHED_RETURNS + 3):
         rets = tuple(range(2, 2 * k + 1, 2))
-        for least in range(k + 1):
+        for least in range(k + 40):
             expected = [tuple(rets[j] for j in range(k) if mask >> j & 1)
                         for mask in range(1 << k) if mask.bit_count() >= least]
             assert list(_counter_subsets(rets, least)) == expected, (k, least)
     # Index tuples are kept only for small return counts, at most one entry
-    # per (k, least) with least <= k; beyond, nothing is listed up front.
-    assert _counter_indices.cache_info().currsize <= (_CACHED_RETURNS + 1) * (_CACHED_RETURNS + 2) // 2
+    # per (k, least) with least <= k + 1, however large the least asked for;
+    # beyond, nothing is listed up front.
+    bound = (_CACHED_RETURNS + 1) * (_CACHED_RETURNS + 4) // 2
+    assert _counter_indices.cache_info().currsize <= bound
     assert next(iter(_counter_subsets(tuple(range(2, 82, 2)), 0))) == ()
 
 
