@@ -17,18 +17,17 @@ each label's shift, and the weight drop.  Every stage is still built through
 its validating constructor.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter, sub
 from typing import NamedTuple
 
+from ._record import Record, setfield
 from .partitions import (
     NEGATIVE,
     POSITIVE,
     SIGN_LETTER,
     FrobeniusSymbol,
     ParityBlocks,
-    _tuple_fields,
     alternating_sign_word,
     parity_blocks,
 )
@@ -36,8 +35,7 @@ from .posets import Composition, PosetPartition, SBetaStructure, build_s_beta
 from .qseries import MINUS, PLUS, check_sign
 
 
-@dataclass(frozen=True, slots=True)
-class FrobeniusArray:
+class FrobeniusArray(Record):
     """Two equal-length weakly decreasing rows of nonnegative integers.
 
     Obtained from a d-column symbol by subtracting d-1, d-2, ..., 0 from the
@@ -46,11 +44,11 @@ class FrobeniusArray:
     weight drops by exactly d*(d-1).
     """
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
+    __slots__ = ("top", "bottom")
 
-    def __post_init__(self):
-        top, bottom = _tuple_fields(self)
+    def __init__(self, top, bottom):
+        if type(top) is not tuple or type(bottom) is not tuple:
+            top, bottom = tuple(top), tuple(bottom)
         if len(top) != len(bottom) or not top:
             raise ValueError("rows must have equal positive length")
         for row in (top, bottom):
@@ -62,6 +60,8 @@ class FrobeniusArray:
                 if prev is not None and prev < x:
                     raise ValueError(f"rows must be weakly decreasing, got {row}")
                 prev = x
+        setfield(self, "top", top)
+        setfield(self, "bottom", bottom)
 
     @property
     def d(self) -> int:

@@ -8,35 +8,32 @@ following u step), so the final return of a Dyck path is never markable.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from ._record import Record, setfield
 from .qseries import QSeries
 
 UP = "u"
 DOWN = "d"
 
 
-@dataclass(frozen=True, slots=True)
-class MarkedBallotPath:
+class MarkedBallotPath(Record):
     """A ballot-path word plus the x-coordinates of its marked returns."""
 
-    steps: str
-    marks: tuple[int, ...] = ()
-    # Recorded by the validating walk; derived from ``steps``, so they take
-    # no part in equality, hashing or repr.
-    _valleys: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _returns: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # _valleys and _returns are recorded by the validating walk; derived from
+    # ``steps``, they take no part in equality, hashing or repr.
+    __slots__ = ("steps", "marks", "_valleys", "_returns")
 
-    def __post_init__(self):
-        steps = self.steps
+    def __init__(self, steps, marks=()):
         if type(steps) is not str:
-            steps = "".join(steps)
-            object.__setattr__(self, "steps", steps)
-        if type(self.marks) is not tuple:
-            object.__setattr__(self, "marks", tuple(self.marks))
+            try:
+                steps = "".join(steps)
+            except TypeError:
+                raise ValueError(f"steps must be over 'u'/'d', got {steps!r}") from None
+        if type(marks) is not tuple:
+            marks = tuple(marks)
         # One walk: validate every step and record the valleys (a u step at
         # index x right after a d step) and, among them, the returns.
         valleys = []
@@ -57,8 +54,10 @@ class MarkedBallotPath:
             else:
                 raise ValueError(f"steps must be over 'u'/'d', got {ch!r}")
             prev = ch
-        object.__setattr__(self, "_valleys", tuple(valleys))
-        object.__setattr__(self, "_returns", tuple(rets))
+        setfield(self, "steps", steps)
+        setfield(self, "marks", marks)
+        setfield(self, "_valleys", tuple(valleys))
+        setfield(self, "_returns", tuple(rets))
         self._check_marks()
 
     def _check_marks(self):
@@ -76,11 +75,10 @@ class MarkedBallotPath:
         # The same word with other marks: the walk's record is copied, not
         # redone, and only the marks are checked.
         path = object.__new__(MarkedBallotPath)
-        put = object.__setattr__
-        put(path, "steps", self.steps)
-        put(path, "marks", marks)
-        put(path, "_valleys", self._valleys)
-        put(path, "_returns", self._returns)
+        setfield(path, "steps", self.steps)
+        setfield(path, "marks", marks)
+        setfield(path, "_valleys", self._valleys)
+        setfield(path, "_returns", self._returns)
         path._check_marks()
         return path
 

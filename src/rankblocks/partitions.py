@@ -10,11 +10,11 @@ oracle against which the closed-form series of :mod:`rankblocks.qseries` are
 verified, so they must not share any code path with those series.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
 from operator import gt, sub
 
+from ._record import Record, setfield
 from .qseries import MINUS, PLUS, check_sign
 
 POSITIVE = "P"
@@ -22,20 +22,19 @@ NEGATIVE = "N"
 SIGN_LETTER = {PLUS: POSITIVE, MINUS: NEGATIVE}
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Weakly decreasing positive parts; the empty tuple is the partition of 0."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts):
+        parts = tuple(parts)
         for i, p in enumerate(parts):
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {p!r}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        setfield(self, "parts", parts)
 
     @property
     def n(self) -> int:
@@ -82,29 +81,18 @@ def enumerate_partitions(n: int):
         yield Partition(parts)
 
 
-def _tuple_fields(record) -> tuple[tuple, tuple]:
-    # The rows of a two-row record as tuples, stored back only when they were not.
-    top, bottom = record.top, record.bottom
-    if type(top) is not tuple or type(bottom) is not tuple:
-        top, bottom = tuple(top), tuple(bottom)
-        object.__setattr__(record, "top", top)
-        object.__setattr__(record, "bottom", bottom)
-    return top, bottom
-
-
-@dataclass(frozen=True, slots=True)
-class FrobeniusSymbol:
+class FrobeniusSymbol(Record):
     """Two equal-length strictly decreasing rows of nonnegative integers.
 
     Column i carries the pair (top[i], bottom[i]); the represented partition
     has size sum(top) + sum(bottom) + d where d is the number of columns.
     """
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
+    __slots__ = ("top", "bottom")
 
-    def __post_init__(self):
-        top, bottom = _tuple_fields(self)
+    def __init__(self, top, bottom):
+        if type(top) is not tuple or type(bottom) is not tuple:
+            top, bottom = tuple(top), tuple(bottom)
         if len(top) != len(bottom) or not top:
             raise ValueError("rows must have equal positive length")
         for row in (top, bottom):
@@ -116,6 +104,8 @@ class FrobeniusSymbol:
                 if prev is not None and prev <= x:
                     raise ValueError(f"rows must be strictly decreasing, got {row}")
                 prev = x
+        setfield(self, "top", top)
+        setfield(self, "bottom", bottom)
 
     @property
     def d(self) -> int:
@@ -188,29 +178,27 @@ def alternating_sign_word(length: int, last: str) -> str:
     return "".join(letters)
 
 
-@dataclass(frozen=True, slots=True)
-class ParityBlocks:
+class ParityBlocks(Record):
     """Maximal runs of same-sign columns; sign P means rank >= 1, N means rank <= 0.
 
     Consecutive blocks alternate in sign, so the block sizes and the sign of
     the last block fix every sign."""
 
-    sizes: tuple[int, ...]
-    last_sign: str
+    __slots__ = ("sizes", "last_sign")
 
-    def __post_init__(self):
-        sizes = self.sizes
+    def __init__(self, sizes, last_sign):
         if type(sizes) is not tuple:
             sizes = tuple(sizes)
-            object.__setattr__(self, "sizes", sizes)
         if not sizes:
             raise ValueError("need at least one block")
         for size in sizes:
             if (type(size) is not int
                     and (not isinstance(size, int) or isinstance(size, bool)) or size < 1):
                 raise ValueError(f"block sizes must be positive integers, got {size!r}")
-        if self.last_sign not in (POSITIVE, NEGATIVE):
-            raise ValueError(f"last sign must be 'P' or 'N', got {self.last_sign!r}")
+        if last_sign not in (POSITIVE, NEGATIVE):
+            raise ValueError(f"last sign must be 'P' or 'N', got {last_sign!r}")
+        setfield(self, "sizes", sizes)
+        setfield(self, "last_sign", last_sign)
 
     @property
     def m(self) -> int:

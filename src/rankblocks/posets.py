@@ -9,27 +9,26 @@ exactly when i1 <= i2 and j1 <= j2.  The natural labeling assigns
 uses the labels 2 r_{l-1} + 1 .. 2 r_l with the top row first.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb
 
+from ._record import Record, setfield
 from .lattice_paths import DOWN, UP, MarkedBallotPath, enumerate_ballot_words
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Record):
     """Ordered sequence of positive parts with partial sums r_0 = 0 < r_1 < ... < r_m."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts):
+        parts = tuple(parts)
         if not parts:
             raise ValueError("composition must have at least one part")
         for b in parts:
             if not isinstance(b, int) or isinstance(b, bool) or b < 1:
                 raise ValueError(f"parts must be positive integers, got {b!r}")
-        object.__setattr__(self, "parts", parts)
+        setfield(self, "parts", parts)
 
     @property
     def d(self) -> int:
@@ -125,23 +124,30 @@ def build_s_beta(beta) -> SBetaStructure:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearExtensionWord:
+class LinearExtensionWord(Record):
     """A linear extension, recorded as the permutation of labels it reads off."""
 
-    word: tuple[int, ...]
-    source: SBetaStructure
+    __slots__ = ("word", "source")
 
-    def __post_init__(self):
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
-        n = self.source.size
-        if sorted(word) != list(range(1, n + 1)):
+    def __init__(self, word, source):
+        word = tuple(word)
+        # A float or a bool equal to a label would pass the permutation check.
+        if set(map(type, word)) != {int}:
+            for label in word:
+                if not isinstance(label, int) or isinstance(label, bool):
+                    raise ValueError(f"labels must be integers, got {label!r}")
+        n = len(source.elements)
+        if sorted(word) != [*range(1, n + 1)]:
             raise ValueError(f"word must be a permutation of 1..{n}")
-        pos = {label: k for k, label in enumerate(word)}
-        for ai, bi in self.source.cover_pairs:
-            if pos[ai + 1] >= pos[bi + 1]:
+        # pos[i] is the position of label i + 1, the element with index i.
+        pos = [0] * n
+        for k, label in enumerate(word):
+            pos[label - 1] = k
+        for ai, bi in source.cover_pairs:
+            if pos[ai] >= pos[bi]:
                 raise ValueError("word does not extend the poset order")
+        setfield(self, "word", word)
+        setfield(self, "source", source)
 
     def __len__(self):
         return len(self.word)
@@ -191,19 +197,14 @@ def maj_word(w: LinearExtensionWord) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PosetPartition:
+class PosetPartition(Record):
     """Order-reversing assignment of nonnegative integers, stored in label order."""
 
-    structure: SBetaStructure
-    values: tuple[int, ...]
+    __slots__ = ("structure", "values")
 
-    def __post_init__(self):
-        values = self.values
+    def __init__(self, structure, values):
         if type(values) is not tuple:
             values = tuple(values)
-            object.__setattr__(self, "values", values)
-        structure = self.structure
         if len(values) != len(structure.elements):
             raise ValueError("one value per poset element required")
         for v in values:
@@ -215,6 +216,8 @@ class PosetPartition:
                 raise ValueError(
                     f"assignment is not order-reversing at elements "
                     f"{structure.elements[ai]} < {structure.elements[bi]}")
+        setfield(self, "structure", structure)
+        setfield(self, "values", values)
 
     @property
     def weight(self) -> int:

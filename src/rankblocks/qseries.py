@@ -8,7 +8,6 @@ actually computed on both sides.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import islice
 
 PLUS = "plus"
@@ -22,7 +21,6 @@ def check_sign(sign: str) -> str:
     return sign
 
 
-@dataclass(frozen=True, eq=False)
 class QSeries:
     """Formal power series in q truncated at a fixed precision.
 
@@ -32,10 +30,10 @@ class QSeries:
     Instances are immutable and safe to share between threads.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a QSeries tracks at least the constant coefficient")
         # One builtin pass covers the usual case; the per-element loop still
@@ -45,6 +43,16 @@ class QSeries:
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError(f"coefficients must be exact integers, got {c!r}")
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, which validates.
+        return type(self), (self.coeffs,)
 
     # ------------------------------------------------------------------
     # constructors

@@ -14,11 +14,10 @@ turns that into a report.
 
 import json
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from math import isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .lattice_paths import (
     enumerate_exact_marks,
@@ -71,16 +70,27 @@ from .qseries import (
 )
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one check at one grid point; pass iff no discrepancy."""
+    """Outcome of one check at one grid point; pass iff no discrepancy.
+    Reports with the same fields are equal."""
 
-    target: str
-    parameters: dict
-    status: str
-    first_discrepancy: dict | None
-    elapsed: float
-    witnesses: list = field(default_factory=list)
+    def __init__(self, target: str, parameters: dict, status: str,
+                 first_discrepancy: dict | None, elapsed: float, witnesses: list | None = None):
+        self.target = target
+        self.parameters = parameters
+        self.status = status
+        self.first_discrepancy = first_discrepancy
+        self.elapsed = elapsed
+        self.witnesses = [] if witnesses is None else witnesses
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"VerificationReport({fields})"
 
     @property
     def passed(self) -> bool:
@@ -359,8 +369,7 @@ def verify_partition_unity(census, precision):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(NamedTuple):
     """One target: its check, its bounds (bound name -> default), the grid axes
     it sweeps (axis name -> values, or a function of the bounds giving them),
     the check arguments read from the bounds, and the constraint a grid point

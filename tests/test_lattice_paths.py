@@ -46,6 +46,12 @@ def test_validation_rejects_bad_paths():
         MarkedBallotPath("ududu", (4, 2))  # marks must increase
 
 
+@pytest.mark.parametrize("steps", [["u", 1], None, b"ud", [None], 5])
+def test_steps_that_are_not_letters_are_refused_with_a_value_error(steps):
+    with pytest.raises(ValueError, match="steps must be over 'u'/'d', got "):
+        MarkedBallotPath(steps)
+
+
 def test_valleys_and_returns():
     p = MarkedBallotPath("uduudd")
     assert p.valleys() == (2,)

@@ -162,6 +162,23 @@ def test_word_validation():
         LinearExtensionWord((1, 1, 2, 3), s)
 
 
+@pytest.mark.parametrize("labels", [(1.0, 2.0), (True, 2), (1, 2.0), ("1", "2"), (None, 2)])
+def test_word_labels_that_are_not_ints_are_refused(labels):
+    # 1.0 == 1 and True == 1, so the permutation check alone let them through.
+    bad = next(x for x in labels if type(x) is not int)
+    with pytest.raises(ValueError, match=f"labels must be integers, got {bad!r}"):
+        LinearExtensionWord(labels, build_s_beta((1,)))
+
+
+def test_int_subclass_labels_pass():
+    class Label(int):
+        pass
+
+    w = LinearExtensionWord((Label(1), Label(2)), build_s_beta((1,)))
+    assert w == LinearExtensionWord((1, 2), build_s_beta((1,)))
+    assert maj_word(w) == 0
+
+
 def test_maj_word_examples():
     s = build_s_beta(EXAMPLE_BETA)
     w = next(w for w in linear_extensions(s) if w.word == EXAMPLE_WORD)

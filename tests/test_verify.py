@@ -1,7 +1,6 @@
 """The verification registry: paper-anchored points, the mutation guard,
 determinism, and report structure."""
 
-import dataclasses
 import json
 import pytest
 
@@ -285,7 +284,7 @@ def test_census_is_built_before_any_check_runs(monkeypatch, census_builds):
         spec = SPECS[name]
         check = lambda *args, _check=spec.check, **point: (
             events.append(("check",)) or _check(*args, **point))
-        monkeypatch.setitem(SPECS, name, dataclasses.replace(spec, check=check))
+        monkeypatch.setitem(SPECS, name, spec._replace(check=check))
     reports = run_reports(["thm-main", "thm-1.4"], {"precision": 60})
     assert all(r.passed for r in reports)
     kinds = [event[0] for event in events]
