@@ -13,6 +13,7 @@ are documented in each subcommand's --help.
 import argparse
 import json
 import os
+import re
 import sys
 from math import isqrt
 
@@ -86,13 +87,14 @@ def _render_symbol(f: FrobeniusSymbol) -> str:
 def _parse_symbol(text: str) -> FrobeniusSymbol:
     text = text.strip()
     if text.startswith("{"):
-        data = json.loads(text)
-        return FrobeniusSymbol.from_json_dict(data)
-    if "/" not in text:
+        return FrobeniusSymbol.from_json_dict(json.loads(text))
+    rows = [row.replace("|", " ").split() for row in text.strip("() \t").split("/")]
+    if len(rows) != 2:
         raise ValueError("inline symbol must look like '3 2 1 / 5 1 0'")
-    top_text, bottom_text = text.strip("() \t").split("/", 1)
-    parse_row = lambda s: tuple(int(tok) for tok in s.replace("|", " ").split())
-    return FrobeniusSymbol(parse_row(top_text), parse_row(bottom_text))
+    for tok in rows[0] + rows[1]:
+        if not re.fullmatch("-?[0-9]+", tok):
+            raise ValueError(f"inline symbol entries must be integers, got {tok!r}")
+    return FrobeniusSymbol(*(tuple(map(int, row)) for row in rows))
 
 
 def _check_flags(parser, args, what, used, optional):
@@ -112,7 +114,7 @@ def _emit(args, payload, text_lines, csv_rows):
         print(json.dumps(payload))
     elif args.format == "csv":
         for row in csv_rows:
-            print(",".join(str(x) for x in row))
+            print(",".join("" if x is None else str(x) for x in row))
     else:
         for line in text_lines:
             print(line)
@@ -127,18 +129,10 @@ def _cmd_count(args, parser):
     mode = args.mode
     count, flags = COUNT_MODES[mode]
     _check_flags(parser, args, f"mode {mode!r}", flags, ("d", "m"))
-    # Build only the tables the count reads.  It returns 0 without reading one
-    # when n, d or m is below 1, m > d or d * d > n, so by-blocks reads the d
-    # with m <= d <= isqrt(n) and the other modes their one d, if any.
-    given = [getattr(args, f) for f in flags]
-    if args.n < 1 or min(given) < 1:
-        columns = ()
-    elif mode == "by-blocks":
-        columns = range(args.m, isqrt(args.n) + 1)
-    else:
-        fits = args.d * args.d <= args.n and (args.m is None or args.m <= args.d)
-        columns = (args.d,) if fits else ()
-    value = count(build_census(dict.fromkeys(columns, args.n)), args.n, *given, args.sign)
+    # A census of every column count a size-n symbol can have; the count
+    # builds only the tables it reads.
+    census = build_census(dict.fromkeys(range(1, isqrt(max(args.n, 0)) + 1), args.n))
+    value = count(census, args.n, *(getattr(args, f) for f in flags), args.sign)
     payload = {"mode": mode, "n": args.n, "d": args.d, "m": args.m,
                "sign": args.sign, "count": value}
     _emit(args, payload, [str(value)],
@@ -199,11 +193,13 @@ def _cmd_series(args, parser):
 
 def _cmd_verify(args, parser):
     wanted = [t for chunk in args.targets for t in chunk.split(",") if t]
+    if not wanted:
+        parser.error("--targets names no target")
     settings = {k: getattr(args, k) for k in VERIFY_FLAGS if getattr(args, k) is not None}
     total = failures = 0
     # Each report goes out as its check finishes, so an interrupted or piped
     # run keeps the reports it finished.
-    for report in verify.iter_reports(wanted or "all", settings):
+    for report in verify.iter_reports(wanted, settings):
         print(json.dumps(report.to_json_dict()), flush=True)
         total += 1
         failures += not report.passed

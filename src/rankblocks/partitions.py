@@ -395,11 +395,25 @@ def _census_table(bound: int, d: int) -> list:
     return table
 
 
+class _Census(dict):
+    # d -> census table; a table is built by the first read of its d.
+    __slots__ = ("reach",)
+
+    def __init__(self, reach):
+        super().__init__()
+        self.reach = reach
+
+    def __missing__(self, d):
+        self[d] = table = _census_table(self.reach[d], d)
+        return table
+
+
 def build_census(reach: dict) -> dict:
     """The census the counts below read: d -> census table up to n = reach[d],
-    for each column count d >= 1.  It never grows: reading a d it lacks, or past
-    n, raises LookupError (a fault of the declared reach, not a ValueError)."""
-    return {d: _census_table(bound, d) for d, bound in reach.items() if d >= 1}
+    for each column count d >= 1, each table built the first time it is read.
+    It never grows: reading a d it lacks, or past n, raises LookupError (a
+    fault of the declared reach, not a ValueError)."""
+    return _Census({d: bound for d, bound in reach.items() if d >= 1})
 
 
 def count_exact(census: dict, n: int, d: int, m: int, sign: str) -> int:

@@ -442,10 +442,15 @@ _BOUND_NAMES = frozenset().union(*(spec.bounds for spec in SPECS.values()))
 
 
 def _reject_unusable(names, settings):
-    # A bound below 1, which would leave every check with nothing to compare,
-    # or a setting that names neither a bound nor an axis of a selected target.
+    # A bound that is not an int, or is below 1, which would leave every check
+    # with nothing to compare, or a setting that names neither a bound nor an
+    # axis of a selected target.
     for flag, value in settings.items():
-        if flag in _BOUND_NAMES and value < 1:
+        if flag not in _BOUND_NAMES:
+            continue
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"--{flag.replace('_', '-')}: must be an integer, got {value!r}")
+        if value < 1:
             raise ValueError(f"--{flag.replace('_', '-')}: must be at least 1, got {value}")
     for flag in settings:
         ignoring = [name for name in names
@@ -458,8 +463,8 @@ def _reject_unusable(names, settings):
 def grid_points(name, settings=None):
     """The keyword arguments of every check the target runs, in sweep order.
     Each setting must name a bound of the target, which it moves, or an axis,
-    which it fixes; every bound must be at least 1, and the grid must not be
-    empty."""
+    which it fixes; every bound must be an int of at least 1, and the grid
+    must not be empty."""
     spec = SPECS[name]
     settings = settings or {}
     _reject_unusable([name], settings)
@@ -498,9 +503,14 @@ def run_check(name, census=None, /, **point):
 
 
 def _census(points):
-    """The census read at (target, grid point) pairs: each d up to the largest n."""
+    """The census read at (target, grid point) pairs: each d up to the largest
+    n, every table built here, so that no check's time includes a build."""
     reaches = [SPECS[name].reach(point) for name, point in points if SPECS[name].reach]
-    return build_census({d: max(r.get(d, 0) for r in reaches) for d in set().union(*reaches)})
+    reach = {d: max(r.get(d, 0) for r in reaches) for d in set().union(*reaches)}
+    census = build_census(reach)
+    for d in reach:
+        census[d]  # the read builds the table
+    return census
 
 
 def _sweep(name, points, census):
@@ -534,12 +544,12 @@ def iter_reports(targets="all", settings=None):
     finishes, in canonical (target, parameters) order.
 
     Each setting names a bound of every selected target (``precision``,
-    ``max_d``, ``max_m`` or ``max_s``, at least 1), which moves it, or one of
-    its grid axes, which it fixes to one value.  A bound below 1, a setting
-    that a selected target has neither as a bound nor as an axis, and a
-    setting that leaves a selected target with no grid point raise ValueError
-    here, before any check runs.  Each target's grid is built once, and so is
-    the census the selected targets read.
+    ``max_d``, ``max_m`` or ``max_s``, an int of at least 1), which moves it,
+    or one of its grid axes, which it fixes to one value.  A bound that is not
+    an int or is below 1, a setting that a selected target has neither as a
+    bound nor as an axis, and a setting that leaves a selected target with no
+    grid point raise ValueError here, before any check runs.  Each target's
+    grid is built once, and so is the census the selected targets read.
     """
     names = target_names(targets)
     settings = settings or {}

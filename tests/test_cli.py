@@ -74,6 +74,16 @@ def test_count_by_blocks_builds_only_columns_that_hold_m_blocks(capsys, census_b
     assert census_builds == [("build", d, 30) for d in (3, 4, 5)]
 
 
+@pytest.mark.parametrize("argv, row", [
+    (("--mode", "by-blocks", "--n", "20", "--m", "2"), "by-blocks,20,,2,plus,72"),
+    (("--mode", "by-columns", "--n", "20", "--d", "2"), "by-columns,20,2,,plus,120"),
+])
+def test_count_csv_leaves_an_unused_flag_empty(capsys, argv, row):
+    # JSON writes null for the flag a mode does not take; CSV an empty field
+    code, out, _ = run_cli(capsys, "count", *argv, "--sign", "plus", "--format", "csv")
+    assert (code, out) == (0, f"mode,n,d,m,sign,count\n{row}\n")
+
+
 def test_count_minus_base(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "1", "--d", "1", "--m", "1",
                            "--sign", "minus")
@@ -244,6 +254,23 @@ def test_series_deep_precision_within_budget():
     assert tuple(coeffs[:41]) == series_by_columns(2, "plus", 40).coeffs
 
 
+@pytest.mark.parametrize("symbol, message", [
+    ("1_0 / 0", "inline symbol entries must be integers, got '1_0'"),
+    ("\u0663 / \u0660", "inline symbol entries must be integers, got '\u0663'"),
+    ("+3 / 0", "inline symbol entries must be integers, got '+3'"),
+    ("3 2 1 / 5 x 0", "inline symbol entries must be integers, got 'x'"),
+    ("3 2 1 / 5 1 0 / 2", "inline symbol must look like '3 2 1 / 5 1 0'"),
+    ("3 2 1", "inline symbol must look like '3 2 1 / 5 1 0'"),
+    ("-1 / 0", "entries must be nonnegative integers, got -1"),
+])
+def test_inline_symbol_takes_only_ascii_integers(capsys, symbol, message):
+    # int() would also read '1_0', '+3' and other scripts' digits
+    with pytest.raises(SystemExit) as exc:
+        main(["biject", "--symbol", symbol])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [f"rankblocks: error: {message}"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["count", "--n", "10", "--mode", "by-blocks", "--m", "2", "--d", "3", "--sign", "plus"],
      "mode 'by-blocks' does not use --d"),
@@ -286,6 +313,23 @@ def test_series_json_uses_string_coefficients(capsys):
     data = json.loads(out)
     assert data["precision"] == 6
     assert all(isinstance(c, str) for c in data["coeffs"])
+
+
+@pytest.mark.parametrize("targets", [[""], [","], [",", ""]])
+def test_verify_refuses_targets_that_name_no_target(capsys, targets):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--targets", *targets])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["rankblocks: error: --targets names no target"]
+
+
+def test_verify_ignores_a_trailing_comma(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--targets", "thm-main,", "--precision", "5")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert len(reports) == 30 and {r["target"] for r in reports} == {"thm-main"}
 
 
 def test_verify_single_target(capsys):
@@ -592,7 +636,14 @@ def _symbol_text(draw):
         rows = [draw(st.lists(SMALL, max_size=4)) for _ in range(2)]
     if draw(st.booleans()):
         return json.dumps({"top": rows[0], "bottom": rows[1]})
-    return " / ".join(" ".join(map(str, row)) for row in rows)
+    tokens = [[str(x) for x in row] for row in rows]
+    if tokens[0] and not draw(st.integers(0, 3)):
+        # a token int() reads but the inline form refuses
+        odd = draw(st.sampled_from(["1_0", "+3", "\u0663", "\uff17"]))
+        tokens[0][draw(st.integers(0, len(tokens[0]) - 1))] = odd
+    if not draw(st.integers(0, 5)):
+        tokens.append(["2"])  # a second '/'
+    return " / ".join(" ".join(row) for row in tokens)
 
 
 def _usual_flags(command, draw):
@@ -609,6 +660,8 @@ def _usual_flags(command, draw):
                               min_size=1, max_size=2, unique=True))
         honoured = {flag.replace("_", "-") for name in names if name != "all"
                     for flag in [*SPECS[name].bounds, *SPECS[name].axes]}
+        if not draw(st.integers(0, 5)):
+            return ["--targets", draw(st.sampled_from(["", ",", ",,"]))], set()
         return ["--targets", ",".join(names)], honoured & set(FUZZ_FLAGS["verify"])
     if command == "biject":
         argv = ["--symbol", draw(_symbol_text())]

@@ -1,5 +1,7 @@
 """Partitions, Frobenius symbols, parity blocks, and the counts."""
 
+import sys
+import threading
 from collections import Counter
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import isqrt
@@ -35,6 +37,7 @@ from rankblocks.partitions import (
 from rankblocks.qseries import (
     MINUS,
     PLUS,
+    block_count_formula,
     partition_number,
     partition_number_or_zero,
     series_exact,
@@ -344,6 +347,44 @@ def test_census_answers_ascending_n_with_one_build(census_builds):
         with pytest.raises(LookupError):
             ask_past_reach()
     assert census_builds == [("build", 4, 100)]
+
+
+def test_census_builds_each_table_when_it_is_first_read(census_builds):
+    census = build_census({2: 20, 3: 15, 4: 30})
+    assert census_builds == []
+    assert count_exact(census, 15, 3, 2, PLUS) == 3
+    assert census_builds == [("build", 3, 15)]
+    # a count that reads no table, or a table already built, builds nothing more
+    assert count_exact(census, 15, 4, 1, PLUS) == count_exact(census, 15, 2, 3, PLUS) == 0
+    assert count_by_columns(census, 14, 3, MINUS) == count_by_columns(census, 14, 3, MINUS)
+    assert census_builds == [("build", 3, 15)]
+    count_by_blocks(census, 15, 2, PLUS)  # reads d = 2 and d = 3
+    assert census_builds == [("build", 3, 15), ("build", 2, 20)]
+
+
+def test_threads_reading_one_census_count_alike():
+    # Threads that read the same missing table may each build it; every build
+    # gives the same table, so no count depends on which build was kept.
+    census = build_census(every_column(60))
+    expected = [block_count_formula(60, m, sign) for m in range(1, 8) for sign in (PLUS, MINUS)]
+    results = []
+
+    def work():
+        results.append([count_by_blocks(census, 60, m, sign)
+                        for m in range(1, 8) for sign in (PLUS, MINUS)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 6
 
 
 def test_count_by_blocks_m1_and_base():

@@ -1,7 +1,8 @@
 """The value-record contract every record class keeps: value equality and
 hashing, immutability, the ``Name(field=value, ...)`` repr, keyword
-construction, and pickle and copy round trips.  Plus the import guard that
-keeps the package free of the ``dataclasses`` machinery."""
+construction, and pickle and copy round trips.  Plus the import guards
+that keep the package free of the ``dataclasses`` machinery and each module
+free of the modules it does not import."""
 
 import copy
 import os
@@ -154,6 +155,23 @@ def test_the_package_does_not_import_the_dataclasses_machinery():
     code = ("import sys; import rankblocks.cli, rankblocks.bijections, "
             "rankblocks.lattice_paths, rankblocks.partitions, rankblocks.posets; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("modules, absent", [
+    # the transfer set-up loads neither the verification suite nor the CLI
+    ("rankblocks.partitions, rankblocks.posets, rankblocks.lattice_paths, "
+     "rankblocks.bijections", ["rankblocks.cli", "rankblocks.verify"]),
+    # the closed forms stand alone, apart from every enumeration-side module
+    ("rankblocks.qseries", ["rankblocks._record", "rankblocks.bijections", "rankblocks.cli",
+                            "rankblocks.lattice_paths", "rankblocks.partitions",
+                            "rankblocks.posets", "rankblocks.verify"]),
+], ids=["transfer-set-up", "closed-forms"])
+def test_a_module_loads_only_the_modules_it_imports(modules, absent):
+    code = f"import sys; import {modules}; print(sorted({absent!r} & sys.modules.keys()))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

@@ -2,6 +2,7 @@
 determinism, and report structure."""
 
 import json
+import re
 import pytest
 
 import rankblocks.verify as verify_mod
@@ -404,6 +405,18 @@ def test_library_rejects_bounds_below_one(bound, value):
         run_reports([target], {bound: value})
     with pytest.raises(ValueError, match=message):
         grid_points(target, {bound: value})
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, 40.0, "40", None])
+def test_library_rejects_bounds_that_are_not_integers(monkeypatch, value):
+    ran = []
+    for name in ("cor-1.3", "thm-main"):
+        monkeypatch.setitem(verify_mod.TARGETS, name, lambda *a: ran.append(a) or [])
+    for target in ("cor-1.3", "thm-main"):
+        with pytest.raises(ValueError, match=f"^--precision: must be an integer, got "
+                                             f"{re.escape(repr(value))}$"):
+            run_reports([target], {"precision": value, "m": 1})
+    assert ran == []
 
 
 def test_run_reports_rejects_empty_grid_before_any_check(monkeypatch):
