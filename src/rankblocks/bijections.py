@@ -17,25 +17,25 @@ each label's shift, and the weight drop.  Every stage is still built through
 its validating constructor.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, itemgetter, sub
-from typing import NamedTuple
 
-from ._record import Record, setfield
 from .partitions import (
     NEGATIVE,
     POSITIVE,
     SIGN_LETTER,
     FrobeniusSymbol,
     ParityBlocks,
+    TwoRowRecord,
     alternating_sign_word,
     parity_blocks,
 )
-from .posets import Composition, PosetPartition, SBetaStructure, build_s_beta
+from .posets import Composition, PosetPartition, build_s_beta
 from .qseries import MINUS, PLUS, check_sign
 
 
-class FrobeniusArray(Record):
+class FrobeniusArray(TwoRowRecord):
     """Two equal-length weakly decreasing rows of nonnegative integers.
 
     Obtained from a d-column symbol by subtracting d-1, d-2, ..., 0 from the
@@ -44,35 +44,12 @@ class FrobeniusArray(Record):
     weight drops by exactly d*(d-1).
     """
 
-    __slots__ = ("top", "bottom")
-
-    def __init__(self, top, bottom):
-        if type(top) is not tuple or type(bottom) is not tuple:
-            top, bottom = tuple(top), tuple(bottom)
-        if len(top) != len(bottom) or not top:
-            raise ValueError("rows must have equal positive length")
-        for row in (top, bottom):
-            prev = None
-            for x in row:
-                if (type(x) is not int and (not isinstance(x, int) or isinstance(x, bool))
-                        or x < 0):
-                    raise ValueError(f"entries must be nonnegative integers, got {x!r}")
-                if prev is not None and prev < x:
-                    raise ValueError(f"rows must be weakly decreasing, got {row}")
-                prev = x
-        setfield(self, "top", top)
-        setfield(self, "bottom", bottom)
-
-    @property
-    def d(self) -> int:
-        return len(self.top)
+    __slots__ = ()
+    _gap = 0
 
     @property
     def weight(self) -> int:
         return sum(self.top) + sum(self.bottom)
-
-    def to_json_dict(self) -> dict:
-        return {"top": list(self.top), "bottom": list(self.bottom)}
 
 
 def symbol_to_array(f: FrobeniusSymbol) -> FrobeniusArray:
@@ -97,16 +74,16 @@ def sign_of_last_block(f) -> str:
     return PLUS if blocks.last_sign == POSITIVE else MINUS
 
 
-class _Layout(NamedTuple):
-    """Everything the chain derives from a composition and a last-block sign."""
-
-    sign: str
-    structure: SBetaStructure
-    place: itemgetter  # an array's top + bottom -> gamma's values in label order
-    unplace: itemgetter  # gamma's values -> the array's top + bottom
-    offsets: tuple[int, ...]  # the constant of each of the m+1 rows, from the top
-    shifts: tuple[int, ...]  # the row constant of every label
-    drop: int  # gamma's weight less pi's
+# Everything the chain derives from a composition and a last-block sign.
+_Layout = namedtuple("_Layout", [
+    "sign",
+    "structure",  # the SBetaStructure
+    "place",  # an itemgetter: an array's top + bottom -> gamma's values in label order
+    "unplace",  # an itemgetter: gamma's values -> the array's top + bottom
+    "offsets",  # the constant of each of the m+1 rows, from the top
+    "shifts",  # the row constant of every label
+    "drop",  # gamma's weight less pi's
+])
 
 
 @lru_cache(maxsize=1024)

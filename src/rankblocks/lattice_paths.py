@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from ._record import Record, setfield
+from ._record import Record, check_ints, setfield
 from .qseries import QSeries
 
 UP = "u"
@@ -63,8 +63,7 @@ class MarkedBallotPath(Record):
     def _check_marks(self):
         prev = 0
         for x in self.marks:
-            if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
-                raise ValueError(f"marks must be integers, got {x!r}")
+            check_ints((x,), "marks must be integers")
             if x <= prev:
                 raise ValueError("marks must be strictly increasing")
             if x not in self._returns:

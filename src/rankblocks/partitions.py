@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, isqrt
 from operator import gt, sub
 
-from ._record import Record, setfield
+from ._record import Record, check_ints, setfield
 from .qseries import MINUS, PLUS, check_sign
 
 POSITIVE = "P"
@@ -29,11 +29,8 @@ class Partition(Record):
 
     def __init__(self, parts):
         parts = tuple(parts)
-        for i, p in enumerate(parts):
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                raise ValueError(f"parts must be positive integers, got {p!r}")
-            if i and parts[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        check_ints(parts, "parts must be positive integers", 1, 0,
+                   "parts must be weakly decreasing")
         setfield(self, "parts", parts)
 
     @property
@@ -81,12 +78,14 @@ def enumerate_partitions(n: int):
         yield Partition(parts)
 
 
-class FrobeniusSymbol(Record):
-    """Two equal-length strictly decreasing rows of nonnegative integers.
+_DECREASING = ("rows must be weakly decreasing", "rows must be strictly decreasing")
 
-    Column i carries the pair (top[i], bottom[i]); the represented partition
-    has size sum(top) + sum(bottom) + d where d is the number of columns.
-    """
+
+class TwoRowRecord(Record):
+    """Two equal-length nonempty rows of nonnegative integers, each entry at
+    least ``_gap`` below the one before it in its row: a subclass sets 1 for
+    strictly decreasing rows or 0 for weakly decreasing ones.  Column i
+    carries the pair (top[i], bottom[i])."""
 
     __slots__ = ("top", "bottom")
 
@@ -95,21 +94,28 @@ class FrobeniusSymbol(Record):
             top, bottom = tuple(top), tuple(bottom)
         if len(top) != len(bottom) or not top:
             raise ValueError("rows must have equal positive length")
+        gap = self._gap
+        order = _DECREASING[gap]
         for row in (top, bottom):
-            prev = None
-            for x in row:
-                if (type(x) is not int and (not isinstance(x, int) or isinstance(x, bool))
-                        or x < 0):
-                    raise ValueError(f"entries must be nonnegative integers, got {x!r}")
-                if prev is not None and prev <= x:
-                    raise ValueError(f"rows must be strictly decreasing, got {row}")
-                prev = x
+            check_ints(row, "entries must be nonnegative integers", 0, gap, order)
         setfield(self, "top", top)
         setfield(self, "bottom", bottom)
 
     @property
     def d(self) -> int:
         return len(self.top)
+
+    def to_json_dict(self) -> dict:
+        return {"top": list(self.top), "bottom": list(self.bottom)}
+
+
+class FrobeniusSymbol(TwoRowRecord):
+    """Two equal-length strictly decreasing rows of nonnegative integers; the
+    represented partition has size sum(top) + sum(bottom) + d, where d is the
+    number of columns."""
+
+    __slots__ = ()
+    _gap = 1
 
     @property
     def size(self) -> int:
@@ -118,9 +124,6 @@ class FrobeniusSymbol(Record):
     def __str__(self):
         return "({} / {})".format(
             " ".join(map(str, self.top)), " ".join(map(str, self.bottom)))
-
-    def to_json_dict(self) -> dict:
-        return {"top": list(self.top), "bottom": list(self.bottom)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FrobeniusSymbol":
@@ -191,10 +194,7 @@ class ParityBlocks(Record):
             sizes = tuple(sizes)
         if not sizes:
             raise ValueError("need at least one block")
-        for size in sizes:
-            if (type(size) is not int
-                    and (not isinstance(size, int) or isinstance(size, bool)) or size < 1):
-                raise ValueError(f"block sizes must be positive integers, got {size!r}")
+        check_ints(sizes, "block sizes must be positive integers", 1)
         if last_sign not in (POSITIVE, NEGATIVE):
             raise ValueError(f"last sign must be 'P' or 'N', got {last_sign!r}")
         setfield(self, "sizes", sizes)

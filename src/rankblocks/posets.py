@@ -12,7 +12,7 @@ uses the labels 2 r_{l-1} + 1 .. 2 r_l with the top row first.
 from itertools import product
 from math import comb
 
-from ._record import Record, setfield
+from ._record import Record, check_ints, setfield
 from .lattice_paths import DOWN, UP, MarkedBallotPath, enumerate_ballot_words
 
 
@@ -25,9 +25,7 @@ class Composition(Record):
         parts = tuple(parts)
         if not parts:
             raise ValueError("composition must have at least one part")
-        for b in parts:
-            if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-                raise ValueError(f"parts must be positive integers, got {b!r}")
+        check_ints(parts, "parts must be positive integers", 1)
         setfield(self, "parts", parts)
 
     @property
@@ -132,10 +130,7 @@ class LinearExtensionWord(Record):
     def __init__(self, word, source):
         word = tuple(word)
         # A float or a bool equal to a label would pass the permutation check.
-        if set(map(type, word)) != {int}:
-            for label in word:
-                if not isinstance(label, int) or isinstance(label, bool):
-                    raise ValueError(f"labels must be integers, got {label!r}")
+        check_ints(word, "labels must be integers")
         n = len(source.elements)
         if sorted(word) != [*range(1, n + 1)]:
             raise ValueError(f"word must be a permutation of 1..{n}")
@@ -207,10 +202,7 @@ class PosetPartition(Record):
             values = tuple(values)
         if len(values) != len(structure.elements):
             raise ValueError("one value per poset element required")
-        for v in values:
-            if (type(v) is not int and (not isinstance(v, int) or isinstance(v, bool))
-                    or v < 0):
-                raise ValueError(f"values must be nonnegative integers, got {v!r}")
+        check_ints(values, "values must be nonnegative integers", 0)
         for ai, bi in structure.cover_pairs:
             if values[ai] < values[bi]:
                 raise ValueError(

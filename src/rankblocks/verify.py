@@ -14,11 +14,12 @@ turns that into a report.
 
 import json
 import time
+from collections import namedtuple
 from functools import partial
 from itertools import islice
 from math import isqrt
-from typing import Callable, NamedTuple
 
+from ._record import check_ints
 from .lattice_paths import (
     enumerate_exact_marks,
     enumerate_fixed_returns,
@@ -369,7 +370,8 @@ def verify_partition_unity(census, precision):
 # ----------------------------------------------------------------------
 
 
-class Spec(NamedTuple):
+class Spec(namedtuple("Spec", "check bounds axes args where reach",
+                      defaults=(lambda bounds: {}, lambda point, bounds: True, None))):
     """One target: its check, its bounds (bound name -> default), the grid axes
     it sweeps (axis name -> values, or a function of the bounds giving them),
     the check arguments read from the bounds, and the constraint a grid point
@@ -379,12 +381,7 @@ class Spec(NamedTuple):
     census first; its ``reach`` maps a grid point to ``{d: the largest n the
     check reads}``."""
 
-    check: Callable
-    bounds: dict
-    axes: dict
-    args: Callable = lambda bounds: {}
-    where: Callable = lambda point, bounds: True
-    reach: Callable | None = None
+    __slots__ = ()
 
 
 def _upto(bound):
@@ -439,32 +436,39 @@ SPECS = {
 
 # Every name that is a bound of some target: a setting of one must be at least 1.
 _BOUND_NAMES = frozenset().union(*(spec.bounds for spec in SPECS.values()))
+# The integer axes: a setting of one fixes it to one integer.
+_INT_AXES = frozenset(("d", "m", "s", "t", "r"))
 
 
 def _reject_unusable(names, settings):
     # A bound that is not an int, or is below 1, which would leave every check
-    # with nothing to compare, or a setting that names neither a bound nor an
-    # axis of a selected target.
+    # with nothing to compare, a setting that names neither a bound nor an
+    # axis of a selected target, and an integer axis fixed to a non-int or a
+    # sign axis fixed to no sign.
     for flag, value in settings.items():
         if flag not in _BOUND_NAMES:
             continue
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"--{flag.replace('_', '-')}: must be an integer, got {value!r}")
+        check_ints((value,), f"--{flag.replace('_', '-')}: must be an integer")
         if value < 1:
             raise ValueError(f"--{flag.replace('_', '-')}: must be at least 1, got {value}")
-    for flag in settings:
+    for flag, value in settings.items():
         ignoring = [name for name in names
                     if flag not in SPECS[name].bounds and flag not in SPECS[name].axes]
         if ignoring:
             raise ValueError(f"--{flag.replace('_', '-')} is not honoured by "
                              f"{', '.join(ignoring)}")
+        if flag in _INT_AXES:
+            check_ints((value,), f"--{flag}: must be an integer")
+        elif flag == "sign" and value not in SIGNS:
+            raise ValueError(f"--sign: must be one of {', '.join(SIGNS)}, got {value!r}")
 
 
 def grid_points(name, settings=None):
     """The keyword arguments of every check the target runs, in sweep order.
     Each setting must name a bound of the target, which it moves, or an axis,
-    which it fixes; every bound must be an int of at least 1, and the grid
-    must not be empty."""
+    which it fixes; every bound must be an int of at least 1, an integer axis
+    must be fixed to an int and the sign to a sign, and the grid must not be
+    empty."""
     spec = SPECS[name]
     settings = settings or {}
     _reject_unusable([name], settings)
@@ -508,7 +512,7 @@ def _census(points):
     reaches = [SPECS[name].reach(point) for name, point in points if SPECS[name].reach]
     reach = {d: max(r.get(d, 0) for r in reaches) for d in set().union(*reaches)}
     census = build_census(reach)
-    for d in reach:
+    for d in census.reach:  # the census keeps only d >= 1
         census[d]  # the read builds the table
     return census
 
@@ -547,8 +551,9 @@ def iter_reports(targets="all", settings=None):
     ``max_d``, ``max_m`` or ``max_s``, an int of at least 1), which moves it,
     or one of its grid axes, which it fixes to one value.  A bound that is not
     an int or is below 1, a setting that a selected target has neither as a
-    bound nor as an axis, and a setting that leaves a selected target with no
-    grid point raise ValueError here, before any check runs.  Each target's
+    bound nor as an axis, an integer axis (d, m, s, t, r) fixed to a non-int,
+    a sign that is not one, and a setting that leaves a selected target with
+    no grid point raise ValueError here, before any check runs.  Each target's
     grid is built once, and so is the census the selected targets read.
     """
     names = target_names(targets)

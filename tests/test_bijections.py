@@ -27,6 +27,7 @@ from rankblocks.partitions import (
     SIGN_LETTER,
     FrobeniusSymbol,
     ParityBlocks,
+    Partition,
     alternating_sign_word,
     iter_frobenius_symbols,
     parity_blocks,
@@ -548,6 +549,24 @@ def _ref_parity_blocks(sizes, last_sign):
         raise ValueError(f"last sign must be 'P' or 'N', got {last_sign!r}")
 
 
+def _ref_partition(parts):
+    parts = tuple(parts)
+    for i, p in enumerate(parts):
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+            raise ValueError(f"parts must be positive integers, got {p!r}")
+        if i and parts[i - 1] < p:
+            raise ValueError(f"parts must be weakly decreasing, got {parts}")
+
+
+def _ref_composition(parts):
+    parts = tuple(parts)
+    if not parts:
+        raise ValueError("composition must have at least one part")
+    for b in parts:
+        if not isinstance(b, int) or isinstance(b, bool) or b < 1:
+            raise ValueError(f"parts must be positive integers, got {b!r}")
+
+
 def _verdict(build, *args):
     try:
         build(*args)
@@ -612,6 +631,20 @@ def test_parity_blocks_record_matches_the_loop_it_replaced():
             assert _verdict(ParityBlocks, sizes, last_sign) == expected, (sizes, last_sign)
             if expected is None:
                 assert ParityBlocks(list(sizes), last_sign).sizes == sizes
+
+
+def test_partition_and_composition_records_match_the_loops_they_replaced():
+    # Rows of up to three entries of every kind, so that one row can carry two
+    # defects (a bad entry and a rise, in either order); the first one wins.
+    checked = 0
+    for parts in _rows(_ENTRIES, 3):
+        for record, ref in ((Partition, _ref_partition), (Composition, _ref_composition)):
+            expected = _verdict(ref, parts)
+            assert _verdict(record, parts) == expected, (record, parts)
+            if expected is None:
+                assert record(list(parts)).parts == parts
+                checked += 1
+    assert checked > 50
 
 
 def test_layout_cache_is_bounded():

@@ -456,6 +456,18 @@ def test_verify_override_outside_grid_is_usage_error(capsys):
         "rankblocks: error: thm-main has no grid point under overrides {'m': 6}"]
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_verify_column_count_below_one_is_usage_error(capsys, d):
+    # The census keeps only d >= 1, so d = 0 must reach the check, whose
+    # closed form refuses it, and never end in an internal error (exit 3).
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--targets", "thm-1.4", "--d", d])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["rankblocks: error: d must be positive"]
+
+
 # SHA-256 of `rankblocks verify --targets all` stdout with every "elapsed"
 # field removed: 495 passing reports and the summary line.
 DEFAULT_SWEEP_DIGEST = "5acf3b2b322e6db4c78c2398869c795fce9a4da8b09c67d8f210a2749327dccc"

@@ -149,12 +149,23 @@ def test_records_round_trip_through_pickle_and_copy(name, how):
             setattr(clone, next(iter(RECORDS[name][1]())), None)
 
 
+def test_the_symbol_and_the_array_share_one_two_row_record():
+    # The array says only that its rows decrease weakly; the base checks the
+    # rows and gives both classes their columns and their JSON form.
+    assert {"__init__", "d", "to_json_dict"}.isdisjoint(vars(FrobeniusArray))
+    array, symbol = FrobeniusArray((2, 0), (1, 0)), FrobeniusSymbol((2, 0), (1, 0))
+    assert not isinstance(array, FrobeniusSymbol) and not isinstance(symbol, FrobeniusArray)
+    assert array.d == symbol.d == 2
+    assert array.to_json_dict() == symbol.to_json_dict() == {"top": [2, 0], "bottom": [1, 0]}
+    assert FrobeniusArray._fields == FrobeniusSymbol._fields == ("top", "bottom")
+
+
 def test_the_package_does_not_import_the_dataclasses_machinery():
     # A fresh interpreter without site hooks, so that only the package's own
     # imports count: the CLI, then the four modules the transfer set-up loads.
     code = ("import sys; import rankblocks.cli, rankblocks.bijections, "
             "rankblocks.lattice_paths, rankblocks.partitions, rankblocks.posets; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

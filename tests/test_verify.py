@@ -419,6 +419,45 @@ def test_library_rejects_bounds_that_are_not_integers(monkeypatch, value):
     assert ran == []
 
 
+@pytest.mark.parametrize("target, settings, message", [
+    ("thm-main", {"d": True, "precision": 5}, "--d: must be an integer, got True"),
+    ("thm-main", {"d": 2.0}, "--d: must be an integer, got 2.0"),
+    ("thm-main", {"d": "2"}, "--d: must be an integer, got '2'"),
+    ("thm-main", {"m": None}, "--m: must be an integer, got None"),
+    ("thm-main", {"m": False}, "--m: must be an integer, got False"),
+    ("thm-main", {"sign": "P"}, "--sign: must be one of plus, minus, got 'P'"),
+    ("thm-main", {"sign": None}, "--sign: must be one of plus, minus, got None"),
+    ("lemma-2.2", {"s": 1.0}, "--s: must be an integer, got 1.0"),
+    ("lemma-2.2", {"t": "0"}, "--t: must be an integer, got '0'"),
+    ("cor-2.5", {"r": True}, "--r: must be an integer, got True"),
+])
+def test_library_rejects_axis_overrides_of_the_wrong_type(monkeypatch, target, settings,
+                                                          message):
+    # Refused before any check runs, not reported as a parameter nor raised as
+    # a TypeError from inside the grid or a check.
+    ran = []
+    monkeypatch.setitem(verify_mod.TARGETS, target, lambda *a: ran.append(a) or [])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_reports([target], settings)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        grid_points(target, settings)
+    assert ran == []
+
+
+def test_an_int_subclass_axis_override_passes():
+    class Column(int):
+        pass
+
+    assert grid_points("thm-1.4", {"d": Column(2)}) == grid_points("thm-1.4", {"d": 2})
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_library_refuses_a_column_count_below_one_for_thm_1_4(d):
+    # The census keeps only d >= 1; the check's own closed form refuses d.
+    with pytest.raises(ValueError, match="^d must be positive$"):
+        run_reports(["thm-1.4"], {"d": d})
+
+
 def test_run_reports_rejects_empty_grid_before_any_check(monkeypatch):
     ran = []
     monkeypatch.setitem(verify_mod.TARGETS, "cor-1.3", lambda *a: ran.append(a) or [])
