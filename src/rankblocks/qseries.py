@@ -9,6 +9,7 @@ actually computed on both sides.
 
 from bisect import bisect_right
 from itertools import islice
+from operator import add
 
 PLUS = "plus"
 MINUS = "minus"
@@ -337,14 +338,27 @@ def euler_inverse(precision: int) -> QSeries:
     coeffs = [0] * (precision + 1)
     coeffs[0] = 1
     for j in range(1, precision + 1):
-        for k in range(j, precision + 1):
-            coeffs[k] += coeffs[k - j]
+        _over_one_minus(coeffs, j)
     return QSeries(tuple(coeffs))
 
 
 # ----------------------------------------------------------------------
 # closed-form generating functions for the parity-block counts
 # ----------------------------------------------------------------------
+
+
+def _check_exact(d: int, m: int, sign: str, precision: int) -> None:
+    check_sign(sign)
+    if not d >= m >= 1:
+        raise ValueError(f"need d >= m >= 1, got d={d}, m={m}")
+    if precision < 0:
+        raise ValueError("precision must be nonnegative")
+
+
+def _exact_shift(d: int, m: int, sign: str) -> int:
+    """The lowest exponent of :func:`series_exact`: ``d^2 + m(m-1)/2``, plus
+    ``d`` for the plus sign."""
+    return d * d + m * (m - 1) // 2 + (d if sign == PLUS else 0)
 
 
 def series_exact(d: int, m: int, sign: str, precision: int) -> QSeries:
@@ -363,12 +377,8 @@ def series_exact(d: int, m: int, sign: str, precision: int) -> QSeries:
     That costs O(d * top) instead of the O(precision^2) of a generic
     :meth:`QSeries.invert_unit` and full-width multiplies.
     """
-    check_sign(sign)
-    if not d >= m >= 1:
-        raise ValueError(f"need d >= m >= 1, got d={d}, m={m}")
-    if precision < 0:
-        raise ValueError("precision must be nonnegative")
-    shift = d * d + m * (m - 1) // 2 + (d if sign == PLUS else 0)
+    _check_exact(d, m, sign, precision)
+    shift = _exact_shift(d, m, sign)
     top = precision - shift
     if top < 0:
         return QSeries.zero(precision)
@@ -377,6 +387,41 @@ def series_exact(d: int, m: int, sign: str, precision: int) -> QSeries:
     for a in (d, *range(1, d - m + 1), *range(1, d + m + 1)):
         _over_one_minus(c, a)
     return QSeries((0,) * shift + tuple(c))
+
+
+def series_exact_sum(m: int, sign: str, precision: int) -> QSeries:
+    """``sum_{d >= m} series_exact(d, m, sign, precision)``: partitions with m
+    parity blocks, the last of the given sign, and any number of columns.
+
+    Only the terms with ``shift(d) <= precision`` are nonzero.  One running
+    list holds ``1 / ((q;q)_{d-m} (q;q)_{d+m})``, cut after its
+    ``precision - shift(d)`` coefficient; the step from d to d + 1 is two
+    ascending passes, for (1 - q^{d+1-m}) and (1 - q^{d+1+m}).  Each term is
+    a copy of that list with one pass for (1 - q^m) and one for 1/(1 - q^d),
+    added at its shift: four passes per d instead of the 2d + 2 of
+    :func:`series_exact`.  A bad sign, ``m < 1`` or a negative precision is
+    refused as :func:`series_exact` refuses it for the first term, d = m.
+    """
+    _check_exact(m, m, sign, precision)
+    d = m
+    shift = _exact_shift(d, m, sign)
+    c = [1] + [0] * (precision - shift)
+    for a in range(1, 2 * m + 1):
+        _over_one_minus(c, a)
+    out = [0] * (precision + 1)
+    while shift <= precision:
+        term = c.copy()
+        _times_one_minus(term, m)
+        _over_one_minus(term, d)
+        out[shift:] = map(add, out[shift:], term)
+        d += 1
+        shift = _exact_shift(d, m, sign)
+        # Once the shift passes the precision the list empties: a negative
+        # slice start would keep its head.
+        del c[max(precision - shift + 1, 0):]
+        _over_one_minus(c, d - m)
+        _over_one_minus(c, d + m)
+    return QSeries(out)
 
 
 def pentagonal_kernel(m: int, sign: str, precision: int) -> QSeries:

@@ -68,6 +68,7 @@ from .qseries import (
     series_by_blocks,
     series_by_columns,
     series_exact,
+    series_exact_sum,
 )
 
 
@@ -156,17 +157,15 @@ def verify_column_series(census, d, sign, precision):
 
 
 def verify_euler_expansion(m, precision):
-    """Truncated pentagonal kernel over the partition product vs the sum of the
-    exact closed forms over all column counts (cut off where q^(d^2) exceeds
-    the precision), for both sign variants."""
+    """Truncated pentagonal kernel over the partition product vs one plus the
+    signed sum of the exact closed forms over every column count, for both
+    sign variants."""
     sign_factor = 1 if m % 2 == 1 else -1
     partitions = euler_inverse(precision)
 
     def discrepancy(variant):
         lhs = partitions * pentagonal_kernel(m, variant, precision)
-        rhs = QSeries.one(precision)
-        for d in range(m, isqrt(precision) + 1):
-            rhs = rhs + sign_factor * series_exact(d, m, variant, precision)
+        rhs = QSeries.one(precision) + sign_factor * series_exact_sum(m, variant, precision)
         return _first_discrepancy(lhs.coeffs, rhs.coeffs, variant=variant)
 
     return next(filter(None, map(discrepancy, SIGNS)), None), []
@@ -443,8 +442,8 @@ _INT_AXES = frozenset(("d", "m", "s", "t", "r"))
 def _reject_unusable(names, settings):
     # A bound that is not an int, or is below 1, which would leave every check
     # with nothing to compare, a setting that names neither a bound nor an
-    # axis of a selected target, and an integer axis fixed to a non-int or a
-    # sign axis fixed to no sign.
+    # axis of a selected target, an integer axis fixed to a non-int, a sign
+    # axis fixed to no sign, and a beta axis fixed to no composition.
     for flag, value in settings.items():
         if flag not in _BOUND_NAMES:
             continue
@@ -461,14 +460,19 @@ def _reject_unusable(names, settings):
             check_ints((value,), f"--{flag}: must be an integer")
         elif flag == "sign" and value not in SIGNS:
             raise ValueError(f"--sign: must be one of {', '.join(SIGNS)}, got {value!r}")
+        elif flag == "beta":
+            what = "--beta: must be a composition of positive integers"
+            if not isinstance(value, (tuple, list)) or not value:
+                raise ValueError(f"{what}, got {value!r}")
+            check_ints(value, what, 1)
 
 
 def grid_points(name, settings=None):
     """The keyword arguments of every check the target runs, in sweep order.
     Each setting must name a bound of the target, which it moves, or an axis,
     which it fixes; every bound must be an int of at least 1, an integer axis
-    must be fixed to an int and the sign to a sign, and the grid must not be
-    empty."""
+    must be fixed to an int, the sign to a sign and beta to a composition,
+    and the grid must not be empty."""
     spec = SPECS[name]
     settings = settings or {}
     _reject_unusable([name], settings)
@@ -552,8 +556,9 @@ def iter_reports(targets="all", settings=None):
     or one of its grid axes, which it fixes to one value.  A bound that is not
     an int or is below 1, a setting that a selected target has neither as a
     bound nor as an axis, an integer axis (d, m, s, t, r) fixed to a non-int,
-    a sign that is not one, and a setting that leaves a selected target with
-    no grid point raise ValueError here, before any check runs.  Each target's
+    a sign that is not one, a beta that is not a nonempty tuple or list of
+    positive ints, and a setting that leaves a selected target with no grid
+    point raise ValueError here, before any check runs.  Each target's
     grid is built once, and so is the census the selected targets read.
     """
     names = target_names(targets)

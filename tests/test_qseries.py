@@ -1,6 +1,7 @@
 """Series arithmetic, Gaussian binomials, partition numbers, closed forms."""
 
-from math import comb
+import re
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from rankblocks.qseries import (
     series_by_blocks,
     series_by_columns,
     series_exact,
+    series_exact_sum,
 )
 
 # ----------------------------------------------------------------------
@@ -398,6 +400,30 @@ def test_series_exact_rejects_bad_parameters():
         series_exact(1, 0, PLUS, 10)
     with pytest.raises(ValueError):
         series_exact(2, 1, "positive", 10)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_series_exact_sum_is_the_sum_of_the_exact_series(m, sign):
+    # Past d = isqrt(precision) every term is zero: its shift exceeds d^2.
+    for precision in [*range(61), 360]:
+        total = QSeries.zero(precision)
+        for d in range(m, isqrt(precision) + 2):
+            total = total + series_exact(d, m, sign, precision)
+        assert series_exact_sum(m, sign, precision).coeffs == total.coeffs, precision
+
+
+@pytest.mark.parametrize("m, sign, precision, message", [
+    (0, PLUS, 10, "need d >= m >= 1, got d=0, m=0"),
+    (-2, MINUS, 10, "need d >= m >= 1, got d=-2, m=-2"),
+    (1, "positive", 10, "sign must be one of ('plus', 'minus'), got 'positive'"),
+    (2, PLUS, -1, "precision must be nonnegative"),
+])
+def test_series_exact_sum_refuses_what_its_first_term_refuses(m, sign, precision, message):
+    for closed_form in (lambda: series_exact_sum(m, sign, precision),
+                        lambda: series_exact(m, m, sign, precision)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            closed_form()
 
 
 def test_series_by_blocks_constant_term_vanishes():

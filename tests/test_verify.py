@@ -18,6 +18,7 @@ from rankblocks.qseries import (
     series_by_blocks,
     series_by_columns,
     series_exact,
+    series_exact_sum,
 )
 from rankblocks.verify import (
     SPECS,
@@ -134,6 +135,20 @@ def test_mutation_guard_leading_exponent(monkeypatch):
     assert report.first_discrepancy is not None
     assert report.first_discrepancy["exponent"] <= 20
     assert report.witnesses  # enumeration-side objects at the discrepant weight
+
+
+def test_mutation_guard_column_sum_leading_exponent(monkeypatch):
+    def perturbed(m, sign, precision):
+        base = series_exact_sum(m, sign, precision)
+        return QSeries((0,) + base.coeffs[:-1])  # multiply by q
+
+    monkeypatch.setattr(verify_mod, "series_exact_sum", perturbed)
+    report = verify_mod.run_check("cor-1.3", m=2, precision=40)
+    assert not report.passed
+    # The plus variant runs first; its leading term, d = m = 2, sits at
+    # q^(d^2 + m(m-1)/2 + d) = q^7 with coefficient 1, and m even subtracts it.
+    assert report.first_discrepancy == {"exponent": 7, "expected": -1, "actual": 0,
+                                        "variant": PLUS}
 
 
 def test_mutation_guard_enumeration_side(monkeypatch):
@@ -442,6 +457,28 @@ def test_library_rejects_axis_overrides_of_the_wrong_type(monkeypatch, target, s
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         grid_points(target, settings)
     assert ran == []
+
+
+@pytest.mark.parametrize("target", ["prop-3.9", "prop-3.10"])
+@pytest.mark.parametrize("beta, shown", [
+    (3, "3"), (None, "None"), ("12", "'12'"), ((), "()"), ([], "[]"),
+    ((0,), "0"), ((2, -1), "-1"), ((1.0,), "1.0"), ((True,), "True"), ((1, "2"), "'2'"),
+])
+def test_library_refuses_a_beta_that_is_not_a_composition(monkeypatch, target, beta, shown):
+    # Refused before any check runs, not raised as a TypeError from inside
+    # the poset construction.
+    ran = []
+    monkeypatch.setitem(verify_mod.TARGETS, target, lambda *a: ran.append(a) or [])
+    message = f"--beta: must be a composition of positive integers, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_reports([target], {"beta": beta})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        grid_points(target, {"beta": beta})
+    assert ran == []
+
+
+def test_a_composition_as_a_list_is_a_beta_override():
+    assert [report.passed for report in run_reports(["prop-3.9"], {"beta": [2, 1]})] == [True]
 
 
 def test_an_int_subclass_axis_override_passes():
