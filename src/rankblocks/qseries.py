@@ -22,6 +22,11 @@ def check_sign(sign: str) -> str:
     return sign
 
 
+def _check_precision(precision: int) -> None:
+    if precision < 0:
+        raise ValueError("precision must be nonnegative")
+
+
 class QSeries:
     """Formal power series in q truncated at a fixed precision.
 
@@ -61,7 +66,7 @@ class QSeries:
 
     @classmethod
     def zero(cls, precision: int) -> "QSeries":
-        return cls((0,) * (precision + 1))
+        return cls.constant(0, precision)
 
     @classmethod
     def one(cls, precision: int) -> "QSeries":
@@ -69,8 +74,7 @@ class QSeries:
 
     @classmethod
     def constant(cls, value: int, precision: int) -> "QSeries":
-        if precision < 0:
-            raise ValueError("precision must be nonnegative")
+        _check_precision(precision)
         return cls((value,) + (0,) * precision)
 
     @classmethod
@@ -78,6 +82,7 @@ class QSeries:
         """``q**exponent`` truncated; zero when exponent > precision."""
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
+        _check_precision(precision)
         coeffs = [0] * (precision + 1)
         if exponent <= precision:
             coeffs[exponent] = 1
@@ -86,6 +91,7 @@ class QSeries:
     @classmethod
     def from_coeffs(cls, coeffs, precision: int) -> "QSeries":
         """Pad a finite coefficient list with zeros, or truncate it, to the precision."""
+        _check_precision(precision)
         coeffs = list(coeffs)
         if len(coeffs) < precision + 1:
             coeffs.extend([0] * (precision + 1 - len(coeffs)))
@@ -243,8 +249,7 @@ def pochhammer(count: int, precision: int) -> QSeries:
     """``(q;q)_count``, the product of ``(1 - q**a)`` for ``a in 1..count``, truncated."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if precision < 0:
-        raise ValueError("precision must be nonnegative")
+    _check_precision(precision)
     coeffs = [0] * (precision + 1)
     coeffs[0] = 1
     for a in range(1, min(count, precision) + 1):
@@ -278,8 +283,8 @@ def qbinomial(n: int, k: int, precision: int | None = None) -> QSeries:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if precision is not None and precision < 0:
-        raise ValueError("precision must be nonnegative")
+    if precision is not None:
+        _check_precision(precision)
     if not 0 <= k <= n:
         return QSeries.zero(0 if precision is None else precision)
     k = min(k, n - k)
@@ -333,8 +338,7 @@ def euler_inverse(precision: int) -> QSeries:
     pentagonal recurrence behind :func:`partition_number` so the two can
     cross-check each other.
     """
-    if precision < 0:
-        raise ValueError("precision must be nonnegative")
+    _check_precision(precision)
     coeffs = [0] * (precision + 1)
     coeffs[0] = 1
     for j in range(1, precision + 1):
@@ -351,8 +355,7 @@ def _check_exact(d: int, m: int, sign: str, precision: int) -> None:
     check_sign(sign)
     if not d >= m >= 1:
         raise ValueError(f"need d >= m >= 1, got d={d}, m={m}")
-    if precision < 0:
-        raise ValueError("precision must be nonnegative")
+    _check_precision(precision)
 
 
 def _exact_shift(d: int, m: int, sign: str) -> int:
@@ -389,51 +392,67 @@ def series_exact(d: int, m: int, sign: str, precision: int) -> QSeries:
     return QSeries((0,) * shift + tuple(c))
 
 
-def series_exact_sum(m: int, sign: str, precision: int) -> QSeries:
-    """``sum_{d >= m} series_exact(d, m, sign, precision)``: partitions with m
-    parity blocks, the last of the given sign, and any number of columns.
+def series_exact_sums(m: int, precision: int) -> dict:
+    """``{sign: sum_{d >= m} series_exact(d, m, sign, precision)}`` for both
+    signs, in one pass.
 
-    Only the terms with ``shift(d) <= precision`` are nonzero.  One running
-    list holds ``1 / ((q;q)_{d-m} (q;q)_{d+m})``, cut after its
-    ``precision - shift(d)`` coefficient; the step from d to d + 1 is two
-    ascending passes, for (1 - q^{d+1-m}) and (1 - q^{d+1+m}).  Each term is
-    a copy of that list with one pass for (1 - q^m) and one for 1/(1 - q^d),
-    added at its shift: four passes per d instead of the 2d + 2 of
-    :func:`series_exact`.  A bad sign, ``m < 1`` or a negative precision is
-    refused as :func:`series_exact` refuses it for the first term, d = m.
+    At each d the two signs' terms differ only in their shift: the plus term
+    is the minus term times q^d.  Only the terms whose minus shift is at most
+    the precision can be nonzero.  One running list holds
+    ``1 / ((q;q)_{d-m} (q;q)_{d+m})``, cut after its ``precision - shift``
+    coefficient for the minus shift; the step from d to d + 1 is two ascending
+    passes, for (1 - q^{d+1-m}) and (1 - q^{d+1+m}).  Each term is a copy of
+    that list with one pass for (1 - q^m) and one for 1/(1 - q^d), added to
+    the minus sum at its shift and to the plus sum d exponents higher: four
+    passes per d for both signs, where :func:`series_exact` takes 2d + 2 per
+    d and sign.  ``m < 1`` or a negative precision is refused as
+    :func:`series_exact` refuses it for the first term, d = m.
     """
-    _check_exact(m, m, sign, precision)
+    _check_exact(m, m, MINUS, precision)
     d = m
-    shift = _exact_shift(d, m, sign)
+    shift = _exact_shift(d, m, MINUS)
     c = [1] + [0] * (precision - shift)
     for a in range(1, 2 * m + 1):
         _over_one_minus(c, a)
-    out = [0] * (precision + 1)
+    plus, minus = [0] * (precision + 1), [0] * (precision + 1)
     while shift <= precision:
         term = c.copy()
         _times_one_minus(term, m)
         _over_one_minus(term, d)
-        out[shift:] = map(add, out[shift:], term)
+        minus[shift:] = map(add, minus[shift:], term)
+        # map stops at the shorter list, so the plus term loses its last d.
+        plus[shift + d:] = map(add, plus[shift + d:], term)
         d += 1
-        shift = _exact_shift(d, m, sign)
+        shift = _exact_shift(d, m, MINUS)
         # Once the shift passes the precision the list empties: a negative
         # slice start would keep its head.
         del c[max(precision - shift + 1, 0):]
         _over_one_minus(c, d - m)
         _over_one_minus(c, d + m)
-    return QSeries(out)
+    return {PLUS: QSeries(plus), MINUS: QSeries(minus)}
+
+
+def series_exact_sum(m: int, sign: str, precision: int) -> QSeries:
+    """``sum_{d >= m} series_exact(d, m, sign, precision)``: partitions with m
+    parity blocks, the last of the given sign, and any number of columns;
+    read from :func:`series_exact_sums`.  A bad sign, ``m < 1`` or a negative
+    precision is refused as :func:`series_exact` refuses it for d = m."""
+    _check_exact(m, m, sign, precision)
+    return series_exact_sums(m, precision)[sign]
 
 
 def pentagonal_kernel(m: int, sign: str, precision: int) -> QSeries:
     """Alternating sum of pentagonal-shifted binomial-free terms.
 
     ``sum_{l=0}^{m-1} (-1)^l q^(l(3l+1)/2) (1 - q^(2l+1))`` for the plus sign,
-    and ``sum_{l=0}^{m-1} (-1)^l q^(l(3l-1)/2) (1 - q^(4l+2))`` for minus.
+    and ``sum_{l=0}^{m-1} (-1)^l q^(l(3l-1)/2) (1 - q^(4l+2))`` for minus:
+    at most 2m nonzero coefficients, written into one list.
     """
     check_sign(sign)
     if m < 1:
         raise ValueError("m must be positive")
-    out = QSeries.zero(precision)
+    _check_precision(precision)
+    out = [0] * (precision + 1)
     for l in range(m):
         if sign == PLUS:
             e1 = l * (3 * l + 1) // 2
@@ -441,9 +460,12 @@ def pentagonal_kernel(m: int, sign: str, precision: int) -> QSeries:
         else:
             e1 = l * (3 * l - 1) // 2
             e2 = e1 + 4 * l + 2
-        term = QSeries.monomial(e1, precision) - QSeries.monomial(e2, precision)
-        out = out + (term if l % 2 == 0 else -term)
-    return out
+        term = 1 if l % 2 == 0 else -1
+        if e1 <= precision:
+            out[e1] += term
+        if e2 <= precision:
+            out[e2] -= term
+    return QSeries(out)
 
 
 def series_by_blocks(m: int, sign: str, precision: int) -> QSeries:
@@ -471,8 +493,7 @@ def series_by_columns(d: int, sign: str, precision: int) -> QSeries:
     check_sign(sign)
     if d < 1:
         raise ValueError("d must be positive")
-    if precision < 0:
-        raise ValueError("precision must be nonnegative")
+    _check_precision(precision)
     shift = d * d + (d if sign == PLUS else 0)
     top = precision - shift
     if top < 0:

@@ -68,7 +68,7 @@ from .qseries import (
     series_by_blocks,
     series_by_columns,
     series_exact,
-    series_exact_sum,
+    series_exact_sums,
 )
 
 
@@ -156,16 +156,20 @@ def verify_column_series(census, d, sign, precision):
     return disc, wits
 
 
-def verify_euler_expansion(m, precision):
-    """Truncated pentagonal kernel over the partition product vs one plus the
+def verify_euler_expansion(partitions, m, precision):
+    """Truncated pentagonal kernel times the partition product vs one plus the
     signed sum of the exact closed forms over every column count, for both
-    sign variants."""
+    sign variants.  ``partitions`` may run past ``precision``: a product keeps
+    the smaller precision, so the check reads only its own prefix."""
+    if partitions.precision < precision:
+        raise LookupError(f"the partition product stops at q^{partitions.precision}, "
+                          f"short of q^{precision}")
     sign_factor = 1 if m % 2 == 1 else -1
-    partitions = euler_inverse(precision)
+    sums = series_exact_sums(m, precision)
 
     def discrepancy(variant):
         lhs = partitions * pentagonal_kernel(m, variant, precision)
-        rhs = QSeries.one(precision) + sign_factor * series_exact_sum(m, variant, precision)
+        rhs = QSeries.one(precision) + sign_factor * sums[variant]
         return _first_discrepancy(lhs.coeffs, rhs.coeffs, variant=variant)
 
     return next(filter(None, map(discrepancy, SIGNS)), None), []
@@ -369,8 +373,8 @@ def verify_partition_unity(census, precision):
 # ----------------------------------------------------------------------
 
 
-class Spec(namedtuple("Spec", "check bounds axes args where reach",
-                      defaults=(lambda bounds: {}, lambda point, bounds: True, None))):
+class Spec(namedtuple("Spec", "check bounds axes args where reach product",
+                      defaults=(lambda bounds: {}, lambda point, bounds: True, None, None))):
     """One target: its check, its bounds (bound name -> default), the grid axes
     it sweeps (axis name -> values, or a function of the bounds giving them),
     the check arguments read from the bounds, and the constraint a grid point
@@ -378,7 +382,9 @@ class Spec(namedtuple("Spec", "check bounds axes args where reach",
     it moves, or an axis, which it fixes to one value.  Those functions are
     handed only the bounds declared here.  A census target's check takes the
     census first; its ``reach`` maps a grid point to ``{d: the largest n the
-    check reads}``."""
+    check reads}``.  A product target's check takes the partition product
+    first; its ``product`` maps a grid point to the precision the check
+    reads."""
 
     __slots__ = ()
 
@@ -410,7 +416,7 @@ SPECS = {
                     {"d": _upto("max_d"), "sign": SIGNS}, _precision,
                     reach=lambda p: {p["d"]: p["precision"]}),
     "cor-1.3": Spec(verify_euler_expansion, {"precision": 40, "max_m": 5},
-                    {"m": _upto("max_m")}, _precision),
+                    {"m": _upto("max_m")}, _precision, product=lambda p: p["precision"]),
     "cor-1.5": Spec(verify_qbinomial_column_sum, {}, {"d": range(1, 11)}),
     "lemma-2.2": Spec(verify_ballot_gf, {"max_s": 6},
                       {"s": lambda bounds: range(1, 2 * bounds["max_s"] + 1),
@@ -492,18 +498,21 @@ def grid_points(name, settings=None):
     return points
 
 
-def run_check(name, census=None, /, **point):
+def run_check(name, census=None, product=None, /, **point):
     """Run target ``name``'s check at one grid point and build its report:
     the check's time, the target name, ``point`` as the parameters, and the
     status.  A check returns ``(first_discrepancy, witnesses)``, the first
-    None when its two sides agree.  A census target's check reads ``census``,
-    or, when none is given, a census built for the point's reach before the
-    clock starts."""
-    if SPECS[name].reach and census is None:
+    None when its two sides agree.  A census target's check reads ``census``
+    and a product target's check reads ``product``; when it is not given, it
+    is built for the point before the clock starts."""
+    spec = SPECS[name]
+    if spec.reach and census is None:
         census = _census([(name, point)])
-    census_args = [census] if SPECS[name].reach else []
+    if spec.product and product is None:
+        product = _product([(name, point)])
+    inputs = [census] if spec.reach else [product] if spec.product else []
     started = time.perf_counter()
-    discrepancy, witnesses = SPECS[name].check(*census_args, **point)
+    discrepancy, witnesses = spec.check(*inputs, **point)
     elapsed = time.perf_counter() - started
     if discrepancy is None:
         return VerificationReport(name, point, "pass", None, elapsed)
@@ -521,9 +530,16 @@ def _census(points):
     return census
 
 
-def _sweep(name, points, census):
+def _product(points):
+    """The partition product read at (target, grid point) pairs, built here
+    once at the largest precision any of them reads, or None if none does."""
+    precisions = [SPECS[name].product(point) for name, point in points if SPECS[name].product]
+    return euler_inverse(max(precisions)) if precisions else None
+
+
+def _sweep(name, points, census, product):
     for point in points:
-        yield run_check(name, census, **point)
+        yield run_check(name, census, product, **point)
 
 
 TARGETS = {name: partial(_sweep, name) for name in SPECS}
@@ -559,17 +575,20 @@ def iter_reports(targets="all", settings=None):
     a sign that is not one, a beta that is not a nonempty tuple or list of
     positive ints, and a setting that leaves a selected target with no grid
     point raise ValueError here, before any check runs.  Each target's
-    grid is built once, and so is the census the selected targets read.
+    grid is built once, and so are the census and the partition product the
+    selected targets read.
     """
     names = target_names(targets)
     settings = settings or {}
     _reject_unusable(names, settings)
     grids = {name: grid_points(name, settings) for name in names}
-    census = _census((name, point) for name, points in grids.items() for point in points)
+    pairs = [(name, point) for name, points in grids.items() for point in points]
+    census, product = _census(pairs), _product(pairs)
     # A report's parameters are its grid point, so running the points in
     # canonical order yields the reports in canonical order.
     return (report for name in sorted(grids)
-            for report in TARGETS[name](sorted(grids[name], key=_parameters_key), census))
+            for report in TARGETS[name](sorted(grids[name], key=_parameters_key),
+                                        census, product))
 
 
 def run_reports(targets="all", settings=None):

@@ -3,6 +3,7 @@
 import pytest
 
 import rankblocks.partitions as partitions_mod
+import rankblocks.verify as verify_mod
 
 
 @pytest.fixture
@@ -13,4 +14,15 @@ def census_builds(monkeypatch):
     build = partitions_mod._census_table
     monkeypatch.setattr(partitions_mod, "_census_table",
                         lambda bound, d: events.append(("build", d, bound)) or build(bound, d))
+    return events
+
+
+@pytest.fixture
+def product_builds(monkeypatch):
+    """A list that receives ("build", precision) for every partition product
+    that verify builds while the test runs."""
+    events = []
+    build = verify_mod.euler_inverse
+    monkeypatch.setattr(verify_mod, "euler_inverse",
+                        lambda precision: events.append(("build", precision)) or build(precision))
     return events

@@ -306,6 +306,21 @@ def test_series_precision_zero(capsys):
     assert out.strip() == "1"
 
 
+@pytest.mark.parametrize("target", sorted(SERIES_TARGETS))
+def test_series_refuses_a_negative_precision_in_one_line(capsys, target):
+    # thm-1.2 used to fail inside QSeries with a message about its length.
+    values = {"d": "3", "m": "2", "n": "4", "k": "2", "sign": "plus"}
+    argv = ["series", "--target", target, "--precision", "-1"]
+    for flag in SERIES_TARGETS[target][1]:
+        argv += [f"--{flag}", values[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["rankblocks: error: precision must be nonnegative"]
+
+
 def test_series_json_uses_string_coefficients(capsys):
     code, out, _ = run_cli(capsys, "series", "--target", "thm-1.2", "--m", "1",
                            "--sign", "plus", "--precision", "6", "--format", "json")

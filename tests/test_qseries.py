@@ -15,6 +15,7 @@ from rankblocks.qseries import (
     euler_inverse,
     partition_number,
     partition_number_or_zero,
+    pentagonal_kernel,
     pochhammer,
     qbinomial,
     qbinomial_column_sum_sides,
@@ -22,6 +23,7 @@ from rankblocks.qseries import (
     series_by_columns,
     series_exact,
     series_exact_sum,
+    series_exact_sums,
 )
 
 # ----------------------------------------------------------------------
@@ -290,7 +292,13 @@ def test_pochhammer_against_naive_product():
 
 
 def test_pochhammer_rejects_a_negative_precision_as_euler_inverse_does():
-    for build in (lambda: pochhammer(3, -1), lambda: euler_inverse(-1)):
+    # So do the QSeries constructors and every closed form, with one message.
+    for build in (lambda: pochhammer(3, -1), lambda: euler_inverse(-1),
+                  lambda: QSeries.zero(-1), lambda: QSeries.monomial(0, -1),
+                  lambda: QSeries.from_coeffs([1], -1), lambda: QSeries.constant(1, -1),
+                  lambda: pentagonal_kernel(1, PLUS, -1), lambda: series_by_blocks(1, PLUS, -1),
+                  lambda: series_by_columns(1, MINUS, -1), lambda: series_exact_sums(1, -1),
+                  lambda: qbinomial(4, 2, -1)):
         with pytest.raises(ValueError, match="^precision must be nonnegative$"):
             build()
 
@@ -411,6 +419,7 @@ def test_series_exact_sum_is_the_sum_of_the_exact_series(m, sign):
         for d in range(m, isqrt(precision) + 2):
             total = total + series_exact(d, m, sign, precision)
         assert series_exact_sum(m, sign, precision).coeffs == total.coeffs, precision
+        assert series_exact_sums(m, precision)[sign].coeffs == total.coeffs, precision
 
 
 @pytest.mark.parametrize("m, sign, precision, message", [
@@ -424,6 +433,29 @@ def test_series_exact_sum_refuses_what_its_first_term_refuses(m, sign, precision
                         lambda: series_exact(m, m, sign, precision)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             closed_form()
+
+
+@pytest.mark.parametrize("m, precision, message", [
+    (0, 10, "need d >= m >= 1, got d=0, m=0"),
+    (-2, 10, "need d >= m >= 1, got d=-2, m=-2"),
+])
+def test_series_exact_sums_refuse_a_block_count_below_one(m, precision, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        series_exact_sums(m, precision)
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_pentagonal_kernel_is_its_sum_of_monomials(sign):
+    # The reference adds 2m dense QSeries, as the kernel once did.
+    for m in range(1, 9):
+        for precision in range(61):
+            reference = QSeries.zero(precision)
+            for l in range(m):
+                e1 = l * (3 * l + 1) // 2 if sign == PLUS else l * (3 * l - 1) // 2
+                e2 = e1 + (2 * l + 1 if sign == PLUS else 4 * l + 2)
+                term = QSeries.monomial(e1, precision) - QSeries.monomial(e2, precision)
+                reference = reference + (term if l % 2 == 0 else -term)
+            assert pentagonal_kernel(m, sign, precision).coeffs == reference.coeffs
 
 
 def test_series_by_blocks_constant_term_vanishes():

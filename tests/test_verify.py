@@ -18,7 +18,7 @@ from rankblocks.qseries import (
     series_by_blocks,
     series_by_columns,
     series_exact,
-    series_exact_sum,
+    series_exact_sums,
 )
 from rankblocks.verify import (
     SPECS,
@@ -138,17 +138,35 @@ def test_mutation_guard_leading_exponent(monkeypatch):
 
 
 def test_mutation_guard_column_sum_leading_exponent(monkeypatch):
-    def perturbed(m, sign, precision):
-        base = series_exact_sum(m, sign, precision)
-        return QSeries((0,) + base.coeffs[:-1])  # multiply by q
+    def perturbed(m, precision):
+        return {sign: QSeries((0,) + base.coeffs[:-1])  # multiply by q
+                for sign, base in series_exact_sums(m, precision).items()}
 
-    monkeypatch.setattr(verify_mod, "series_exact_sum", perturbed)
+    monkeypatch.setattr(verify_mod, "series_exact_sums", perturbed)
     report = verify_mod.run_check("cor-1.3", m=2, precision=40)
     assert not report.passed
     # The plus variant runs first; its leading term, d = m = 2, sits at
     # q^(d^2 + m(m-1)/2 + d) = q^7 with coefficient 1, and m even subtracts it.
     assert report.first_discrepancy == {"exponent": 7, "expected": -1, "actual": 0,
                                         "variant": PLUS}
+
+
+def test_mutation_guard_shared_partition_product(monkeypatch):
+    # One wrong coefficient of the product every cor-1.3 check reads: the
+    # kernel's constant term is 1, so each check fails at that exponent,
+    # in the plus variant, which runs first.
+    def perturbed(precision):
+        coeffs = list(euler_inverse(precision).coeffs)
+        coeffs[23] += 1
+        return QSeries(coeffs)
+
+    monkeypatch.setattr(verify_mod, "euler_inverse", perturbed)
+    reports = run_reports(["cor-1.3"], {"precision": 60})
+    assert len(reports) == 5
+    for report in reports:
+        disc = report.first_discrepancy
+        assert (disc["exponent"], disc["variant"]) == (23, PLUS), report
+        assert disc["expected"] - disc["actual"] == 1
 
 
 def test_mutation_guard_enumeration_side(monkeypatch):
@@ -306,6 +324,37 @@ def test_census_is_built_before_any_check_runs(monkeypatch, census_builds):
     kinds = [event[0] for event in events]
     assert kinds.count("check") == len(reports) == 40
     assert "build" in kinds and "build" not in kinds[kinds.index("check"):]
+
+
+def test_partition_product_is_built_once_before_any_check_runs(monkeypatch, product_builds):
+    # At the largest precision any selected check reads, before the first
+    # check's clock starts, as the census is.
+    events = product_builds
+    spec = SPECS["cor-1.3"]
+    check = lambda *args, _check=spec.check, **point: (
+        events.append(("check",)) or _check(*args, **point))
+    monkeypatch.setitem(SPECS, "cor-1.3", spec._replace(check=check))
+    reports = run_reports(["cor-1.3"], {"precision": 60})
+    assert all(r.passed for r in reports)
+    assert events == [("build", 60)] + [("check",)] * 5
+
+
+def test_run_check_builds_its_own_product_and_a_census_target_none(product_builds):
+    assert run_check("cor-1.3", m=2, precision=40).passed
+    assert product_builds == [("build", 40)]
+    assert all(r.passed for r in run_reports(["thm-main"], {"precision": 12}))
+    assert product_builds == [("build", 40)]
+
+
+def test_run_check_reads_its_own_prefix_of_a_longer_product():
+    given = run_check("cor-1.3", None, euler_inverse(100), m=3, precision=40)
+    own = run_check("cor-1.3", m=3, precision=40)
+    assert given.passed and vars(given) == {**vars(own), "elapsed": given.elapsed}
+    # A product shorter than the check's precision is refused, as a census
+    # is past its reach, not compared over a shorter range.
+    message = r"^the partition product stops at q\^39, short of q\^40$"
+    with pytest.raises(LookupError, match=message):
+        run_check("cor-1.3", None, euler_inverse(39), m=3, precision=40)
 
 
 def test_run_reports_unknown_target():
