@@ -250,6 +250,95 @@ def gf_vmr(objects) -> QSeries:
     return QSeries(tuple(coeffs))
 
 
+class _PathTable(dict):
+    # (length, height) -> one packed vmr polynomial per mark count 0..top - 1
+    # and one for top marks or more; ``width`` bits per coefficient.
+    __slots__ = ("width",)
+
+
+def marked_path_table(points) -> dict:
+    """The marked-path polynomials read at ``points``, tuples (s, t, r, exact)
+    with s >= t >= 0 and r >= 0, all from one step DP.
+
+    The table keeps one row per shape read, (s + t, s - t), and in it the
+    paths' vmr polynomial for each number of marks, exact up to the largest
+    r + exact read.  :func:`marked_path_coeffs` reads it.
+    """
+    reads = {}
+    top = width = 0
+    for s, t, r, exact in points:
+        if not s >= t >= 0:
+            raise ValueError(f"need s >= t >= 0, got s={s}, t={t}")
+        if r < 0:
+            raise ValueError("r must be nonnegative")
+        reads.setdefault(s + t, set()).add(s - t)
+        top = max(top, r + exact)
+        # Every coefficient counts distinct marked prefixes of one state and
+        # vmr.  One suffix takes them all to distinct marked paths of one shape
+        # read, with one vmr: at most C(s+t, t) 2^t of them, as each return
+        # needs a d step.  So no field carries into the next.
+        width = max(width, (comb(s + t, t) << t).bit_length())
+    table = _PathTable()
+    table.width = width
+    if not reads:
+        return table
+    # alive[i]: the heights after i steps from which some shape read can still
+    # be reached.  The DP keeps no other state, so a table of one shape walks
+    # only the prefixes of that shape.
+    last = max(reads)
+    alive = [set() for _ in range(last + 2)]
+    for i in range(last, -1, -1):
+        later = alive[i + 1]
+        alive[i] = reads.get(i, set()) | {h + 1 for h in later} | {h - 1 for h in later if h}
+    # A transfer-matrix DP over the steps (Stanley, Enumerative Combinatorics 1,
+    # 4.7).  After i steps the state is (height, whether step i was a d, marks
+    # so far), the marks capped at top; it holds the vmr polynomial of the
+    # marked prefixes in that state, the coefficient of q^e in bit field e.  A
+    # u step after a d step closes a valley at x = i, which adds i; on the
+    # x-axis the valley may instead be marked, which adds i/2 and one mark.
+    states = {(0, False, 0): 1}
+    for i in range(last + 1):
+        if i in reads:
+            rows = {height: [0] * (top + 1) for height in reads[i]}
+            for (height, _down, marks), poly in states.items():
+                if height in rows:
+                    rows[height][marks] += poly
+            table.update(((i, height), row) for height, row in rows.items())
+        if i == last:
+            break
+        ahead = alive[i + 1]
+        after = defaultdict(int)
+        for (height, down, marks), poly in states.items():
+            if height - 1 in ahead:
+                after[height - 1, True, marks] += poly
+            if height + 1 not in ahead:
+                continue
+            if not down:
+                after[height + 1, False, marks] += poly
+                continue
+            after[height + 1, False, marks] += poly << width * i
+            if height == 0:
+                after[1, False, min(marks + 1, top)] += poly << width * (i // 2)
+        states = after
+    return table
+
+
+def marked_path_coeffs(table: dict, s: int, t: int, r: int, exact: bool = False) -> list:
+    """The coefficients of the sum of q**vmr over the marked ballot paths with
+    s up and t down steps and at least r marked returns, or exactly r with
+    ``exact``, read from a :func:`marked_path_table` that holds that read: the
+    exact polynomial, [0] for an empty family.  A read the table was not
+    built for raises LookupError."""
+    row = table[s + t, s - t]
+    if not 0 <= r < len(row) - exact:
+        raise LookupError(f"the path table does not count {'exactly' if exact else 'at least'} "
+                          f"{r} marks")
+    packed = row[r] if exact else sum(row[r:])
+    width = table.width
+    field = (1 << width) - 1
+    return [packed >> k & field for k in range(0, packed.bit_length(), width)] or [0]
+
+
 def marked_path_gf(s: int, t: int, r: int, exact: bool = False) -> QSeries:
     """Sum of q**vmr over the marked ballot paths with s up and t down steps
     and at least r marked returns, or exactly r with ``exact``, counted
@@ -259,41 +348,5 @@ def marked_path_gf(s: int, t: int, r: int, exact: bool = False) -> QSeries:
     ``enumerate_marked_paths(s, t, r)``, or for ``enumerate_exact_marks(s, r)``
     when t = s and ``exact`` is set.
     """
-    if not s >= t >= 0:
-        raise ValueError(f"need s >= t >= 0, got s={s}, t={t}")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    # A transfer-matrix DP over the steps (Stanley, Enumerative Combinatorics 1,
-    # 4.7).  After i steps the state is (height, whether step i was a d, marks
-    # so far), the marks capped at r; it holds the vmr polynomial of the marked
-    # prefixes in that state, the coefficient of q^e in bit field e.  A u step
-    # after a d step closes a valley at x = i, which adds i; on the x-axis the
-    # valley may instead be marked, which adds i/2 and one mark.  Without
-    # ``exact`` a mark past r keeps the count at r, with it the mark is not
-    # made.  Every coefficient counts distinct marked prefixes, at most
-    # C(s+t, t) 2^t of them, so no field carries into the next.
-    width = (comb(s + t, t) << t).bit_length()
-    states = {(0, False, 0): 1}
-    for i in range(s + t):
-        after = defaultdict(int)
-        for (height, down, marks), poly in states.items():
-            ups = (i + height) // 2
-            if height > 0 and i - ups < t:
-                after[height - 1, True, marks] += poly
-            if ups == s:
-                continue
-            if not down:
-                after[height + 1, False, marks] += poly
-                continue
-            after[height + 1, False, marks] += poly << width * i
-            if height == 0 and (marks < r or not exact):
-                after[1, False, min(marks + 1, r)] += poly << width * (i // 2)
-        states = after
-    total = sum(poly for (height, _down, marks), poly in states.items()
-                if height == s - t and marks == r)
-    field = (1 << width) - 1
-    coeffs = []
-    while total:
-        coeffs.append(total & field)
-        total >>= width
-    return QSeries(tuple(coeffs) or (0,))
+    point = (s, t, r, exact)
+    return QSeries(tuple(marked_path_coeffs(marked_path_table([point]), *point)))

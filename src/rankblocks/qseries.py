@@ -535,17 +535,21 @@ def qbinomial_column_sum_sides(d: int) -> tuple[QSeries, QSeries]:
     """Both sides of the signed Gaussian-binomial column sum.
 
     Both are multiplied by ``(1 + q^d)`` so the comparison stays between
-    polynomials; the working precision sits safely above both degrees.
+    polynomials; the working precision sits safely above both degrees.  Each
+    side is built from bracket coefficient lists by shifts and in-place
+    ``(1 - q^a)`` sweeps.
     """
     if d < 1:
         raise ValueError("d must be positive")
     precision = 2 * d * d + 2 * d
-    one = QSeries.one(precision)
-    q_d = QSeries.monomial(d, precision)
-    lhs = QSeries.zero(precision)
+    lhs = [0] * (precision + 1)
     for m in range(1, d + 1):
-        term = QSeries.monomial(m * (m - 1) // 2, precision)
-        term = term * (one - QSeries.monomial(m, precision))
-        term = term * qbinomial(2 * d, d + m, precision)
-        lhs = lhs + term
-    return lhs * (one + q_d), (one - q_d) * qbinomial(2 * d, d, precision)
+        # q^(m(m-1)/2) (1 - q^m) [2d, d+m], of degree d^2 - m(m-1)/2
+        term = [0] * (m * (m - 1) // 2) + list(qbinomial(2 * d, d + m).coeffs) + [0] * m
+        _times_one_minus(term, m)
+        lhs[:len(term)] = map(add, lhs, term)
+    # Times (1 + q^d): the slice assignment reads every old coefficient first.
+    lhs[d:] = map(add, lhs[d:], lhs)
+    rhs = list(qbinomial(2 * d, d, precision).coeffs)
+    _times_one_minus(rhs, d)
+    return QSeries(lhs), QSeries(rhs)

@@ -25,7 +25,8 @@ from .lattice_paths import (
     enumerate_fixed_returns,
     enumerate_marked_paths,
     maj_path,
-    marked_path_gf,
+    marked_path_coeffs,
+    marked_path_table,
     vmr,
 )
 from .partitions import (
@@ -57,6 +58,7 @@ from .qseries import (
     PLUS,
     SIGNS,
     QSeries,
+    _times_one_minus,
     block_count_formula,
     euler_inverse,
     partition_number,
@@ -187,55 +189,55 @@ def verify_qbinomial_column_sum(d):
 # ----------------------------------------------------------------------
 
 
-def _path_discrepancy(objects, lhs, rhs):
-    disc = _first_discrepancy(lhs.coeffs, rhs.coeffs)
+def _compare_path_gf(gf, objects, shift, closed):
+    """Exact polynomial comparison of the path polynomial ``gf`` (sum q^vmr, a
+    coefficient list) against q^shift times the coefficients ``closed``, both
+    padded with zeros to one length.  ``objects`` lists the paths behind
+    ``gf``; it is called only on failure, for witnesses."""
+    closed = [0] * shift + list(closed)
+    length = max(len(gf), len(closed))
+    disc = _first_discrepancy(gf + [0] * (length - len(gf)),
+                              closed + [0] * (length - len(closed)))
     return disc, disc and _take(p.bar_string() for p in objects()
                                 if vmr(p) == disc["exponent"])
 
 
-def _compare_path_gf(gf, objects, closed_shift, closed_poly):
-    """Exact polynomial comparison of the path polynomial ``gf`` (sum q^vmr)
-    against q^shift * poly.  ``objects`` lists the paths behind ``gf``; it is
-    called only on failure, for witnesses."""
-    precision = max(closed_shift + closed_poly.precision, gf.precision)
-    lhs = QSeries.from_coeffs(gf.coeffs, precision)
-    rhs = QSeries.monomial(closed_shift, precision) * QSeries.from_coeffs(
-        closed_poly.coeffs, precision)
-    return _path_discrepancy(objects, lhs, rhs)
-
-
-def verify_ballot_gf(s, t, r):
-    """Marked ballot paths with at least r marks vs the shifted bracket."""
+def _ballot_read(s, t, r):
+    # The path-table read of lemma-2.2 at (s, t, r).
     if not s > t >= 0:
         raise ValueError(f"need s > t >= 0, got s={s}, t={t}")
-    return _compare_path_gf(marked_path_gf(s, t, r), lambda: enumerate_marked_paths(s, t, r),
-                            r * (r + 1) // 2, qbinomial(s + t, s + r))
+    return s, t, r, False
 
 
-def verify_dyck_gf(s, r):
-    """Marked Dyck paths with at least r marks vs the shifted bracket."""
+def _dyck_read(s, r, exact=False):
+    # The path-table read of lemma-2.4 at (s, r), or with ``exact`` of cor-2.5.
     if s < 1:
         raise ValueError("s must be positive")
-    return _compare_path_gf(marked_path_gf(s, s, r), lambda: enumerate_marked_paths(s, s, r),
-                            r * (r + 1) // 2, qbinomial(2 * s - 1, s + r))
+    return s, s, r, exact
 
 
-def verify_exact_mark_gf(s, r):
+def verify_ballot_gf(paths, s, t, r):
+    """Marked ballot paths with at least r marks vs the shifted bracket."""
+    return _compare_path_gf(marked_path_coeffs(paths, *_ballot_read(s, t, r)),
+                            lambda: enumerate_marked_paths(s, t, r),
+                            r * (r + 1) // 2, qbinomial(s + t, s + r).coeffs)
+
+
+def verify_dyck_gf(paths, s, r):
+    """Marked Dyck paths with at least r marks vs the shifted bracket."""
+    return _compare_path_gf(marked_path_coeffs(paths, *_dyck_read(s, r)),
+                            lambda: enumerate_marked_paths(s, s, r),
+                            r * (r + 1) // 2, qbinomial(2 * s - 1, s + r).coeffs)
+
+
+def verify_exact_mark_gf(paths, s, r):
     """Dyck paths with exactly r marks: gf * (1 - q^s) vs the bracket form,
     multiplied through so both sides stay polynomial."""
-    if s < 1:
-        raise ValueError("s must be positive")
-    gf = marked_path_gf(s, s, r, exact=True)
-    shift = r * (r + 1) // 2
-    bracket = qbinomial(2 * s, s + r + 1)
-    degree = shift + r + 1 + bracket.precision
-    precision = max(degree, gf.precision) + s
-    one = QSeries.one(precision)
-    lhs = QSeries.from_coeffs(gf.coeffs, precision) * (one - QSeries.monomial(s, precision))
-    rhs = QSeries.monomial(shift, precision)
-    rhs = rhs * (one - QSeries.monomial(r + 1, precision))
-    rhs = rhs * QSeries.from_coeffs(bracket.coeffs, precision)
-    return _path_discrepancy(lambda: enumerate_exact_marks(s, r), lhs, rhs)
+    lhs = marked_path_coeffs(paths, *_dyck_read(s, r, exact=True)) + [0] * s
+    _times_one_minus(lhs, s)
+    rhs = list(qbinomial(2 * s, s + r + 1).coeffs) + [0] * (r + 1)
+    _times_one_minus(rhs, r + 1)
+    return _compare_path_gf(lhs, lambda: enumerate_exact_marks(s, r), r * (r + 1) // 2, rhs)
 
 
 # ----------------------------------------------------------------------
@@ -373,8 +375,9 @@ def verify_partition_unity(census, precision):
 # ----------------------------------------------------------------------
 
 
-class Spec(namedtuple("Spec", "check bounds axes args where reach product",
-                      defaults=(lambda bounds: {}, lambda point, bounds: True, None, None))):
+class Spec(namedtuple("Spec", "check bounds axes args where reach product paths",
+                      defaults=(lambda bounds: {}, lambda point, bounds: True, None, None,
+                                None))):
     """One target: its check, its bounds (bound name -> default), the grid axes
     it sweeps (axis name -> values, or a function of the bounds giving them),
     the check arguments read from the bounds, and the constraint a grid point
@@ -384,7 +387,9 @@ class Spec(namedtuple("Spec", "check bounds axes args where reach product",
     census first; its ``reach`` maps a grid point to ``{d: the largest n the
     check reads}``.  A product target's check takes the partition product
     first; its ``product`` maps a grid point to the precision the check
-    reads."""
+    reads.  A path target's check takes the marked-path table first; its
+    ``paths`` maps a grid point to the read ``(s, t, r, exact)`` the check
+    makes, and refuses a point the check refuses."""
 
     __slots__ = ()
 
@@ -421,9 +426,12 @@ SPECS = {
     "lemma-2.2": Spec(verify_ballot_gf, {"max_s": 6},
                       {"s": lambda bounds: range(1, 2 * bounds["max_s"] + 1),
                        "t": lambda bounds: range(bounds["max_s"]), "r": range(7)},
-                      where=lambda p, bounds: p["t"] < p["s"] <= 2 * bounds["max_s"] - p["t"]),
-    "lemma-2.4": Spec(verify_dyck_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)}),
-    "cor-2.5": Spec(verify_exact_mark_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)}),
+                      where=lambda p, bounds: p["t"] < p["s"] <= 2 * bounds["max_s"] - p["t"],
+                      paths=lambda p: _ballot_read(**p)),
+    "lemma-2.4": Spec(verify_dyck_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)},
+                      paths=lambda p: _dyck_read(**p)),
+    "cor-2.5": Spec(verify_exact_mark_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)},
+                    paths=lambda p: _dyck_read(**p, exact=True)),
     "prop-3.9": Spec(verify_poset_partition_gf, {"max_d": 4, "precision": 20},
                      {"beta": _compositions_upto}, _precision),
     "prop-3.10": Spec(verify_word_path_gf, {"max_d": 5}, {"beta": _compositions_upto}),
@@ -498,19 +506,19 @@ def grid_points(name, settings=None):
     return points
 
 
-def run_check(name, census=None, product=None, /, **point):
+def run_check(name, census=None, product=None, paths=None, /, **point):
     """Run target ``name``'s check at one grid point and build its report:
     the check's time, the target name, ``point`` as the parameters, and the
     status.  A check returns ``(first_discrepancy, witnesses)``, the first
-    None when its two sides agree.  A census target's check reads ``census``
-    and a product target's check reads ``product``; when it is not given, it
-    is built for the point before the clock starts."""
+    None when its two sides agree.  A census target's check reads ``census``,
+    a product target's check reads ``product`` and a path target's check
+    reads ``paths``; when it is not given, it is built for the point before
+    the clock starts."""
     spec = SPECS[name]
-    if spec.reach and census is None:
-        census = _census([(name, point)])
-    if spec.product and product is None:
-        product = _product([(name, point)])
-    inputs = [census] if spec.reach else [product] if spec.product else []
+    inputs = [build([(name, point)]) if given is None else given
+              for wants, given, build in ((spec.reach, census, _census),
+                                          (spec.product, product, _product),
+                                          (spec.paths, paths, _paths)) if wants]
     started = time.perf_counter()
     discrepancy, witnesses = spec.check(*inputs, **point)
     elapsed = time.perf_counter() - started
@@ -537,9 +545,17 @@ def _product(points):
     return euler_inverse(max(precisions)) if precisions else None
 
 
-def _sweep(name, points, census, product):
+def _paths(points):
+    """The marked-path table read at (target, grid point) pairs, one DP for
+    all of them, or None if none reads one.  A point its target refuses
+    raises here, the first in the order given."""
+    reads = [SPECS[name].paths(point) for name, point in points if SPECS[name].paths]
+    return marked_path_table(reads) if reads else None
+
+
+def _sweep(name, points, *inputs):
     for point in points:
-        yield run_check(name, census, product, **point)
+        yield run_check(name, *inputs, **point)
 
 
 TARGETS = {name: partial(_sweep, name) for name in SPECS}
@@ -574,21 +590,22 @@ def iter_reports(targets="all", settings=None):
     bound nor as an axis, an integer axis (d, m, s, t, r) fixed to a non-int,
     a sign that is not one, a beta that is not a nonempty tuple or list of
     positive ints, and a setting that leaves a selected target with no grid
-    point raise ValueError here, before any check runs.  Each target's
-    grid is built once, and so are the census and the partition product the
-    selected targets read.
+    point raise ValueError here, before any check runs, and so does a grid
+    point that a path target's check refuses (the first in canonical order).
+    Each target's grid is built once, and so are the census, the partition
+    product and the marked-path table the selected targets read.
     """
     names = target_names(targets)
     settings = settings or {}
     _reject_unusable(names, settings)
     grids = {name: grid_points(name, settings) for name in names}
-    pairs = [(name, point) for name, points in grids.items() for point in points]
-    census, product = _census(pairs), _product(pairs)
     # A report's parameters are its grid point, so running the points in
     # canonical order yields the reports in canonical order.
-    return (report for name in sorted(grids)
-            for report in TARGETS[name](sorted(grids[name], key=_parameters_key),
-                                        census, product))
+    grids = {name: sorted(grids[name], key=_parameters_key) for name in sorted(grids)}
+    pairs = [(name, point) for name, points in grids.items() for point in points]
+    inputs = _census(pairs), _product(pairs), _paths(pairs)
+    return (report for name, points in grids.items()
+            for report in TARGETS[name](points, *inputs))
 
 
 def run_reports(targets="all", settings=None):

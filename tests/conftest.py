@@ -26,3 +26,14 @@ def product_builds(monkeypatch):
     monkeypatch.setattr(verify_mod, "euler_inverse",
                         lambda precision: events.append(("build", precision)) or build(precision))
     return events
+
+
+@pytest.fixture
+def path_builds(monkeypatch):
+    """A list that receives ("build", number of reads) for every marked-path
+    table that verify builds while the test runs."""
+    events = []
+    build = verify_mod.marked_path_table
+    monkeypatch.setattr(verify_mod, "marked_path_table",
+                        lambda points: events.append(("build", len(points))) or build(points))
+    return events

@@ -421,6 +421,25 @@ def test_verify_rejects_unhonoured_flags(capsys, argv, message):
     assert line.endswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--targets", "lemma-2.2,lemma-2.4,cor-2.5", "--r", "-1"], "r must be nonnegative"),
+    (["--targets", "lemma-2.2", "--r", "-1"], "r must be nonnegative"),
+    (["--targets", "cor-2.5", "--r", "-1"], "r must be nonnegative"),
+    (["--targets", "lemma-2.4", "--s", "0"], "s must be positive"),
+    (["--targets", "lemma-2.4,cor-2.5", "--s", "0"], "s must be positive"),
+    (["--targets", "lemma-2.2", "--t", "-1"], "need s > t >= 0, got s=1, t=-1"),
+])
+def test_verify_refuses_a_path_point_in_one_line(capsys, argv, message):
+    # The path table is built before the first check, and refuses a point
+    # with the message its check gives; stdout stays empty.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"rankblocks: error: {message}"]
+
+
 @pytest.mark.parametrize("flag, target", [
     ("--precision", "thm-main"),
     ("--precision", "thm-5.1"),

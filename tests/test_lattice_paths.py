@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import rankblocks.lattice_paths as lattice_paths_mod
 from rankblocks.lattice_paths import (
     _CACHED_RETURNS,
     MarkedBallotPath,
@@ -18,7 +19,9 @@ from rankblocks.lattice_paths import (
     enumerate_marked_paths,
     gf_vmr,
     maj_path,
+    marked_path_coeffs,
     marked_path_gf,
+    marked_path_table,
     vmr,
 )
 from rankblocks.qseries import QSeries, qbinomial
@@ -262,6 +265,65 @@ def test_marked_path_dp_validation():
     with pytest.raises(ValueError):
         marked_path_gf(2, 1, -1)
     assert marked_path_gf(1, 0, 1).coeffs == (0,)  # no return to mark: empty family
+
+
+def _listing_reads():
+    # Every read the listing checks quickly: each shape with s + t <= 14, at
+    # least r marks for r <= 7, and exactly r marks on the Dyck shapes.
+    for n in range(15):
+        for t in range(n // 2 + 1):
+            s = n - t
+            for r in range(8):
+                yield s, t, r, False
+                if t == s >= 1:
+                    yield s, s, r, True
+
+
+@pytest.fixture(scope="module")
+def listing():
+    """read -> the listed family's vmr polynomial, for every listing read."""
+    return {(s, t, r, exact): list(gf_vmr(enumerate_exact_marks(s, r) if exact
+                                          else enumerate_marked_paths(s, t, r)).coeffs)
+            for s, t, r, exact in _listing_reads()}
+
+
+def test_one_path_table_matches_the_listing(listing):
+    table = marked_path_table(listing)
+    assert sorted(table) == sorted({(s + t, s - t) for s, t, _, _ in listing})
+    for read, coeffs in listing.items():
+        assert marked_path_coeffs(table, *read) == coeffs, read
+
+
+def test_path_table_one_bit_narrower_disagrees_with_the_listing(monkeypatch, listing):
+    # The field width (C(s+t, t) << t).bit_length() is tight where t = 0: one
+    # path, vmr 0, one bit.  One bit narrower leaves it no field, which the
+    # read refuses.  On this grid every other shape keeps two bits or more
+    # to spare, so the one-point tables that go wrong are exactly those.
+    monkeypatch.setattr(lattice_paths_mod, "comb", lambda n, k: comb(n, k) >> 1)
+
+    def narrow(read):
+        try:
+            return marked_path_coeffs(marked_path_table([read]), *read)
+        except ValueError:  # a field of no bits
+            return None
+
+    wrong = {read[:2] for read, coeffs in listing.items() if narrow(read) != coeffs}
+    assert wrong == {(s, 0) for s in range(15)}
+
+
+def test_path_table_keeps_only_the_rows_read():
+    # lemma-2.4 at s = 40 keeps one row, not one per length up to 80
+    assert list(marked_path_table([(40, 40, 6, True)])) == [(80, 0)]
+    table = marked_path_table([(5, 3, 1, False), (4, 4, 2, True), (5, 3, 0, False)])
+    assert sorted(table) == [(8, 0), (8, 2)]
+    assert marked_path_coeffs(table, 4, 4, 3) == list(marked_path_gf(4, 4, 3).coeffs)
+    assert marked_path_coeffs(table, 4, 4, 2, True) == list(marked_path_gf(4, 4, 2, True).coeffs)
+    # Marks are exact below the largest r + exact read, 3, and 3 counts 3 or
+    # more; a shape not read is not in the table.
+    for read in ((4, 4, 3, True), (4, 4, 4, False), (4, 4, -1, False), (6, 2, 0, False)):
+        with pytest.raises(LookupError):
+            marked_path_coeffs(table, *read)
+    assert marked_path_table([]) == {}
 
 
 def test_fixed_returns_no_positions_is_unmarked_family():

@@ -505,6 +505,28 @@ def test_qbinomial_column_sum(d):
     assert lhs == rhs
 
 
+def _column_sum_sides_by_products(d):
+    # Both sides of cor-1.5 as QSeries products, the reference for the list
+    # passes of qbinomial_column_sum_sides.
+    precision = 2 * d * d + 2 * d
+    one = QSeries.one(precision)
+    q_d = QSeries.monomial(d, precision)
+    lhs = QSeries.zero(precision)
+    for m in range(1, d + 1):
+        term = QSeries.monomial(m * (m - 1) // 2, precision)
+        term = term * (one - QSeries.monomial(m, precision))
+        term = term * qbinomial(2 * d, d + m, precision)
+        lhs = lhs + term
+    return lhs * (one + q_d), (one - q_d) * qbinomial(2 * d, d, precision)
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_qbinomial_column_sum_sides_are_the_series_products(d):
+    sides = qbinomial_column_sum_sides(d)
+    assert [side.coeffs for side in sides] == [
+        side.coeffs for side in _column_sum_sides_by_products(d)]
+
+
 DENSE_ORACLE_PRECISIONS = (0, 1, 5, 17, 40, 90)
 
 

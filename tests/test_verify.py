@@ -6,7 +6,13 @@ import re
 import pytest
 
 import rankblocks.verify as verify_mod
-from rankblocks.lattice_paths import enumerate_marked_paths, vmr
+from rankblocks.lattice_paths import (
+    enumerate_marked_paths,
+    marked_path_coeffs,
+    marked_path_gf,
+    marked_path_table,
+    vmr,
+)
 from rankblocks.partitions import FrobeniusSymbol, parity_blocks
 from rankblocks.qseries import (
     MINUS,
@@ -181,16 +187,14 @@ def test_mutation_guard_enumeration_side(monkeypatch):
 
 
 def test_mutation_guard_path_dp(monkeypatch):
-    # one coefficient off in the step DP: caught at that exponent, with the
-    # listed paths of that vmr as witnesses
-    from rankblocks.lattice_paths import marked_path_gf
-
-    def perturbed(s, t, r, exact=False):
-        coeffs = list(marked_path_gf(s, t, r, exact).coeffs)
+    # one coefficient off in every read of the step DP's table: caught at that
+    # exponent, with the listed paths of that vmr as witnesses
+    def perturbed(table, s, t, r, exact=False):
+        coeffs = marked_path_coeffs(table, s, t, r, exact)
         coeffs[4] += 1
-        return QSeries(tuple(coeffs))
+        return coeffs
 
-    monkeypatch.setattr(verify_mod, "marked_path_gf", perturbed)
+    monkeypatch.setattr(verify_mod, "marked_path_coeffs", perturbed)
     report = verify_mod.run_check("lemma-2.2", s=5, t=3, r=1)
     assert not report.passed
     assert report.first_discrepancy["exponent"] == 4
@@ -200,6 +204,27 @@ def test_mutation_guard_path_dp(monkeypatch):
                                      if vmr(p) == 4}
     for report in (verify_mod.run_check("lemma-2.4", s=4, r=1), verify_mod.run_check("cor-2.5", s=4, r=1)):
         assert not report.passed and report.witnesses
+
+
+def test_mutation_guard_shared_path_table(monkeypatch):
+    # One field of the table every path check reads off by one: shape (8, 0),
+    # the Dyck paths of s = 4, with exactly 2 marks, at q^9.  Exactly the
+    # checks whose read sums that field fail, each at that exponent:
+    # lemma-2.4 with at least r <= 2 marks and cor-2.5 with exactly 2.
+    def perturbed(points):
+        table = marked_path_table(points)
+        table[8, 0][2] += 1 << table.width * 9
+        return table
+
+    monkeypatch.setattr(verify_mod, "marked_path_table", perturbed)
+    reports = run_reports(["lemma-2.2", "lemma-2.4", "cor-2.5"])
+    failed = [r for r in reports if not r.passed]
+    assert [(r.target, r.parameters) for r in failed] == [
+        ("cor-2.5", {"s": 4, "r": 2}), ("lemma-2.4", {"s": 4, "r": 0}),
+        ("lemma-2.4", {"s": 4, "r": 1}), ("lemma-2.4", {"s": 4, "r": 2})]
+    for report in failed:
+        disc = report.first_discrepancy
+        assert disc["exponent"] == 9 and disc["expected"] == disc["actual"] + 1, report
 
 
 def test_mutation_guard_poset_dp(monkeypatch):
@@ -355,6 +380,38 @@ def test_run_check_reads_its_own_prefix_of_a_longer_product():
     message = r"^the partition product stops at q\^39, short of q\^40$"
     with pytest.raises(LookupError, match=message):
         run_check("cor-1.3", None, euler_inverse(39), m=3, precision=40)
+
+
+def test_path_table_is_built_once_before_any_check_runs(monkeypatch, path_builds):
+    # One DP for the three path targets' 378 reads, before the first check's
+    # clock starts, as the census and the product are.
+    events = path_builds
+    for name in ("lemma-2.2", "lemma-2.4", "cor-2.5"):
+        spec = SPECS[name]
+        check = lambda *args, _check=spec.check, **point: (
+            events.append(("check",)) or _check(*args, **point))
+        monkeypatch.setitem(SPECS, name, spec._replace(check=check))
+    reports = run_reports(["lemma-2.2", "lemma-2.4", "cor-2.5"])
+    assert all(r.passed for r in reports)
+    assert events == [("build", 378)] + [("check",)] * 378
+
+
+def test_run_check_builds_its_own_path_table_and_a_census_target_none(path_builds):
+    assert run_check("lemma-2.4", s=4, r=2).passed
+    assert path_builds == [("build", 1)]
+    assert all(r.passed for r in run_reports(["thm-main"], {"precision": 12}))
+    assert path_builds == [("build", 1)]
+
+
+def test_one_path_table_for_the_deep_grid_equals_one_point_reads():
+    # The --max-s 12 grid of the three path targets: 1260 reads of one shared
+    # table, each equal to the read of a table built for that point alone.
+    reads = [SPECS[name].paths(point) for name in ("lemma-2.2", "lemma-2.4", "cor-2.5")
+             for point in grid_points(name, {"max_s": 12})]
+    assert len(reads) == 1260
+    table = marked_path_table(reads)
+    for read in reads:
+        assert marked_path_coeffs(table, *read) == list(marked_path_gf(*read).coeffs), read
 
 
 def test_run_reports_unknown_target():
