@@ -258,7 +258,7 @@ class _PathTable(dict):
 
 def marked_path_table(points) -> dict:
     """The marked-path polynomials read at ``points``, tuples (s, t, r, exact)
-    with s >= t >= 0 and r >= 0, all from one step DP.
+    with s >= t >= 0 and r >= 0 (ValueError otherwise), all from one step DP.
 
     The table keeps one row per shape read, (s + t, s - t), and in it the
     paths' vmr polynomial for each number of marks, exact up to the largest

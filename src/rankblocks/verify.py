@@ -598,9 +598,11 @@ def iter_reports(targets="all", settings=None):
     names = target_names(targets)
     settings = settings or {}
     _reject_unusable(names, settings)
+    # The grids are built in the order named, so that a refused setting names
+    # the first target it leaves empty.  A report's parameters are its grid
+    # point, so running the points in canonical order yields the reports in
+    # canonical order.
     grids = {name: grid_points(name, settings) for name in names}
-    # A report's parameters are its grid point, so running the points in
-    # canonical order yields the reports in canonical order.
     grids = {name: sorted(grids[name], key=_parameters_key) for name in sorted(grids)}
     pairs = [(name, point) for name, points in grids.items() for point in points]
     inputs = _census(pairs), _product(pairs), _paths(pairs)
