@@ -432,15 +432,6 @@ def series_exact_sums(m: int, precision: int) -> dict:
     return {PLUS: QSeries(plus), MINUS: QSeries(minus)}
 
 
-def series_exact_sum(m: int, sign: str, precision: int) -> QSeries:
-    """``sum_{d >= m} series_exact(d, m, sign, precision)``: partitions with m
-    parity blocks, the last of the given sign, and any number of columns;
-    read from :func:`series_exact_sums`.  A bad sign, ``m < 1`` or a negative
-    precision is refused as :func:`series_exact` refuses it for d = m."""
-    _check_exact(m, m, sign, precision)
-    return series_exact_sums(m, precision)[sign]
-
-
 def pentagonal_kernel(m: int, sign: str, precision: int) -> QSeries:
     """Alternating sum of pentagonal-shifted binomial-free terms.
 

@@ -7,9 +7,10 @@ discrepant exponent plus up to five witness objects from the enumeration side
 at that weight.
 
 Every target is one entry of :data:`SPECS`: a check, its bounds with their
-defaults, the grid axes it sweeps, and the constraint on a grid point.  A
-check returns only ``(first_discrepancy, witnesses)``; :func:`run_check` alone
-turns that into a report.
+defaults, the grid axes it sweeps, the constraint on a grid point, and the
+run-wide table its check reads, if any.  A check returns only
+``(first_discrepancy, witnesses)``; :func:`run_check` alone turns that into
+a report.
 """
 
 import json
@@ -375,21 +376,19 @@ def verify_partition_unity(census, precision):
 # ----------------------------------------------------------------------
 
 
-class Spec(namedtuple("Spec", "check bounds axes args where reach product paths",
-                      defaults=(lambda bounds: {}, lambda point, bounds: True, None, None,
-                                None))):
+class Spec(namedtuple("Spec", "check bounds axes args where table",
+                      defaults=(lambda bounds: {}, lambda point, bounds: True, None))):
     """One target: its check, its bounds (bound name -> default), the grid axes
     it sweeps (axis name -> values, or a function of the bounds giving them),
     the check arguments read from the bounds, and the constraint a grid point
     must meet, given the point and the bounds.  A setting names a bound, which
     it moves, or an axis, which it fixes to one value.  Those functions are
-    handed only the bounds declared here.  A census target's check takes the
-    census first; its ``reach`` maps a grid point to ``{d: the largest n the
-    check reads}``.  A product target's check takes the partition product
-    first; its ``product`` maps a grid point to the precision the check
-    reads.  A path target's check takes the marked-path table first; its
-    ``paths`` maps a grid point to the read ``(s, t, r, exact)`` the check
-    makes, and refuses a point the check refuses."""
+    handed only the bounds declared here.  A target whose check reads a
+    run-wide table, taken as its first argument, declares ``table = (build,
+    ask)``: ``ask`` maps a grid point to what the check reads (a census reach
+    ``{d: the largest n read}``, a product precision, or a path read ``(s, t,
+    r, exact)``) and refuses a point the check refuses; ``build`` makes one
+    table from a list of asks."""
 
     __slots__ = ()
 
@@ -410,40 +409,62 @@ def _every_column(point):
     return dict.fromkeys(range(1, isqrt(point["precision"]) + 1), point["precision"])
 
 
+def _census(reaches):
+    """The census for a list of reaches: each d up to the largest n, every
+    table built here, so that no check's time includes a build."""
+    reach = {d: max(r.get(d, 0) for r in reaches) for d in set().union(*reaches)}
+    census = build_census(reach)
+    for d in census.reach:  # the census keeps only d >= 1
+        census[d]  # the read builds the table
+    return census
+
+
+def _product(precisions):
+    """The partition product at the largest of a list of precisions."""
+    return euler_inverse(max(precisions))
+
+
+def _paths(reads):
+    """The marked-path table for a list of reads: one DP for all of them."""
+    return marked_path_table(reads)
+
+
+_OWN_COLUMN = (_census, lambda p: {p["d"]: p["precision"]})
+_EVERY_COLUMN = (_census, _every_column)
+
 SPECS = {
     "thm-main": Spec(verify_exact_series, {"precision": 40, "max_d": 5, "max_m": 5},
                      {"d": _upto("max_d"), "m": _upto("max_m"), "sign": SIGNS},
-                     _precision, lambda p, bounds: p["m"] <= p["d"],
-                     reach=lambda p: {p["d"]: p["precision"]}),
+                     _precision, lambda p, bounds: p["m"] <= p["d"], _OWN_COLUMN),
     "thm-1.2": Spec(verify_block_series, {"precision": 40, "max_m": 5},
-                    {"m": _upto("max_m"), "sign": SIGNS}, _precision, reach=_every_column),
+                    {"m": _upto("max_m"), "sign": SIGNS}, _precision, table=_EVERY_COLUMN),
     "thm-1.4": Spec(verify_column_series, {"precision": 40, "max_d": 5},
-                    {"d": _upto("max_d"), "sign": SIGNS}, _precision,
-                    reach=lambda p: {p["d"]: p["precision"]}),
+                    {"d": _upto("max_d"), "sign": SIGNS}, _precision, table=_OWN_COLUMN),
     "cor-1.3": Spec(verify_euler_expansion, {"precision": 40, "max_m": 5},
-                    {"m": _upto("max_m")}, _precision, product=lambda p: p["precision"]),
+                    {"m": _upto("max_m")}, _precision,
+                    table=(_product, lambda p: p["precision"])),
     "cor-1.5": Spec(verify_qbinomial_column_sum, {}, {"d": range(1, 11)}),
     "lemma-2.2": Spec(verify_ballot_gf, {"max_s": 6},
                       {"s": lambda bounds: range(1, 2 * bounds["max_s"] + 1),
                        "t": lambda bounds: range(bounds["max_s"]), "r": range(7)},
                       where=lambda p, bounds: p["t"] < p["s"] <= 2 * bounds["max_s"] - p["t"],
-                      paths=lambda p: _ballot_read(**p)),
+                      table=(_paths, lambda p: _ballot_read(**p))),
     "lemma-2.4": Spec(verify_dyck_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)},
-                      paths=lambda p: _dyck_read(**p)),
+                      table=(_paths, lambda p: _dyck_read(**p))),
     "cor-2.5": Spec(verify_exact_mark_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)},
-                    paths=lambda p: _dyck_read(**p, exact=True)),
+                    table=(_paths, lambda p: _dyck_read(**p, exact=True))),
     "prop-3.9": Spec(verify_poset_partition_gf, {"max_d": 4, "precision": 20},
                      {"beta": _compositions_upto}, _precision),
     "prop-3.10": Spec(verify_word_path_gf, {"max_d": 5}, {"beta": _compositions_upto}),
     "thm-5.1": Spec(verify_prefix_counts, {"precision": 30}, {"m": range(1, 5)}, _precision,
-                    reach=_every_column),
+                    table=_EVERY_COLUMN),
     "remarks": Spec(verify_count_relations, {"precision": 30, "max_d": 4}, {},
                     lambda bounds: {**_precision(bounds), "max_m": 4, "max_d": bounds["max_d"]},
                     # relation (2) reads count_exact(n + d, ...) up to precision + d
-                    reach=lambda p: {**_every_column(p), **{d: p["precision"] + d
-                                                            for d in range(1, p["max_d"] + 1)}}),
+                    table=(_census, lambda p: {**_every_column(p), **{
+                        d: p["precision"] + d for d in range(1, p["max_d"] + 1)}})),
     "partition-unity": Spec(verify_partition_unity, {"precision": 30}, {}, _precision,
-                            reach=_every_column),
+                            table=_EVERY_COLUMN),
 }
 
 
@@ -506,19 +527,18 @@ def grid_points(name, settings=None):
     return points
 
 
-def run_check(name, census=None, product=None, paths=None, /, **point):
+def run_check(name, table=None, /, **point):
     """Run target ``name``'s check at one grid point and build its report:
     the check's time, the target name, ``point`` as the parameters, and the
     status.  A check returns ``(first_discrepancy, witnesses)``, the first
-    None when its two sides agree.  A census target's check reads ``census``,
-    a product target's check reads ``product`` and a path target's check
-    reads ``paths``; when it is not given, it is built for the point before
-    the clock starts."""
+    None when its two sides agree.  A check that reads a run-wide table reads
+    ``table``; when it is not given, it is built for the point's own ask
+    before the clock starts."""
     spec = SPECS[name]
-    inputs = [build([(name, point)]) if given is None else given
-              for wants, given, build in ((spec.reach, census, _census),
-                                          (spec.product, product, _product),
-                                          (spec.paths, paths, _paths)) if wants]
+    inputs = []
+    if spec.table:
+        build, ask = spec.table
+        inputs.append(build([ask(point)]) if table is None else table)
     started = time.perf_counter()
     discrepancy, witnesses = spec.check(*inputs, **point)
     elapsed = time.perf_counter() - started
@@ -527,35 +547,9 @@ def run_check(name, census=None, product=None, paths=None, /, **point):
     return VerificationReport(name, point, "fail", discrepancy, elapsed, list(witnesses))
 
 
-def _census(points):
-    """The census read at (target, grid point) pairs: each d up to the largest
-    n, every table built here, so that no check's time includes a build."""
-    reaches = [SPECS[name].reach(point) for name, point in points if SPECS[name].reach]
-    reach = {d: max(r.get(d, 0) for r in reaches) for d in set().union(*reaches)}
-    census = build_census(reach)
-    for d in census.reach:  # the census keeps only d >= 1
-        census[d]  # the read builds the table
-    return census
-
-
-def _product(points):
-    """The partition product read at (target, grid point) pairs, built here
-    once at the largest precision any of them reads, or None if none does."""
-    precisions = [SPECS[name].product(point) for name, point in points if SPECS[name].product]
-    return euler_inverse(max(precisions)) if precisions else None
-
-
-def _paths(points):
-    """The marked-path table read at (target, grid point) pairs, one DP for
-    all of them, or None if none reads one.  A point its target refuses
-    raises here, the first in the order given."""
-    reads = [SPECS[name].paths(point) for name, point in points if SPECS[name].paths]
-    return marked_path_table(reads) if reads else None
-
-
-def _sweep(name, points, *inputs):
+def _sweep(name, points, table):
     for point in points:
-        yield run_check(name, *inputs, **point)
+        yield run_check(name, table, **point)
 
 
 TARGETS = {name: partial(_sweep, name) for name in SPECS}
@@ -579,9 +573,9 @@ def _parameters_key(point):
 
 
 def iter_reports(targets="all", settings=None):
-    """Validate the request, build each grid and the census, and return an
-    iterator that runs the checks one at a time, yielding each report as it
-    finishes, in canonical (target, parameters) order.
+    """Validate the request, build each grid and each run-wide table, and
+    return an iterator that runs the checks one at a time, yielding each
+    report as it finishes, in canonical (target, parameters) order.
 
     Each setting names a bound of every selected target (``precision``,
     ``max_d``, ``max_m`` or ``max_s``, an int of at least 1), which moves it,
@@ -591,9 +585,10 @@ def iter_reports(targets="all", settings=None):
     a sign that is not one, a beta that is not a nonempty tuple or list of
     positive ints, and a setting that leaves a selected target with no grid
     point raise ValueError here, before any check runs, and so does a grid
-    point that a path target's check refuses (the first in canonical order).
-    Each target's grid is built once, and so are the census, the partition
-    product and the marked-path table the selected targets read.
+    point that a target's table ask refuses (the first in canonical order).
+    Each target's grid is built once.  The asks of every grid point are
+    grouped by their table's ``build``, and each table is built once from
+    its group, before the first check's clock starts.
     """
     names = target_names(targets)
     settings = settings or {}
@@ -604,10 +599,13 @@ def iter_reports(targets="all", settings=None):
     # canonical order.
     grids = {name: grid_points(name, settings) for name in names}
     grids = {name: sorted(grids[name], key=_parameters_key) for name in sorted(grids)}
-    pairs = [(name, point) for name, points in grids.items() for point in points]
-    inputs = _census(pairs), _product(pairs), _paths(pairs)
+    builds = {name: SPECS[name].table[0] for name in grids if SPECS[name].table}
+    asks = {}
+    for name, build in builds.items():
+        asks.setdefault(build, []).extend(map(SPECS[name].table[1], grids[name]))
+    tables = {build: build(group) for build, group in asks.items()}
     return (report for name, points in grids.items()
-            for report in TARGETS[name](points, *inputs))
+            for report in TARGETS[name](points, tables.get(builds.get(name))))
 
 
 def run_reports(targets="all", settings=None):

@@ -52,10 +52,9 @@ RECORDS = {
     # Module-level callables, so that the record pickles by reference, and
     # tuples for the bound and axis dicts, so that it hashes.
     "Spec": (Spec, lambda: {"check": len, "bounds": (), "axes": (), "args": dict,
-                            "where": max, "reach": None, "product": None, "paths": None},
+                            "where": max, "table": None},
              "Spec(check=<built-in function len>, bounds=(), axes=(), "
-             "args=<class 'dict'>, where=<built-in function max>, reach=None, "
-             "product=None, paths=None)"),
+             "args=<class 'dict'>, where=<built-in function max>, table=None)"),
 }
 UNHASHABLE = {"QSeries", "VerificationReport"}
 MUTABLE = {"VerificationReport"}

@@ -372,14 +372,14 @@ def test_run_check_builds_its_own_product_and_a_census_target_none(product_build
 
 
 def test_run_check_reads_its_own_prefix_of_a_longer_product():
-    given = run_check("cor-1.3", None, euler_inverse(100), m=3, precision=40)
+    given = run_check("cor-1.3", euler_inverse(100), m=3, precision=40)
     own = run_check("cor-1.3", m=3, precision=40)
     assert given.passed and vars(given) == {**vars(own), "elapsed": given.elapsed}
     # A product shorter than the check's precision is refused, as a census
     # is past its reach, not compared over a shorter range.
     message = r"^the partition product stops at q\^39, short of q\^40$"
     with pytest.raises(LookupError, match=message):
-        run_check("cor-1.3", None, euler_inverse(39), m=3, precision=40)
+        run_check("cor-1.3", euler_inverse(39), m=3, precision=40)
 
 
 def test_path_table_is_built_once_before_any_check_runs(monkeypatch, path_builds):
@@ -396,6 +396,29 @@ def test_path_table_is_built_once_before_any_check_runs(monkeypatch, path_builds
     assert events == [("build", 378)] + [("check",)] * 378
 
 
+def test_one_run_builds_each_kind_of_table_once_before_any_check_runs(
+        monkeypatch, census_builds, product_builds, path_builds):
+    # Every target's asks are grouped by the table that answers them, so a
+    # run over all 13 targets builds the census, the product and the path
+    # table once each, before the first check's clock starts.
+    at_first_check = []
+
+    def first_check_sees_the_builds():
+        if not at_first_check:
+            at_first_check.append((sorted(census_builds), list(product_builds),
+                                   list(path_builds)))
+
+    for name, spec in SPECS.items():
+        check = lambda *args, _check=spec.check, **point: (
+            first_check_sees_the_builds() or _check(*args, **point))
+        monkeypatch.setitem(SPECS, name, spec._replace(check=check))
+    reports = run_reports("all")
+    assert len(reports) == 495 and all(r.passed for r in reports)
+    builds = ([("build", d, 40) for d in range(1, 7)], [("build", 40)], [("build", 378)])
+    assert at_first_check == [builds]
+    assert (sorted(census_builds), product_builds, path_builds) == builds
+
+
 def test_run_check_builds_its_own_path_table_and_a_census_target_none(path_builds):
     assert run_check("lemma-2.4", s=4, r=2).passed
     assert path_builds == [("build", 1)]
@@ -406,7 +429,7 @@ def test_run_check_builds_its_own_path_table_and_a_census_target_none(path_build
 def test_one_path_table_for_the_deep_grid_equals_one_point_reads():
     # The --max-s 12 grid of the three path targets: 1260 reads of one shared
     # table, each equal to the read of a table built for that point alone.
-    reads = [SPECS[name].paths(point) for name in ("lemma-2.2", "lemma-2.4", "cor-2.5")
+    reads = [SPECS[name].table[1](point) for name in ("lemma-2.2", "lemma-2.4", "cor-2.5")
              for point in grid_points(name, {"max_s": 12})]
     assert len(reads) == 1260
     table = marked_path_table(reads)
