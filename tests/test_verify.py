@@ -400,7 +400,7 @@ def test_one_run_builds_each_kind_of_table_once_before_any_check_runs(
         monkeypatch, census_builds, product_builds, path_builds):
     # Every target's asks are grouped by the table that answers them, so a
     # run over all 13 targets builds the census, the product and the path
-    # table once each, before the first check's clock starts.
+    # table once each, before the first check runs.
     at_first_check = []
 
     def first_check_sees_the_builds():
