@@ -1,15 +1,14 @@
-"""Exact truncated power-series arithmetic in q, plus closed-form generating functions.
+"""Exact truncated power series in q, and closed-form generating functions.
 
 Everything in this module is integer arithmetic.  A :class:`QSeries` stores
-exact coefficients for the exponents ``0..precision``, and every operation
-truncates to the smaller operand precision instead of silently padding, so an
-equality between two series is always a statement about coefficients that were
-actually computed on both sides.
+exact coefficients for the exponents ``0..precision``.  Each closed form is
+computed on a coefficient list, by in-place passes cut at the precision, and
+wrapped in a ``QSeries`` once.  Two series compare equal on the exponents that
+both of them track, so an equality is always a statement about coefficients
+that were actually computed on both sides.
 """
 
-from bisect import bisect_right
-from itertools import islice
-from operator import add
+from operator import add, mul, sub
 
 PLUS = "plus"
 MINUS = "minus"
@@ -61,32 +60,12 @@ class QSeries:
         return type(self), (self.coeffs,)
 
     # ------------------------------------------------------------------
-    # constructors
+    # constructors and queries
     # ------------------------------------------------------------------
 
     @classmethod
     def zero(cls, precision: int) -> "QSeries":
-        return cls.constant(0, precision)
-
-    @classmethod
-    def one(cls, precision: int) -> "QSeries":
-        return cls.constant(1, precision)
-
-    @classmethod
-    def constant(cls, value: int, precision: int) -> "QSeries":
-        _check_precision(precision)
-        return cls((value,) + (0,) * precision)
-
-    @classmethod
-    def monomial(cls, exponent: int, precision: int) -> "QSeries":
-        """``q**exponent`` truncated; zero when exponent > precision."""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        _check_precision(precision)
-        coeffs = [0] * (precision + 1)
-        if exponent <= precision:
-            coeffs[exponent] = 1
-        return cls(tuple(coeffs))
+        return cls.from_coeffs((), precision)
 
     @classmethod
     def from_coeffs(cls, coeffs, precision: int) -> "QSeries":
@@ -96,10 +75,6 @@ class QSeries:
         if len(coeffs) < precision + 1:
             coeffs.extend([0] * (precision + 1 - len(coeffs)))
         return cls(tuple(coeffs[: precision + 1]))
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
 
     @property
     def precision(self) -> int:
@@ -112,61 +87,30 @@ class QSeries:
         return self.coeffs[exponent]
 
     # ------------------------------------------------------------------
-    # arithmetic: results always carry the minimum operand precision
+    # Nothing in rankblocks calls these four: the closed forms sweep
+    # coefficient lists.  perfbench's tracer wraps __mul__ and invert_unit,
+    # and its self-test corrupts a series with + and monomial, so they stay
+    # until the benchmark drops those uses.  Results are cut at the shorter
+    # operand.
     # ------------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, QSeries):
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return QSeries.constant(other, self.precision)
-        return None
+    @classmethod
+    def monomial(cls, exponent: int, precision: int) -> "QSeries":
+        """``q**exponent`` truncated; zero when exponent > precision."""
+        if exponent < 0:
+            raise ValueError("exponent must be nonnegative")
+        _check_precision(precision)
+        coeffs = [0] * (precision + 1)
+        if exponent <= precision:
+            coeffs[exponent] = 1
+        return cls(tuple(coeffs))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = min(self.precision, other.precision)
-        return QSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = min(self.precision, other.precision)
-        return QSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__sub__(self)
-
-    def __neg__(self):
-        return QSeries(tuple(-c for c in self.coeffs))
+        return QSeries(map(add, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        """Product truncated at the smaller precision.  The outer loop runs
-        over the nonzero terms of the sparser operand, so a constant times a
-        series costs O(P) and a k-term polynomial times a dense series O(kP)."""
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = min(self.precision, other.precision)
-        a = [(i, c) for i, c in enumerate(self.coeffs[: n + 1]) if c]
-        b = [(j, c) for j, c in enumerate(other.coeffs[: n + 1]) if c]
-        if len(b) < len(a):
-            a, b = b, a
-        exponents = [j for j, _ in b]
-        out = [0] * (n + 1)
-        for i, ai in a:
-            for j, bj in islice(b, bisect_right(exponents, n - i)):
-                out[i + j] += ai * bj
-        return QSeries(tuple(out))
-
-    __rmul__ = __mul__
+        a, b = self.coeffs, other.coeffs
+        return QSeries(sum(map(mul, a[k::-1], b)) for k in range(min(len(a), len(b))))
 
     def invert_unit(self) -> "QSeries":
         """Multiplicative inverse, defined when the constant coefficient is +/-1."""
@@ -241,20 +185,8 @@ class QSeries:
 
 
 # ----------------------------------------------------------------------
-# q-Pochhammer products and Gaussian binomials
+# list passes and Gaussian binomials
 # ----------------------------------------------------------------------
-
-
-def pochhammer(count: int, precision: int) -> QSeries:
-    """``(q;q)_count``, the product of ``(1 - q**a)`` for ``a in 1..count``, truncated."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    _check_precision(precision)
-    coeffs = [0] * (precision + 1)
-    coeffs[0] = 1
-    for a in range(1, min(count, precision) + 1):
-        _times_one_minus(coeffs, a)
-    return QSeries(tuple(coeffs))
 
 
 def _times_one_minus(c: list, a: int) -> None:
@@ -377,8 +309,8 @@ def series_exact(d: int, m: int, sign: str, precision: int) -> QSeries:
     so it is evaluated as in-place sweeps over those: one descending pass for
     the factor (1 - q^m), and one ascending pass for each denominator factor
     (1 - q^d), (1 - q^1), ..., (1 - q^{d-m}), (1 - q^1), ..., (1 - q^{d+m}).
-    That costs O(d * top) instead of the O(precision^2) of a generic
-    :meth:`QSeries.invert_unit` and full-width multiplies.
+    That costs O(d * top) instead of the O(precision^2) of a generic series
+    inverse and full-width products.
     """
     _check_exact(d, m, sign, precision)
     shift = _exact_shift(d, m, sign)
@@ -432,18 +364,11 @@ def series_exact_sums(m: int, precision: int) -> dict:
     return {PLUS: QSeries(plus), MINUS: QSeries(minus)}
 
 
-def pentagonal_kernel(m: int, sign: str, precision: int) -> QSeries:
-    """Alternating sum of pentagonal-shifted binomial-free terms.
-
-    ``sum_{l=0}^{m-1} (-1)^l q^(l(3l+1)/2) (1 - q^(2l+1))`` for the plus sign,
-    and ``sum_{l=0}^{m-1} (-1)^l q^(l(3l-1)/2) (1 - q^(4l+2))`` for minus:
-    at most 2m nonzero coefficients, written into one list.
-    """
-    check_sign(sign)
-    if m < 1:
-        raise ValueError("m must be positive")
-    _check_precision(precision)
-    out = [0] * (precision + 1)
+def _times_kernel(coeffs, m: int, sign: str) -> list:
+    """``coeffs`` times the pentagonal kernel, as a new list of the same length:
+    one shifted pass per nonzero kernel term, 2m passes.  A term past the last
+    exponent adds nothing."""
+    out = [0] * len(coeffs)
     for l in range(m):
         if sign == PLUS:
             e1 = l * (3 * l + 1) // 2
@@ -451,23 +376,36 @@ def pentagonal_kernel(m: int, sign: str, precision: int) -> QSeries:
         else:
             e1 = l * (3 * l - 1) // 2
             e2 = e1 + 4 * l + 2
-        term = 1 if l % 2 == 0 else -1
-        if e1 <= precision:
-            out[e1] += term
-        if e2 <= precision:
-            out[e2] -= term
-    return QSeries(out)
+        first, second = (add, sub) if l % 2 == 0 else (sub, add)
+        out[e1:] = map(first, out[e1:], coeffs)
+        out[e2:] = map(second, out[e2:], coeffs)
+    return out
+
+
+def pentagonal_kernel(m: int, sign: str, precision: int) -> QSeries:
+    """Alternating sum of pentagonal-shifted binomial-free terms.
+
+    ``sum_{l=0}^{m-1} (-1)^l q^(l(3l+1)/2) (1 - q^(2l+1))`` for the plus sign,
+    and ``sum_{l=0}^{m-1} (-1)^l q^(l(3l-1)/2) (1 - q^(4l+2))`` for minus:
+    at most 2m nonzero coefficients.
+    """
+    check_sign(sign)
+    if m < 1:
+        raise ValueError("m must be positive")
+    _check_precision(precision)
+    return QSeries(_times_kernel([1] + [0] * precision, m, sign))
 
 
 def series_by_blocks(m: int, sign: str, precision: int) -> QSeries:
     """Series counting partitions of n with exactly m parity blocks, any number
-    of columns, the last block of the given sign."""
+    of columns, the last block of the given sign: ``(-1)^(m-1) (E K - 1)``,
+    with E the partition product and K the pentagonal kernel."""
     check_sign(sign)
     if m < 1:
         raise ValueError("m must be positive")
-    sign_m = 1 if m % 2 == 0 else -1
-    kernel = pentagonal_kernel(m, sign, precision)
-    return QSeries.constant(sign_m, precision) + (-sign_m) * (euler_inverse(precision) * kernel)
+    c = _times_kernel(euler_inverse(precision).coeffs, m, sign)
+    c[0] -= 1
+    return QSeries(c if m % 2 == 1 else [-x for x in c])
 
 
 def series_by_columns(d: int, sign: str, precision: int) -> QSeries:
@@ -479,7 +417,7 @@ def series_by_columns(d: int, sign: str, precision: int) -> QSeries:
     it is evaluated by in-place sweeps over the ``precision - shift``
     coefficients after the shift: starting from 1, two ascending passes for
     each (1 - q^j), j = 1..d, then one ascending ``c[k] -= c[k - d]`` pass
-    for (1 + q^d), with no call to :meth:`QSeries.invert_unit`.
+    for (1 + q^d), with no series inverse.
     """
     check_sign(sign)
     if d < 1:

@@ -9,6 +9,7 @@ import time
 from math import comb, isqrt
 
 import rankblocks.verify as verify_mod
+from list_oracle import add, monomial, mul
 from rankblocks.bijections import bijection_trace, lambda_to_pi, pi_to_lambda
 from rankblocks.lattice_paths import (
     MarkedBallotPath,
@@ -63,8 +64,8 @@ def test_criterion_02_marked_path_family():
     objects = list(enumerate_marked_paths(3, 2, 1))
     multiset = sorted(vmr(o) for o in objects)
     gf = QSeries.from_coeffs(gf_vmr(objects).coeffs, 5)
-    closed = QSeries.monomial(1, 5) * qbinomial(5, 4, 5)
-    ok = len(objects) == 5 and multiset == [1, 2, 3, 4, 5] and gf == closed
+    closed = mul(monomial(1, 5), qbinomial(5, 4, 5).coeffs)
+    ok = len(objects) == 5 and multiset == [1, 2, 3, 4, 5] and list(gf.coeffs) == closed
     _criterion(2, "five marked ballot paths with statistic values 1..5",
                ok, time.perf_counter() - start, 1)
 
@@ -191,13 +192,11 @@ def test_criterion_12_property_suites():
                 ok = False
             if n >= 1:
                 precision = max(k * (n - k), 1)
-                lhs = qbinomial(n, k, precision)
-                pascal = (qbinomial(n - 1, k, precision)
-                          + QSeries.monomial(n - k, precision)
-                          * qbinomial(n - 1, k - 1, precision))
-                mirror = (QSeries.monomial(k, precision)
-                          * qbinomial(n - 1, k, precision)
-                          + qbinomial(n - 1, k - 1, precision))
+                lhs = list(qbinomial(n, k, precision).coeffs)
+                low = qbinomial(n - 1, k, precision).coeffs
+                high = qbinomial(n - 1, k - 1, precision).coeffs
+                pascal = add(low, mul(monomial(n - k, precision), high))
+                mirror = add(mul(monomial(k, precision), low), high)
                 if lhs != pascal or lhs != mirror:
                     ok = False
 

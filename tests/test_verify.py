@@ -6,6 +6,7 @@ import re
 import pytest
 
 import rankblocks.verify as verify_mod
+from list_oracle import add, inverse, monomial, mul, pochhammer
 from rankblocks.lattice_paths import (
     enumerate_marked_paths,
     marked_path_coeffs,
@@ -14,6 +15,7 @@ from rankblocks.lattice_paths import (
     vmr,
 )
 from rankblocks.partitions import FrobeniusSymbol, parity_blocks
+from rankblocks.posets import build_s_beta, compositions, linear_extensions, maj_word
 from rankblocks.qseries import (
     MINUS,
     PLUS,
@@ -21,6 +23,7 @@ from rankblocks.qseries import (
     euler_inverse,
     partition_number_or_zero,
     pentagonal_kernel,
+    qbinomial,
     series_by_blocks,
     series_by_columns,
     series_exact,
@@ -69,12 +72,13 @@ def test_euler_expansion_and_cutoff_safety():
     precision = 40
     m = 2
     cutoff = 6  # isqrt(40)
-    base = QSeries.one(precision)
-    for d in range(m, cutoff + 1):
-        base = base - series_exact(d, m, PLUS, precision)
-    extended = base - series_exact(cutoff + 1, m, PLUS, precision)
-    assert base == extended
-    lhs = euler_inverse(precision) * pentagonal_kernel(m, PLUS, precision)
+
+    def negated(d):
+        return [-c for c in series_exact(d, m, PLUS, precision).coeffs]
+
+    base = add(monomial(0, precision), *map(negated, range(m, cutoff + 1)))
+    assert add(base, negated(cutoff + 1)) == base
+    lhs = mul(euler_inverse(precision).coeffs, pentagonal_kernel(m, PLUS, precision).coeffs)
     assert lhs == base
 
 
@@ -110,7 +114,6 @@ def test_word_path_gf_includes_paper_pair():
     report = run_check("prop-3.10", beta=(2, 3, 1, 2))
     assert report.passed
     # both sides hold the worked example at exponent 8
-    from rankblocks.posets import build_s_beta, linear_extensions, maj_word
     words = linear_extensions(build_s_beta((2, 3, 1, 2)))
     assert any(maj_word(w) == 8 for w in words)
 
@@ -199,6 +202,7 @@ def test_mutation_guard_path_dp(monkeypatch):
     assert not report.passed
     assert report.first_discrepancy["exponent"] == 4
     assert report.first_discrepancy["expected"] == report.first_discrepancy["actual"] + 1
+    assert "witness_search" not in report.first_discrepancy  # every path was listed
     assert report.witnesses
     assert set(report.witnesses) <= {p.bar_string() for p in enumerate_marked_paths(5, 3, 1)
                                      if vmr(p) == 4}
@@ -225,6 +229,56 @@ def test_mutation_guard_shared_path_table(monkeypatch):
     for report in failed:
         disc = report.first_discrepancy
         assert disc["exponent"] == 9 and disc["expected"] == disc["actual"] + 1, report
+
+
+def test_path_witness_search_stops_at_its_budget(monkeypatch):
+    # A fault at the top exponent of lemma-2.2's closed side at (14, 12, 1),
+    # which one of its 7,726,160 marked paths reaches: the witness search
+    # lists the budget's worth of paths, not all of them, and says so.
+    listed = 0
+
+    def bracket(n, k, precision=None):
+        coeffs = list(qbinomial(n, k, precision).coeffs)
+        coeffs[-1] += 1
+        return QSeries(coeffs)
+
+    def paths(s, t, r):
+        nonlocal listed
+        for path in enumerate_marked_paths(s, t, r):
+            listed += 1
+            yield path
+
+    monkeypatch.setattr(verify_mod, "qbinomial", bracket)
+    monkeypatch.setattr(verify_mod, "enumerate_marked_paths", paths)
+    report = run_check("lemma-2.2", s=14, t=12, r=1)
+    assert not report.passed
+    budget = verify_mod.PATH_SCAN_BUDGET
+    assert report.first_discrepancy == {
+        "exponent": 1 + 15 * 11, "expected": 1, "actual": 2,
+        "witness_search": f"stopped after {budget} paths"}
+    assert len(report.witnesses) <= 1
+    assert listed == budget
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_poset_division_is_the_oracle_quotient(monkeypatch, d):
+    # prop-3.9's closed side, the maj counts divided by (q;q)_2d in 2d list
+    # passes, equals the oracle's inverse of (q;q)_2d times the maj counts:
+    # with the oracle standing in for the enumeration side, every check of
+    # every composition of d passes at precision 40.
+    precision = 40
+    poch = pochhammer(2 * d, precision)
+
+    def oracle_side(structure, max_weight):
+        maj_counts = [0] * (max_weight + 1)
+        for w in linear_extensions(structure):
+            if maj_word(w) <= max_weight:
+                maj_counts[maj_word(w)] += 1
+        return mul(inverse(poch), maj_counts)
+
+    monkeypatch.setattr(verify_mod, "enumerate_poset_partitions", oracle_side)
+    for beta in compositions(d):
+        assert run_check("prop-3.9", beta=beta, precision=precision).passed, beta
 
 
 def test_mutation_guard_poset_dp(monkeypatch):
