@@ -8,7 +8,6 @@ following u step), so the final return of a Dyck path is never markable.
 """
 
 from collections import defaultdict
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -152,54 +151,32 @@ def enumerate_ballot_words(s: int, t: int):
     yield from _ballot_words(s, t, 0)
 
 
-def _marked_variants(s: int, t: int, least: int, mark_sets):
-    # Each ballot word with at least ``least`` returns is walked once; its
-    # marked variants take the mark sets that ``mark_sets`` draws from its
-    # returns and reuse the word's walk.
-    for word in _ballot_words(s, t, least):
+def _marked_variants(s: int, t: int, counts: range):
+    # Each ballot word with at least ``counts.start`` returns is walked once;
+    # its marked variants take the mark sets of every size in ``counts`` that
+    # its returns allow, by size, then lexicographically, and reuse the
+    # word's walk.
+    for word in _ballot_words(s, t, counts.start):
         base = MarkedBallotPath(word)
-        for marks in mark_sets(base.returns()):
-            yield base._remarked(marks) if marks else base
-
-
-# Up to this many returns, the subsets' index tuples are listed once per
-# (return count, least marks) and kept: at most 35 lists of at most 64.  The
-# words of s + t <= 14 steps, the transfer benchmark's grid, have at most 6.
-_CACHED_RETURNS = 6
-
-
-@lru_cache(maxsize=None)
-def _counter_indices(k: int, least: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(j for j in range(k) if mask >> j & 1)
-                 for mask in range(1 << k) if mask.bit_count() >= least)
-
-
-def _counter_subsets(rets: tuple[int, ...], least: int):
-    # The subsets of rets with at least `least` members, in binary-counter
-    # order: bit j of the counter selects rets[j].  Past _CACHED_RETURNS they
-    # are generated one at a time.
-    k = len(rets)
-    if k > _CACHED_RETURNS:
-        return (tuple(x for j, x in enumerate(rets) if mask >> j & 1)
-                for mask in range(1 << k) if mask.bit_count() >= least)
-    pick = rets.__getitem__
-    # Every least above k selects nothing, so one key serves them all.
-    return (tuple(map(pick, indices)) for indices in _counter_indices(k, min(least, k + 1)))
+        rets = base.returns()
+        for k in range(counts.start, min(counts.stop, len(rets) + 1)):
+            for marks in combinations(rets, k):
+                yield base._remarked(marks) if marks else base
 
 
 def enumerate_marked_paths(s: int, t: int, min_marks: int):
     """Every (path, mark-subset) pair with at least min_marks marked returns.
 
-    The same underlying word appears once per qualifying mark subset; subsets
-    are generated in binary-counter order over the word's return list.  Only
-    words that can have min_marks returns are walked.
+    The same underlying word appears once per qualifying mark subset; a
+    word's subsets come by size, then lexicographically over its returns.
+    Only words that can have min_marks returns are walked.
     """
-    if s < t:
-        raise ValueError(f"need s >= t, got s={s}, t={t}")
+    if not s >= t >= 0:
+        raise ValueError(f"need s >= t >= 0, got s={s}, t={t}")
     if min_marks < 0:
         raise ValueError("min_marks must be nonnegative")
-    yield from _marked_variants(s, t, min_marks,
-                                lambda rets: _counter_subsets(rets, min_marks))
+    # Each return follows its own d step, so a word has at most t.
+    yield from _marked_variants(s, t, range(min_marks, t + 1))
 
 
 def enumerate_exact_marks(s: int, r: int):
@@ -208,7 +185,7 @@ def enumerate_exact_marks(s: int, r: int):
         raise ValueError("s must be positive")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    yield from _marked_variants(s, s, r, lambda rets: combinations(rets, r))
+    yield from _marked_variants(s, s, range(r, r + 1))
 
 
 def _dyck_concatenations(sizes, prefix=""):
@@ -338,15 +315,3 @@ def marked_path_coeffs(table: dict, s: int, t: int, r: int, exact: bool = False)
     field = (1 << width) - 1
     return [packed >> k & field for k in range(0, packed.bit_length(), width)] or [0]
 
-
-def marked_path_gf(s: int, t: int, r: int, exact: bool = False) -> QSeries:
-    """Sum of q**vmr over the marked ballot paths with s up and t down steps
-    and at least r marked returns, or exactly r with ``exact``, counted
-    without listing them.
-
-    The result is the exact polynomial that :func:`gf_vmr` gives for
-    ``enumerate_marked_paths(s, t, r)``, or for ``enumerate_exact_marks(s, r)``
-    when t = s and ``exact`` is set.
-    """
-    point = (s, t, r, exact)
-    return QSeries(tuple(marked_path_coeffs(marked_path_table([point]), *point)))

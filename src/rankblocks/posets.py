@@ -251,6 +251,8 @@ def iter_poset_partitions(structure: SBetaStructure, max_weight: int):
     """Materialized order-reversing assignments of weight <= max_weight, by a
     depth-first search in label order (for witnesses and small posets; the
     histogram is counted without them)."""
+    if max_weight < 0:
+        raise ValueError("max_weight must be nonnegative")
     n = structure.size
     covers = structure.lower_covers
     values = [0] * n

@@ -191,10 +191,10 @@ def verify_qbinomial_column_sum(d):
 
 
 # A failed path check lists at most this many paths in its search for
-# witnesses: about a second at the listing's rate, 150,000-200,000 paths a
-# second with their vmr on a 2-vCPU host.  The shape (s, t) = (14, 12) has
-# millions of paths, and an exponent that few of them reach would otherwise
-# be searched for most of a minute.
+# witnesses: about half a second at the listing's rate, 350,000-390,000 paths
+# a second with their vmr over the first 200,000 of (s, t, r) = (14, 12, 1)
+# on a 2-vCPU host.  That family has 7,726,160 paths, and an exponent that
+# few of them reach would otherwise be searched for half a minute.
 PATH_SCAN_BUDGET = 200_000
 
 

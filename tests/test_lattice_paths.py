@@ -9,11 +9,8 @@ import pytest
 import rankblocks.lattice_paths as lattice_paths_mod
 from list_oracle import monomial, mul, one_minus
 from rankblocks.lattice_paths import (
-    _CACHED_RETURNS,
     MarkedBallotPath,
     _ballot_words,
-    _counter_indices,
-    _counter_subsets,
     enumerate_ballot_words,
     enumerate_exact_marks,
     enumerate_fixed_returns,
@@ -21,7 +18,6 @@ from rankblocks.lattice_paths import (
     gf_vmr,
     maj_path,
     marked_path_coeffs,
-    marked_path_gf,
     marked_path_table,
     vmr,
 )
@@ -237,33 +233,45 @@ def test_marked_path_dp_matches_enumeration(s):
     # ballot shape with s + t <= 12, exactly r marks for the Dyck shape
     for t in range(min(s, 12 - s) + 1):
         for r in range(7):
+            read = (s, t, r, False)
             listed = gf_vmr(enumerate_marked_paths(s, t, r))
-            counted = marked_path_gf(s, t, r)
-            assert counted.coeffs == listed.coeffs, (s, t, r)
+            counted = marked_path_coeffs(marked_path_table([read]), *read)
+            assert counted == list(listed.coeffs), read
             if t == s:
+                read = (s, s, r, True)
                 listed = gf_vmr(enumerate_exact_marks(s, r))
-                counted = marked_path_gf(s, s, r, exact=True)
-                assert counted.coeffs == listed.coeffs, (s, r, "exact")
+                counted = marked_path_coeffs(marked_path_table([read]), *read)
+                assert counted == list(listed.coeffs), read
 
 
 def test_marked_path_dp_far_past_enumeration():
     # (22, 20) has about 6.7e10 ballot words: compare with lemma 2.2 instead
     s, t, r = 22, 20, 3
-    gf = marked_path_gf(s, t, r)
-    closed = mul(monomial(r * (r + 1) // 2, gf.precision),
-                 qbinomial(s + t, s + r, gf.precision).coeffs)
-    assert gf.precision == r * (r + 1) // 2 + (s + r) * (t - r)
-    assert list(gf.coeffs) == closed
+    read = (s, t, r, False)
+    coeffs = marked_path_coeffs(marked_path_table([read]), *read)
+    precision = len(coeffs) - 1
+    closed = mul(monomial(r * (r + 1) // 2, precision),
+                 qbinomial(s + t, s + r, precision).coeffs)
+    assert precision == r * (r + 1) // 2 + (s + r) * (t - r)
+    assert coeffs == closed
 
 
 def test_marked_path_dp_validation():
-    with pytest.raises(ValueError):
-        marked_path_gf(2, 3, 0)
-    with pytest.raises(ValueError):
-        marked_path_gf(2, -1, 0)
-    with pytest.raises(ValueError):
-        marked_path_gf(2, 1, -1)
-    assert marked_path_gf(1, 0, 1).coeffs == (0,)  # no return to mark: empty family
+    for read in ((2, 3, 0, False), (2, -1, 0, False), (2, 1, -1, False)):
+        with pytest.raises(ValueError):
+            marked_path_table([read])
+    read = (1, 0, 1, False)  # no return to mark: empty family
+    assert marked_path_coeffs(marked_path_table([read]), *read) == [0]
+
+
+@pytest.mark.parametrize("s, t", [(2, -1), (-1, -2)])
+def test_marked_paths_refuse_the_step_counts_the_table_refuses(s, t):
+    # A negative t used to list nothing, where the table refuses it.
+    with pytest.raises(ValueError) as listed:
+        next(enumerate_marked_paths(s, t, 0))
+    with pytest.raises(ValueError) as counted:
+        marked_path_table([(s, t, 0, False)])
+    assert str(listed.value) == str(counted.value) == f"need s >= t >= 0, got s={s}, t={t}"
 
 
 def _listing_reads():
@@ -315,8 +323,9 @@ def test_path_table_keeps_only_the_rows_read():
     assert list(marked_path_table([(40, 40, 6, True)])) == [(80, 0)]
     table = marked_path_table([(5, 3, 1, False), (4, 4, 2, True), (5, 3, 0, False)])
     assert sorted(table) == [(8, 0), (8, 2)]
-    assert marked_path_coeffs(table, 4, 4, 3) == list(marked_path_gf(4, 4, 3).coeffs)
-    assert marked_path_coeffs(table, 4, 4, 2, True) == list(marked_path_gf(4, 4, 2, True).coeffs)
+    for read in ((4, 4, 3, False), (4, 4, 2, True)):
+        assert marked_path_coeffs(table, *read) == marked_path_coeffs(marked_path_table([read]),
+                                                                      *read)
     # Marks are exact below the largest r + exact read, 3, and 3 counts 3 or
     # more; a shape not read is not in the table.
     for read in ((4, 4, 3, True), (4, 4, 4, False), (4, 4, -1, False), (6, 2, 0, False)):
@@ -442,10 +451,9 @@ def test_ballot_words_match_the_recursive_listing():
 def _ref_marked_paths(s, t, min_marks):
     for word in _ballot_words_recursive(s, t):
         rets = MarkedBallotPath(word).returns()
-        k = len(rets)
-        for mask in range(1 << k):
-            if mask.bit_count() >= min_marks:
-                yield MarkedBallotPath(word, tuple(rets[j] for j in range(k) if mask >> j & 1))
+        for k in range(min_marks, len(rets) + 1):
+            for marks in combinations(rets, k):
+                yield MarkedBallotPath(word, marks)
 
 
 def _ref_exact_marks(s, r):
@@ -468,19 +476,38 @@ def test_marked_paths_match_the_listing_of_every_word(s):
                     == _walked(_ref_marked_paths(s, t, r))), (s, t, r)
 
 
-def test_counter_subsets_in_binary_counter_order_on_both_sides_of_the_cache():
-    for k in range(_CACHED_RETURNS + 3):
-        rets = tuple(range(2, 2 * k + 1, 2))
-        for least in range(k + 40):
-            expected = [tuple(rets[j] for j in range(k) if mask >> j & 1)
-                        for mask in range(1 << k) if mask.bit_count() >= least]
-            assert list(_counter_subsets(rets, least)) == expected, (k, least)
-    # Index tuples are kept only for small return counts, at most one entry
-    # per (k, least) with least <= k + 1, however large the least asked for;
-    # beyond, nothing is listed up front.
-    bound = (_CACHED_RETURNS + 1) * (_CACHED_RETURNS + 4) // 2
-    assert _counter_indices.cache_info().currsize <= bound
-    assert next(iter(_counter_subsets(tuple(range(2, 82, 2)), 0))) == ()
+def test_listing_matches_the_table_past_six_returns():
+    # _listing_reads stops at s + t = 14, where a word has at most 6 returns.
+    # Every shape with s + t = 20 and r >= 4, at least r marks and exactly r on
+    # the Dyck shape: 57,772 paths on words of up to 9 returns.
+    reads = [(20 - t, t, r, exact) for t in range(11) for r in range(4, t + 1)
+             for exact in (False, True) if not exact or t == 10]
+    table = marked_path_table(reads)
+    listed = 0
+    for s, t, r, exact in reads:
+        paths = list(enumerate_exact_marks(s, r) if exact else enumerate_marked_paths(s, t, r))
+        listed += len(paths)
+        assert list(gf_vmr(paths).coeffs) == marked_path_coeffs(table, s, t, r, exact), (
+            s, t, r, exact)
+    assert listed == 57_772
+    assert max(len(p.returns()) for p in enumerate_exact_marks(10, 9)) == 9
+
+
+@pytest.mark.parametrize("min_marks", [0, 19])
+def test_marked_path_listing_stays_lazy(min_marks):
+    # (20, 20) has 6,564,120,420 Dyck words; the first one listed, "ud" * 20,
+    # has 19 returns.  Drawing it must hold neither the words nor the 2^19
+    # mark sets of one word.
+    tracemalloc.start()
+    try:
+        first = next(enumerate_marked_paths(20, 20, min_marks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.steps == "ud" * 20
+    assert len(first.returns()) == 19
+    assert len(first.marks) == min_marks
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("s", range(1, 11))

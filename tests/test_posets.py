@@ -246,6 +246,12 @@ def test_histogram_rejects_negative_weight():
         enumerate_poset_partitions(build_s_beta((1,)), -1)
 
 
+def test_listing_refuses_a_negative_weight_as_the_histogram_does():
+    # It used to list nothing, where the histogram refuses.
+    with pytest.raises(ValueError, match="^max_weight must be nonnegative$"):
+        next(iter_poset_partitions(build_s_beta((1,)), -1))
+
+
 def test_example_assignment_is_valid():
     s = build_s_beta(EXAMPLE_BETA)
     rows = [[8, 6], [7, 6, 6, 6, 5], [6, 6, 4, 3], [1, 1, 0], [0, 0]]
