@@ -87,7 +87,20 @@ def _render_symbol(f: FrobeniusSymbol) -> str:
 def _parse_symbol(text: str) -> FrobeniusSymbol:
     text = text.strip()
     if text.startswith("{"):
-        return FrobeniusSymbol.from_json_dict(json.loads(text))
+        # A `list --format json` entry also carries its blocks; they must be
+        # the symbol's own, and no other key is read.
+        data = json.loads(text)
+        unknown = sorted(set(data) - {"top", "bottom", "blocks"})
+        if unknown:
+            raise ValueError(f"symbol JSON takes only 'top', 'bottom' and 'blocks', got {unknown}")
+        f = FrobeniusSymbol.from_json_dict(data)
+        if "blocks" in data:
+            # Compared as JSON text, so that 1.0 or true is no block size.
+            given, own = (json.dumps(b, sort_keys=True)
+                          for b in (data["blocks"], parity_blocks(f).to_json_dict()))
+            if given != own:
+                raise ValueError(f"symbol JSON blocks {given} are not the symbol's blocks {own}")
+        return f
     rows = [row.replace("|", " ").split() for row in text.strip("() \t").split("/")]
     if len(rows) != 2:
         raise ValueError("inline symbol must look like '3 2 1 / 5 1 0'")
@@ -253,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
                                              "composition and the sign are read "
                                              "off its parity blocks")
     p_biject.add_argument("--symbol", required=True,
-                          help="JSON {\"top\": [...], \"bottom\": [...]} or "
-                               "inline '3 2 1 / 5 1 0'")
+                          help="JSON {\"top\": [...], \"bottom\": [...]}, which may "
+                               "carry the \"blocks\" of a `list --format json` entry, "
+                               "or inline '3 2 1 / 5 1 0'")
     p_biject.add_argument("--invert", action="store_true",
                           help="also run the inverse chain and check the round trip")
     add_format(p_biject, ("text", "json"))

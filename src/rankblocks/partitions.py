@@ -1,4 +1,4 @@
-"""Integer partitions, Frobenius symbols, successive ranks, and parity blocks.
+"""Frobenius symbols, successive ranks, and parity blocks.
 
 The counting functions read a census from :func:`build_census`, one table per
 column count d, built by a column DP over the two rows of a symbol with the
@@ -12,7 +12,7 @@ verified, so they must not share any code path with those series.
 
 from functools import lru_cache
 from math import comb, isqrt
-from operator import gt, sub
+from operator import gt
 
 from ._record import Record, check_ints, setfield
 from .qseries import MINUS, PLUS, check_sign
@@ -20,62 +20,6 @@ from .qseries import MINUS, PLUS, check_sign
 POSITIVE = "P"
 NEGATIVE = "N"
 SIGN_LETTER = {PLUS: POSITIVE, MINUS: NEGATIVE}
-
-
-class Partition(Record):
-    """Weakly decreasing positive parts; the empty tuple is the partition of 0."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(parts)
-        check_ints(parts, "parts must be positive integers", 1, 0,
-                   "parts must be weakly decreasing")
-        setfield(self, "parts", parts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def durfee_side(self) -> int:
-        """Side of the largest square fitting in the Ferrers graph."""
-        d = 0
-        for i, p in enumerate(self.parts, start=1):
-            if p >= i:
-                d = i
-        return d
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(tuple(cols))
-
-    def to_json_dict(self) -> dict:
-        return {"parts": list(self.parts)}
-
-
-def enumerate_partitions(n: int):
-    """Yield every partition of n exactly once, in reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    for parts in rec(n, n if n else 1):
-        yield Partition(parts)
 
 
 _DECREASING = ("rows must be weakly decreasing", "rows must be strictly decreasing")
@@ -137,37 +81,6 @@ class FrobeniusSymbol(TwoRowRecord):
                 raise ValueError(f"symbol {key!r} must be a list, got {data[key]!r}")
             rows.append(tuple(data[key]))
         return cls(*rows)
-
-
-def to_frobenius(p: Partition) -> FrobeniusSymbol:
-    """Read the symbol off the Ferrers graph: arms and legs along the diagonal."""
-    d = p.durfee_side()
-    if d == 0:
-        raise ValueError("the empty partition has no Frobenius symbol")
-    conj = p.conjugate().parts
-    top = tuple(p.parts[i] - (i + 1) for i in range(d))
-    bottom = tuple(conj[i] - (i + 1) for i in range(d))
-    return FrobeniusSymbol(top, bottom)
-
-
-def from_frobenius(f: FrobeniusSymbol) -> Partition:
-    """Rebuild the unique partition with the given symbol."""
-    d = f.d
-    parts = [f.top[i] + (i + 1) for i in range(d)]
-    col_lengths = [f.bottom[i] + (i + 1) for i in range(d)]
-    j = d + 1
-    while True:
-        row = sum(1 for c in col_lengths if c >= j)
-        if row == 0:
-            break
-        parts.append(row)
-        j += 1
-    return Partition(tuple(parts))
-
-
-def successive_ranks(f: FrobeniusSymbol) -> tuple[int, ...]:
-    """The i-th rank is top[i] - bottom[i]."""
-    return tuple(map(sub, f.top, f.bottom))
 
 
 def alternating_sign_word(length: int, last: str) -> str:

@@ -365,9 +365,12 @@ def series_exact_sums(m: int, precision: int) -> dict:
 
 
 def _times_kernel(coeffs, m: int, sign: str) -> list:
-    """``coeffs`` times the pentagonal kernel, as a new list of the same length:
-    one shifted pass per nonzero kernel term, 2m passes.  A term past the last
-    exponent adds nothing."""
+    """``coeffs`` times the pentagonal kernel, as a new list of the same length.
+
+    The kernel is ``sum_{l=0}^{m-1} (-1)^l q^(l(3l+1)/2) (1 - q^(2l+1))`` for
+    the plus sign and ``sum_{l=0}^{m-1} (-1)^l q^(l(3l-1)/2) (1 - q^(4l+2))``
+    for minus: one shifted pass per nonzero kernel term, 2m passes.  A term
+    past the last exponent adds nothing."""
     out = [0] * len(coeffs)
     for l in range(m):
         if sign == PLUS:
@@ -380,20 +383,6 @@ def _times_kernel(coeffs, m: int, sign: str) -> list:
         out[e1:] = map(first, out[e1:], coeffs)
         out[e2:] = map(second, out[e2:], coeffs)
     return out
-
-
-def pentagonal_kernel(m: int, sign: str, precision: int) -> QSeries:
-    """Alternating sum of pentagonal-shifted binomial-free terms.
-
-    ``sum_{l=0}^{m-1} (-1)^l q^(l(3l+1)/2) (1 - q^(2l+1))`` for the plus sign,
-    and ``sum_{l=0}^{m-1} (-1)^l q^(l(3l-1)/2) (1 - q^(4l+2))`` for minus:
-    at most 2m nonzero coefficients.
-    """
-    check_sign(sign)
-    if m < 1:
-        raise ValueError("m must be positive")
-    _check_precision(precision)
-    return QSeries(_times_kernel([1] + [0] * precision, m, sign))
 
 
 def series_by_blocks(m: int, sign: str, precision: int) -> QSeries:

@@ -27,7 +27,6 @@ from rankblocks.partitions import (
     SIGN_LETTER,
     FrobeniusSymbol,
     ParityBlocks,
-    Partition,
     alternating_sign_word,
     iter_frobenius_symbols,
     parity_blocks,
@@ -549,15 +548,6 @@ def _ref_parity_blocks(sizes, last_sign):
         raise ValueError(f"last sign must be 'P' or 'N', got {last_sign!r}")
 
 
-def _ref_partition(parts):
-    parts = tuple(parts)
-    for i, p in enumerate(parts):
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise ValueError(f"parts must be positive integers, got {p!r}")
-        if i and parts[i - 1] < p:
-            raise ValueError(f"parts must be weakly decreasing, got {parts}")
-
-
 def _ref_composition(parts):
     parts = tuple(parts)
     if not parts:
@@ -633,17 +623,16 @@ def test_parity_blocks_record_matches_the_loop_it_replaced():
                 assert ParityBlocks(list(sizes), last_sign).sizes == sizes
 
 
-def test_partition_and_composition_records_match_the_loops_they_replaced():
+def test_composition_record_matches_the_loop_it_replaced():
     # Rows of up to three entries of every kind, so that one row can carry two
-    # defects (a bad entry and a rise, in either order); the first one wins.
+    # bad entries; the first one wins.
     checked = 0
     for parts in _rows(_ENTRIES, 3):
-        for record, ref in ((Partition, _ref_partition), (Composition, _ref_composition)):
-            expected = _verdict(ref, parts)
-            assert _verdict(record, parts) == expected, (record, parts)
-            if expected is None:
-                assert record(list(parts)).parts == parts
-                checked += 1
+        expected = _verdict(_ref_composition, parts)
+        assert _verdict(Composition, parts) == expected, parts
+        if expected is None:
+            assert Composition(list(parts)).parts == parts
+            checked += 1
     assert checked > 50
 
 

@@ -198,6 +198,12 @@ def test_biject_sign_flag_is_usage_error(capsys):
     ('{"top": [true], "bottom": [0]}', "entries must be nonnegative integers, got True"),
     ('{"bottom": [0]}', "symbol JSON needs a 'top' list"),
     ('{"top": 5, "bottom": [0]}', "symbol 'top' must be a list, got 5"),
+    # no key is ignored: biject has no sign to take, and blocks must be the symbol's
+    ('{"top": [1], "bottom": [0], "sign": "minus"}',
+     "symbol JSON takes only 'top', 'bottom' and 'blocks', got ['sign']"),
+    ('{"top": [3, 2, 1], "bottom": [5, 1, 0], "blocks": {"sizes": [3], "signs": "N"}}',
+     'symbol JSON blocks {"signs": "N", "sizes": [3]} are not the symbol\'s blocks '
+     '{"signs": "NP", "sizes": [1, 2]}'),
 ])
 def test_biject_bad_json_symbol_is_usage_error(capsys, symbol, message):
     # entries are validated as given, never rounded or parsed into integers
@@ -206,6 +212,18 @@ def test_biject_bad_json_symbol_is_usage_error(capsys, symbol, message):
     assert exc.value.code == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.endswith(message)
+
+
+def test_biject_takes_a_list_entry_as_its_symbol(capsys):
+    code, out, _ = run_cli(capsys, "list", "--n", "15", "--d", "3", "--m", "2", "--sign", "plus",
+                           "--format", "json")
+    assert code == 0
+    for entry in json.loads(out):
+        code, out, _ = run_cli(capsys, "biject", "--symbol", json.dumps(entry), "--format", "json")
+        assert code == 0
+        assert run_cli(capsys, "biject", "--symbol", json.dumps(
+            {"top": entry["top"], "bottom": entry["bottom"]}), "--format", "json")[1] == out
+        assert {k: v for k, v in json.loads(out)[0].items() if k in entry} == entry
 
 
 def test_biject_small_symbol_two_chain(capsys):

@@ -5,17 +5,25 @@ import threading
 from collections import Counter
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import isqrt
-from operator import add
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from list_oracle import mul, pochhammer
+from partition_oracle import (
+    conjugate,
+    durfee_side,
+    from_frobenius,
+    partitions,
+    ranks,
+    to_frobenius,
+)
 from rankblocks.bijections import FrobeniusArray
 from rankblocks.partitions import (
     FrobeniusSymbol,
     ParityBlocks,
-    Partition,
     _census_table,
     _runs_of_pattern,
     _strict_desc_exact,
@@ -26,13 +34,9 @@ from rankblocks.partitions import (
     count_by_columns,
     count_exact,
     count_prefix_pattern,
-    enumerate_partitions,
-    from_frobenius,
     iter_frobenius_symbols,
     parity_blocks,
     split_parity_runs,
-    successive_ranks,
-    to_frobenius,
 )
 from rankblocks.qseries import (
     MINUS,
@@ -44,7 +48,13 @@ from rankblocks.qseries import (
 )
 
 partitions_strategy = st.lists(st.integers(1, 12), min_size=1, max_size=8).map(
-    lambda xs: Partition(tuple(sorted(xs, reverse=True))))
+    lambda xs: tuple(sorted(xs, reverse=True)))
+
+
+def successive_ranks(f):
+    """The ranks of a symbol or an array, column by column: top minus bottom,
+    which test_ranks_against_ferrers_oracle checks against row minus column."""
+    return tuple(map(sub, f.top, f.bottom))
 
 
 # ----------------------------------------------------------------------
@@ -53,25 +63,17 @@ partitions_strategy = st.lists(st.integers(1, 12), min_size=1, max_size=8).map(
 
 
 def test_enumerate_partitions_n0():
-    assert list(enumerate_partitions(0)) == [Partition(())]
+    assert list(partitions(0)) == [()]
 
 
 def test_enumerate_partitions_order_n4():
-    assert [p.parts for p in enumerate_partitions(4)] == [
-        (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_enumerate_partitions_counts():
-    assert len(list(enumerate_partitions(10))) == 42
+    assert len(list(partitions(10))) == 42
     for n in range(26):
-        assert len(list(enumerate_partitions(n))) == partition_number(n)
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
+        assert len(list(partitions(n))) == partition_number(n)
 
 
 # ----------------------------------------------------------------------
@@ -80,32 +82,27 @@ def test_partition_validation():
 
 
 def test_to_frobenius_paper_example():
-    f = to_frobenius(Partition((7, 5, 5, 3, 2, 2, 1)))
+    f = FrobeniusSymbol(*to_frobenius((7, 5, 5, 3, 2, 2, 1)))
     assert f.top == (6, 3, 2)
     assert f.bottom == (6, 4, 1)
     assert f.size == 25
 
 
 def test_to_frobenius_single_cell():
-    assert to_frobenius(Partition((1,))) == FrobeniusSymbol((0,), (0,))
-
-
-def test_to_frobenius_rejects_empty():
-    with pytest.raises(ValueError):
-        to_frobenius(Partition(()))
+    assert to_frobenius((1,)) == ((0,), (0,))
 
 
 def test_from_frobenius_examples():
-    assert from_frobenius(FrobeniusSymbol((6, 3, 2), (6, 4, 1))).parts == (7, 5, 5, 3, 2, 2, 1)
-    assert from_frobenius(FrobeniusSymbol((1,), (0,))).parts == (2,)
+    assert from_frobenius((6, 3, 2), (6, 4, 1)) == (7, 5, 5, 3, 2, 2, 1)
+    assert from_frobenius((1,), (0,)) == (2,)
 
 
 def test_round_trip_all_small_n():
     for n in range(1, 26):
-        for p in enumerate_partitions(n):
-            f = to_frobenius(p)
-            assert from_frobenius(f) == p
-            assert f.d == p.durfee_side()
+        for p in partitions(n):
+            f = FrobeniusSymbol(*to_frobenius(p))
+            assert from_frobenius(f.top, f.bottom) == p
+            assert f.d == durfee_side(conjugate(p))
 
 
 def test_size_formula_exhaustive_small_rows():
@@ -114,7 +111,7 @@ def test_size_formula_exhaustive_small_rows():
             for bottom in combinations(range(6, -1, -1), d):
                 f = FrobeniusSymbol(top, bottom)
                 assert f.size == sum(top) + sum(bottom) + d
-                assert from_frobenius(f).n == f.size
+                assert sum(from_frobenius(top, bottom)) == f.size
 
 
 def test_symbol_validation():
@@ -134,16 +131,14 @@ def test_symbol_validation():
 def test_successive_ranks_examples():
     assert successive_ranks(FrobeniusSymbol((6, 3, 2), (6, 4, 1))) == (0, -1, 1)
     assert successive_ranks(FrobeniusSymbol((0,), (0,))) == (0,)
+    assert ranks((7, 5, 5, 3, 2, 2, 1)) == (0, -1, 1) and ranks((1,)) == (0,)
 
 
 def test_ranks_against_ferrers_oracle():
     # rank i recomputed as (row i length) - (column i length) of the partition
     for n in (9, 14, 20):
-        for f in (to_frobenius(p) for p in enumerate_partitions(n)):
-            p = from_frobenius(f)
-            conj = p.conjugate().parts
-            expected = tuple(p.parts[i] - conj[i] for i in range(f.d))
-            assert successive_ranks(f) == expected
+        for p in partitions(n):
+            assert successive_ranks(FrobeniusSymbol(*to_frobenius(p))) == ranks(p)
 
 
 def test_parity_blocks_paper_examples():
@@ -247,18 +242,18 @@ def test_strict_listing_matches_the_recursion_it_shortcuts():
 @given(partitions_strategy)
 @settings(max_examples=120)
 def test_block_invariants(p):
-    f = to_frobenius(p)
+    f = FrobeniusSymbol(*to_frobenius(p))
     pb = parity_blocks(f)
     assert sum(pb.sizes) == f.d
     for a, b in zip(pb.signs, pb.signs[1:]):
         assert a != b
-    ranks = successive_ranks(f)
+    row_minus_column = ranks(p)
     pos = 0
     for size, sign in zip(pb.sizes, pb.signs):
-        for r in ranks[pos:pos + size]:
+        for r in row_minus_column[pos:pos + size]:
             assert (r >= 1) == (sign == "P")
         pos += size
-    assert from_frobenius(f) == p
+    assert from_frobenius(f.top, f.bottom) == p
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +296,21 @@ def test_column_dp_matches_brute_force():
                     assert count_exact(census, n, d, m, sign) == reference[(m, letter)], \
                         (n, d, m, sign)
             assert count_all_columns(census, n, d) == sum(reference.values())
+
+
+def test_census_series_times_the_pochhammer_product_ends_by_the_proved_degree():
+    # The premise of a finite proof of thm-main: for fixed d the census series
+    # of (d, m, sign) is q^(d^2) N(q) / (q;q)_(2d) with deg N <= d(2d - 1), so
+    # its product with (q;q)_(2d) has no term above q^(3d^2 - d).  Checked
+    # through q^(3d^2 + d), with the dense products of the test oracle.
+    census = build_census({d: 3 * d * d + d for d in range(1, 6)})
+    for d in range(1, 6):
+        top = 3 * d * d + d
+        for m in range(1, d + 1):
+            for sign in (PLUS, MINUS):
+                series = [count_exact(census, n, d, m, sign) for n in range(top + 1)]
+                product = mul(series, pochhammer(2 * d, top))
+                assert not any(product[3 * d * d - d + 1:]), (d, m, sign)
 
 
 def test_count_exact_deep_point():
@@ -465,19 +475,20 @@ def test_symbol_census_matches_partition_census():
     # reading each partition's symbol off its Ferrers graph gives the same
     # multiset as enumerating the symbols column count by column count
     for n in range(1, 21):
-        from_partitions = Counter(to_frobenius(p) for p in enumerate_partitions(n))
-        direct = Counter(f for d in range(1, isqrt(n) + 1)
+        from_partitions = Counter(map(to_frobenius, partitions(n)))
+        direct = Counter((f.top, f.bottom) for d in range(1, isqrt(n) + 1)
                          for f in iter_frobenius_symbols(n, d))
         assert from_partitions == direct, n
 
 
 def test_prefix_counts_match_partition_sign_words():
     # prefix counts project the symbol census; the oracle here builds the
-    # sign words from enumerate_partitions instead
+    # sign words from the partitions of n instead
     patterns = [""] + [alternating_sign_word(k, last) for k in range(1, 5) for last in "PN"]
     census = build_census(every_column(25))
     for n in range(1, 26):
-        words = [parity_blocks(to_frobenius(p)).sign_word for p in enumerate_partitions(n)]
+        words = [parity_blocks(FrobeniusSymbol(*to_frobenius(p))).sign_word
+                 for p in partitions(n)]
         for pattern in patterns:
             expected = sum(w.startswith(pattern) for w in words)
             assert count_prefix_pattern(census, n, pattern) == expected, (n, pattern)

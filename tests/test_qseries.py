@@ -17,7 +17,6 @@ from rankblocks.qseries import (
     euler_inverse,
     partition_number,
     partition_number_or_zero,
-    pentagonal_kernel,
     qbinomial,
     qbinomial_column_sum_sides,
     series_by_blocks,
@@ -236,7 +235,7 @@ def test_every_series_builder_rejects_a_negative_precision():
     for build in (lambda: euler_inverse(-1),
                   lambda: QSeries.zero(-1), lambda: QSeries.monomial(0, -1),
                   lambda: QSeries.from_coeffs([1], -1),
-                  lambda: pentagonal_kernel(1, PLUS, -1), lambda: series_by_blocks(1, PLUS, -1),
+                  lambda: series_by_blocks(1, PLUS, -1),
                   lambda: series_by_columns(1, MINUS, -1), lambda: series_exact_sums(1, -1),
                   lambda: qbinomial(4, 2, -1)):
         with pytest.raises(ValueError, match="^precision must be nonnegative$"):
@@ -386,7 +385,7 @@ def kernel_by_monomials(m, sign, precision):
 def test_pentagonal_kernel_is_its_sum_of_monomials(sign):
     for m in range(1, 9):
         for precision in range(61):
-            assert list(pentagonal_kernel(m, sign, precision).coeffs) == kernel_by_monomials(
+            assert _times_kernel([1] + [0] * precision, m, sign) == kernel_by_monomials(
                 m, sign, precision)
 
 

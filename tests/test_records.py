@@ -4,6 +4,7 @@ construction, and pickle and copy round trips.  Plus the import guards
 that keep the package free of the ``dataclasses`` machinery and each module
 free of the modules it does not import."""
 
+import ast
 import copy
 import os
 import pickle
@@ -15,7 +16,7 @@ import pytest
 
 from rankblocks.bijections import FrobeniusArray
 from rankblocks.lattice_paths import MarkedBallotPath
-from rankblocks.partitions import FrobeniusSymbol, ParityBlocks, Partition
+from rankblocks.partitions import FrobeniusSymbol, ParityBlocks
 from rankblocks.posets import Composition, LinearExtensionWord, PosetPartition, build_s_beta
 from rankblocks.qseries import QSeries
 from rankblocks.verify import Spec, VerificationReport
@@ -25,8 +26,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # (class, constructor keywords, the pinned repr).  Every keyword set is built
 # twice from fresh values, so equality below never rests on identity.
 RECORDS = {
-    "Partition": (Partition, lambda: {"parts": (3, 1, 1)},
-                  "Partition(parts=(3, 1, 1))"),
     "FrobeniusSymbol": (FrobeniusSymbol, lambda: {"top": (2, 0), "bottom": (1, 0)},
                         "FrobeniusSymbol(top=(2, 0), bottom=(1, 0))"),
     "ParityBlocks": (ParityBlocks, lambda: {"sizes": (1, 2), "last_sign": "P"},
@@ -88,9 +87,8 @@ def test_different_fields_or_classes_give_unequal_records():
     assert FrobeniusSymbol((2, 0), (1, 0)) != FrobeniusArray((2, 0), (1, 0))
     assert FrobeniusArray((2, 0), (1, 0)) != FrobeniusSymbol((2, 0), (1, 0))
     assert FrobeniusSymbol((2, 0), (1, 0)) != FrobeniusSymbol((2, 1), (1, 0))
-    assert Partition((2, 1)) != Composition((2, 1))
     assert MarkedBallotPath("udud", (2,)) != MarkedBallotPath("udud")
-    assert Partition((2, 1)) != (2, 1)
+    assert Composition((2, 1)) != (2, 1)
 
 
 @pytest.mark.parametrize("name", sorted(set(RECORDS) - MUTABLE))
@@ -187,3 +185,30 @@ def test_a_module_loads_only_the_modules_it_imports(modules, absent):
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+
+# What the enumeration side may take from the closed-form module: the sign
+# names, the sign check, and the container that gf_vmr returns.
+SHARED_WITH_THE_CLOSED_FORMS = {"MINUS", "PLUS", "SIGNS", "check_sign", "QSeries"}
+
+
+def _imported(module):
+    """Every name a package module imports, made absolute: ``a.b`` for
+    ``import a.b``, ``a.b.c`` for ``from a.b import c``."""
+    for node in ast.walk(ast.parse((SRC / "rankblocks" / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = ".".join(filter(None, ("rankblocks" if node.level else None, node.module)))
+            yield from (f"{source}.{alias.name}" for alias in node.names)
+
+
+def test_the_enumeration_side_shares_no_code_with_the_closed_forms():
+    # Each check compares an enumeration with a closed form; code the two
+    # sides shared could carry one fault into both.
+    assert [name for name in _imported("qseries") if name.startswith("rankblocks")] == []
+    allowed = {f"rankblocks.qseries.{name}" for name in SHARED_WITH_THE_CLOSED_FORMS}
+    for module in ("partitions", "lattice_paths", "posets", "bijections"):
+        taken = {name for name in _imported(module) if name.startswith("rankblocks.qseries")}
+        assert taken <= allowed, (module, sorted(taken - allowed))

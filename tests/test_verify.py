@@ -19,9 +19,9 @@ from rankblocks.qseries import (
     MINUS,
     PLUS,
     QSeries,
+    _times_kernel,
     euler_inverse,
     partition_number_or_zero,
-    pentagonal_kernel,
     qbinomial,
     series_by_blocks,
     series_by_columns,
@@ -77,7 +77,7 @@ def test_euler_expansion_and_cutoff_safety():
 
     base = add(monomial(0, precision), *map(negated, range(m, cutoff + 1)))
     assert add(base, negated(cutoff + 1)) == base
-    lhs = mul(euler_inverse(precision).coeffs, pentagonal_kernel(m, PLUS, precision).coeffs)
+    lhs = mul(euler_inverse(precision).coeffs, _times_kernel([1] + [0] * precision, m, PLUS))
     assert lhs == base
 
 
