@@ -232,12 +232,12 @@ def iter_symbols_in_class(n: int, d: int, m: int, sign: str):
 # Removing the staircase d-1, ..., 1, 0 from both rows of a d-column symbol of
 # size n leaves two weakly decreasing rows x, y of nonnegative integers with
 # total weight n - d*d; every column keeps its rank x_i - y_i.  The DP places
-# the columns of these rows one at a time, from the last (smallest) to the
-# first, so the first column placed fixes the sign of the last block.  A cell
+# the columns of these rows one at a time, from the first (largest) to the
+# last, so the last column placed gives the sign of the last block.  A cell
 # (x, y) stands for the column placed most recently and holds, for every block
 # count, the weight polynomial of the columns placed so far.  The next column
-# (x', y') >= (x, y) extends the current block when it has the same sign and
-# opens a new block otherwise, so it collects the rectangle sums of the
+# (x', y') <= (x, y) extends the current block when it has the same sign and
+# opens a new block otherwise, so it collects the suffix rectangle sums of the
 # same-sign cells and, one block lower, of the opposite-sign cells.  This is
 # the transfer-matrix method (Stanley, Enumerative Combinatorics 1, 4.7).
 #
@@ -246,7 +246,9 @@ def iter_symbols_in_class(n: int, d: int, m: int, sign: str):
 # coefficient, of a cell or of a rectangle sum, counts distinct partial rows of
 # weight w <= budget, so none exceeds the number of ways to split the budget
 # into 2d ordered nonnegative parts.  That fixes the field width: no field
-# carries into the next, and adding two cells adds their polynomials.
+# carries into the next, and adding two cells adds their polynomials.  A sum
+# is masked to weights <= budget - s' before the shift by the new column's
+# weight s', or a weight past the budget would carry into the next block count.
 
 
 def _census_table(bound: int, d: int) -> list:
@@ -262,44 +264,42 @@ def _census_table(bound: int, d: int) -> list:
     keep = [sum(((1 << width * (c + 1)) - 1) << k * slot for k in range(d))
             for c in range(budget + 1)]
 
-    def next_column(cells, ahead):
-        # The rows of cells for the next column placed: cell (x, y) with
-        # x + y = s, holding only weights that leave room for `ahead` more
-        # columns of weight at least s.  Column sums per sign run down the
-        # rows, and a row sum per sign runs along each row.
-        top = budget // (ahead + 1)
-        pos_cols = [0] * (top + 1)
-        neg_cols = [0] * (top + 1)
-        for x in range(top + 1):
-            old = cells[x] if x < len(cells) else ()
-            pos = neg = 0
-            row = []
-            for y in range(top - x + 1):
-                positive = x > y
-                if y < len(old):
-                    if positive:
-                        pos_cols[y] += old[y]
-                    else:
-                        neg_cols[y] += old[y]
+    def next_column(rows, j):
+        # The rows of column j, x = budget // j down to 0 (the j columns placed
+        # weigh at least x + y each), from the rows of column j - 1 in the same
+        # order.  Column sums per sign run down the rows, and a suffix sum per
+        # sign runs back along each row.
+        top = budget // j
+        pos_cols = [0] * (budget // (j - 1) + 1)
+        neg_cols = pos_cols[:]
+        for x, old in zip(range(len(pos_cols) - 1, -1, -1), rows):
+            for y, cell in enumerate(old):
+                (pos_cols if x > y else neg_cols)[y] += cell
+            if x > top:
+                continue
+            pos = sum(pos_cols[top - x + 1:])
+            neg = sum(neg_cols[top - x + 1:])
+            row = [0] * (top - x + 1)
+            for y in range(top - x, -1, -1):
                 pos += pos_cols[y]
                 neg += neg_cols[y]
-                same, other = (pos, neg) if positive else (neg, pos)
+                same, other = (pos, neg) if x > y else (neg, pos)
                 s = x + y
-                row.append(((same + (other << slot)) & keep[budget - (ahead + 1) * s])
-                           << width * s)
+                row[y] = ((same + (other << slot)) & keep[budget - s]) << width * s
             yield row
 
+    # The first column opens one block at its own weight.
+    rows = ([1 << width * (x + y) for y in range(budget - x + 1)]
+            for x in range(budget, -1, -1))
+    for j in range(2, d + 1):
+        rows = next_column(rows, j)
+    # The last column is split by sign as it streams: y < x is positive.
+    totals = {POSITIVE: 0, NEGATIVE: 0}
+    for x, row in zip(range(budget // d, -1, -1), rows):
+        totals[POSITIVE] += sum(row[:x])
+        totals[NEGATIVE] += sum(row[x:])
     field = (1 << width) - 1
-    for letter in (POSITIVE, NEGATIVE):
-        # The last column, placed first, carries the sign of the last block.
-        first = letter == POSITIVE
-        top = budget // d
-        rows = ([1 << width * (x + y) if (x > y) == first else 0
-                 for y in range(top - x + 1)] for x in range(top + 1))
-        for ahead in range(d - 2, -1, -1):
-            rows = next_column(list(rows), ahead)
-        # The first column is summed as it streams and never stored.
-        total = sum(sum(row) for row in rows)
+    for letter, total in totals.items():
         for k in range(d):
             for w in range(budget + 1):
                 count = (total >> k * slot + w * width) & field

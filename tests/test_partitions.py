@@ -1,7 +1,10 @@
 """Partitions, Frobenius symbols, parity blocks, and the counts."""
 
+import hashlib
+import json
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import isqrt
@@ -303,8 +306,8 @@ def test_census_series_times_the_pochhammer_product_ends_by_the_proved_degree():
     # of (d, m, sign) is q^(d^2) N(q) / (q;q)_(2d) with deg N <= d(2d - 1), so
     # its product with (q;q)_(2d) has no term above q^(3d^2 - d).  Checked
     # through q^(3d^2 + d), with the dense products of the test oracle.
-    census = build_census({d: 3 * d * d + d for d in range(1, 6)})
-    for d in range(1, 6):
+    census = build_census({d: 3 * d * d + d for d in range(1, 7)})
+    for d in range(1, 7):
         top = 3 * d * d + d
         for m in range(1, d + 1):
             for sign in (PLUS, MINUS):
@@ -318,6 +321,33 @@ def test_count_exact_deep_point():
     # closed form
     census = build_census({4: 80})
     assert count_exact(census, 80, 4, 2, PLUS) == 666064 == series_exact(4, 2, PLUS, 80).coeffs[80]
+
+
+# sha256 of the census tables at bound 150 for d = 1..12, recorded before the
+# column DP changed its order of placing the columns.
+CENSUS_DEPTH_DIGEST = "e7d55678f506ced2fc2e91dbd2f7218e1c30f1326c828f628530411e9d72ef9b"
+
+
+def test_census_at_depth_matches_its_recorded_digest():
+    # Past the reach of brute force: every (n <= 150, d <= 12, m, sign) count.
+    digest = hashlib.sha256()
+    for d in range(1, 13):
+        table = _census_table(150, d)
+        digest.update(json.dumps([sorted((str(k), v) for k, v in row.items())
+                                  for row in table]).encode())
+    assert digest.hexdigest() == CENSUS_DEPTH_DIGEST
+
+
+def test_census_keeps_no_column():
+    # Each column streams its rows into the next, so the build holds a few
+    # rows per column, not a whole column of packed cells.
+    tracemalloc.start()
+    try:
+        _census_table(200, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_count_exact_smallest_cases():
