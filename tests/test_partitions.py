@@ -323,8 +323,8 @@ def test_count_exact_deep_point():
     assert count_exact(census, 80, 4, 2, PLUS) == 666064 == series_exact(4, 2, PLUS, 80).coeffs[80]
 
 
-# sha256 of the census tables at bound 150 for d = 1..12, recorded before the
-# column DP changed its order of placing the columns.
+# sha256 of the census tables at bound 150 for d = 1..12, recorded from a DP
+# that placed the columns smallest first, one pass per last-block sign.
 CENSUS_DEPTH_DIGEST = "e7d55678f506ced2fc2e91dbd2f7218e1c30f1326c828f628530411e9d72ef9b"
 
 
@@ -339,8 +339,8 @@ def test_census_at_depth_matches_its_recorded_digest():
 
 
 def test_census_keeps_no_column():
-    # Each column streams its rows into the next, so the build holds a few
-    # rows per column, not a whole column of packed cells.
+    # Each column streams its rows into the next, so the build holds one list
+    # of column sums per sign and column, not a whole column of packed cells.
     tracemalloc.start()
     try:
         _census_table(200, 6)
