@@ -9,15 +9,14 @@ at that weight.
 Every target is one entry of :data:`SPECS`: a check, its bounds with their
 defaults, the grid axes it sweeps, the constraint on a grid point, and the
 run-wide table its check reads, if any.  A check returns only
-``(first_discrepancy, witnesses)``; :func:`run_check` alone turns that into
-a report.
+``(first_discrepancy, candidates)``; :func:`run_check` alone turns that into
+a report, and alone searches the candidates for witnesses.
 """
 
 import json
 import time
 from collections import namedtuple
 from functools import partial
-from itertools import islice
 from math import isqrt
 
 from ._record import check_ints
@@ -42,7 +41,6 @@ from .partitions import (
     count_exact,
     count_prefix_pattern,
     iter_frobenius_symbols,
-    iter_symbols_in_class,
     parity_blocks,
 )
 from .posets import (
@@ -104,10 +102,6 @@ class VerificationReport:
         return {**vars(self), "elapsed": round(self.elapsed, 6)}
 
 
-def _take(iterable):
-    return list(islice(iterable, 5))
-
-
 def _first_discrepancy(lhs, rhs, start=0, **extra):
     """The first exponent where two equally long coefficient sequences differ,
     as a discrepancy dict carrying ``extra``, or None.  Entry i of each
@@ -116,6 +110,13 @@ def _first_discrepancy(lhs, rhs, start=0, **extra):
         if expected != actual:
             return {"exponent": n, "expected": expected, "actual": actual, **extra}
     return None
+
+
+def _symbols(n, ds, keep):
+    # The candidates of a census check: one per symbol of size n with d
+    # columns, d in ``ds``, its JSON if ``keep`` holds of its parity blocks.
+    return (f.to_json_dict() if keep(parity_blocks(f)) else None
+            for d in ds for f in iter_frobenius_symbols(n, d))
 
 
 # ----------------------------------------------------------------------
@@ -128,9 +129,8 @@ def verify_exact_series(census, d, m, sign, precision):
     closed = series_exact(d, m, sign, precision)
     counts = [count_exact(census, n, d, m, sign) for n in range(1, precision + 1)]
     disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
-    wits = disc and _take(f.to_json_dict() for f, _ in
-                          iter_symbols_in_class(disc["exponent"], d, m, sign))
-    return disc, wits
+    return disc, disc and _symbols(disc["exponent"], [d],
+                                   lambda b: (b.m, b.last_sign) == (m, SIGN_LETTER[sign]))
 
 
 def verify_block_series(census, m, sign, precision):
@@ -143,9 +143,8 @@ def verify_block_series(census, m, sign, precision):
                                 1, side="formula"),
              _first_discrepancy(counts, closed.coeffs[1:], 1, side="series")]
     disc = min(filter(None, discs), key=lambda x: x["exponent"], default=None)
-    wits = disc and _take(f.to_json_dict() for d in range(m, isqrt(disc["exponent"]) + 1)
-                          for f, _ in iter_symbols_in_class(disc["exponent"], d, m, sign))
-    return disc, wits
+    return disc, disc and _symbols(disc["exponent"], range(m, isqrt(disc["exponent"]) + 1),
+                                   lambda b: (b.m, b.last_sign) == (m, SIGN_LETTER[sign]))
 
 
 def verify_column_series(census, d, sign, precision):
@@ -153,9 +152,8 @@ def verify_column_series(census, d, sign, precision):
     closed = series_by_columns(d, sign, precision)
     counts = [count_by_columns(census, n, d, sign) for n in range(1, precision + 1)]
     disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
-    wits = disc and _take(f.to_json_dict() for f in iter_frobenius_symbols(disc["exponent"], d)
-                          if parity_blocks(f).last_sign == SIGN_LETTER[sign])
-    return disc, wits
+    return disc, disc and _symbols(disc["exponent"], [d],
+                                   lambda b: b.last_sign == SIGN_LETTER[sign])
 
 
 def verify_euler_expansion(partitions, m, precision):
@@ -175,14 +173,14 @@ def verify_euler_expansion(partitions, m, precision):
         rhs[0] += 1
         return _first_discrepancy(lhs, rhs, variant=variant)
 
-    return next(filter(None, map(discrepancy, SIGNS)), None), []
+    return next(filter(None, map(discrepancy, SIGNS)), None), ()
 
 
 def verify_qbinomial_column_sum(d):
     """Signed Gaussian-binomial column sum as an exact polynomial identity,
     both sides multiplied by (1 + q^d)."""
     lhs, rhs = qbinomial_column_sum_sides(d)
-    return _first_discrepancy(lhs.coeffs, rhs.coeffs), []
+    return _first_discrepancy(lhs.coeffs, rhs.coeffs), ()
 
 
 # ----------------------------------------------------------------------
@@ -190,37 +188,17 @@ def verify_qbinomial_column_sum(d):
 # ----------------------------------------------------------------------
 
 
-# A failed path check lists at most this many paths in its search for
-# witnesses: about half a second at the listing's rate, 350,000-390,000 paths
-# a second with their vmr over the first 200,000 of (s, t, r) = (14, 12, 1)
-# on a 2-vCPU host.  That family has 7,726,160 paths, and an exponent that
-# few of them reach would otherwise be searched for half a minute.
-PATH_SCAN_BUDGET = 200_000
-
-
 def _compare_path_gf(gf, objects, shift, closed):
     """Exact polynomial comparison of the path polynomial ``gf`` (sum q^vmr, a
     coefficient list) against q^shift times the coefficients ``closed``, both
     padded with zeros to one length.  ``objects`` lists the paths behind
-    ``gf``; it is called only on failure, for witnesses.  A search that lists
-    :data:`PATH_SCAN_BUDGET` paths without five witnesses stops there, and
-    the discrepancy says so in ``witness_search``."""
+    ``gf``; it is called only on failure, for the candidates."""
     closed = [0] * shift + list(closed)
     length = max(len(gf), len(closed))
     disc = _first_discrepancy(gf + [0] * (length - len(gf)),
                               closed + [0] * (length - len(closed)))
-    if disc is None:
-        return None, []
-    witnesses = []
-    for listed, p in enumerate(objects(), 1):
-        if vmr(p) == disc["exponent"]:
-            witnesses.append(p.bar_string())
-            if len(witnesses) == 5:
-                break
-        if listed == PATH_SCAN_BUDGET:
-            disc["witness_search"] = f"stopped after {PATH_SCAN_BUDGET} paths"
-            break
-    return disc, witnesses
+    return disc, disc and (p.bar_string() if vmr(p) == disc["exponent"] else None
+                           for p in objects())
 
 
 def _ballot_read(s, t, r):
@@ -280,16 +258,15 @@ def verify_poset_partition_gf(beta, precision):
     for a in range(1, structure.size + 1):
         _over_one_minus(series, a)
     disc = _first_discrepancy(hist, series)
-    wits = disc and _take(p.to_json_dict() for p in
-                          iter_poset_partitions(structure, disc["exponent"])
-                          if p.weight == disc["exponent"])
-    return disc, wits
+    return disc, disc and (p.to_json_dict() if p.weight == disc["exponent"] else None
+                           for p in iter_poset_partitions(structure, disc["exponent"]))
 
 
 def verify_word_path_gf(beta):
     """Descent statistic over linear extensions vs the shifted valley statistic
     over Dyck paths with the prescribed marked returns; also checks that the
-    word-to-path map is a bijection onto that path family."""
+    word-to-path map is a bijection onto that path family, and if not, offers
+    the paths that no word reaches."""
     structure = build_s_beta(beta)
     sums = structure.beta.partial_sums
     positions = sums[1:-1]
@@ -307,15 +284,15 @@ def verify_word_path_gf(beta):
         rhs[e] += 1
     disc = _first_discrepancy(lhs, rhs)
     if disc:
-        return disc, _take(" ".join(map(str, w.word)) for w in words
-                           if maj_word(w) == disc["exponent"])
+        return disc, (" ".join(map(str, w.word)) if maj_word(w) == disc["exponent"] else None
+                      for w in words)
     images = [word_to_dyck(w) for w in words]
-    if len(set(images)) != len(images) or set(images) != set(paths):
-        disc = {"exponent": None, "expected": len(paths),
-                "actual": len(set(images)),
+    reached = set(images)
+    if len(reached) != len(images) or reached != set(paths):
+        disc = {"exponent": None, "expected": len(paths), "actual": len(reached),
                 "detail": "word-to-path images do not match the path family"}
-        return disc, _take(p.bar_string() for p in paths)
-    return None, []
+        return disc, (None if p in reached else p.bar_string() for p in paths)
+    return None, ()
 
 
 # ----------------------------------------------------------------------
@@ -342,10 +319,9 @@ def verify_prefix_counts(census, m, precision):
                                   1, last_letter=letter)
         if disc:
             n = disc["exponent"]
-            return disc, _take(f.to_json_dict() for d in range(m, isqrt(n) + 1)
-                               for f in iter_frobenius_symbols(n, d)
-                               if parity_blocks(f).sign_word.startswith(patterns))
-    return None, []
+            return disc, _symbols(n, range(m, isqrt(n) + 1),
+                                  lambda b: b.sign_word.startswith(patterns))
+    return None, ()
 
 
 def _count_relations(census, precision, max_m, max_d):
@@ -380,7 +356,7 @@ def verify_count_relations(census, precision, max_m, max_d):
     narrower."""
     discs = (_first_discrepancy(lhs, rhs, 1, **labels)
              for lhs, rhs, labels in _count_relations(census, precision, max_m, max_d))
-    return next(filter(None, discs), None), []
+    return next(filter(None, discs), None), ()
 
 
 def verify_partition_unity(census, precision):
@@ -389,7 +365,7 @@ def verify_partition_unity(census, precision):
                   for m in range(1, d + 1) for sign in SIGNS)
               for n in range(1, precision + 1)]
     disc = _first_discrepancy(totals, [partition_number(n) for n in range(1, precision + 1)], 1)
-    return disc, []
+    return disc, ()
 
 
 # ----------------------------------------------------------------------
@@ -548,11 +524,21 @@ def grid_points(name, settings=None):
     return points
 
 
+# A failed check lists at most this many objects in its search for witnesses:
+# half a second of marked paths, or one to three of symbols, on a 2-vCPU host.
+# The family behind one failing exponent can hold billions.
+WITNESS_SCAN_BUDGET = 200_000
+
+
 def run_check(name, table=None, /, **point):
     """Run target ``name``'s check at one grid point and build its report:
     the check's time, the target name, ``point`` as the parameters, and the
-    status.  A check returns ``(first_discrepancy, witnesses)``, the first
-    None when its two sides agree.  A check that reads a run-wide table reads
+    status.  A check returns ``(first_discrepancy, candidates)``, the first
+    None when its two sides agree.  On failure ``candidates`` is a lazy
+    stream, one entry per object the enumeration side lists: the rendered
+    witness or None.  The report keeps the first five witnesses listed within
+    :data:`WITNESS_SCAN_BUDGET` objects; a search that stops at the budget
+    says so in ``witness_search``.  A check that reads a run-wide table reads
     ``table``; when it is not given, it is built for the point's own ask
     before the clock starts."""
     spec = SPECS[name]
@@ -561,11 +547,20 @@ def run_check(name, table=None, /, **point):
         build, ask = spec.table
         inputs.append(build([ask(point)]) if table is None else table)
     started = time.perf_counter()
-    discrepancy, witnesses = spec.check(*inputs, **point)
+    discrepancy, candidates = spec.check(*inputs, **point)
+    witnesses = []
+    for listed, witness in enumerate(candidates or (), 1):
+        if witness is not None:
+            witnesses.append(witness)
+            if len(witnesses) == 5:
+                break
+        if listed == WITNESS_SCAN_BUDGET:
+            discrepancy["witness_search"] = f"stopped after {WITNESS_SCAN_BUDGET} listed objects"
+            break
     elapsed = time.perf_counter() - started
     if discrepancy is None:
         return VerificationReport(name, point, "pass", None, elapsed)
-    return VerificationReport(name, point, "fail", discrepancy, elapsed, list(witnesses))
+    return VerificationReport(name, point, "fail", discrepancy, elapsed, witnesses)
 
 
 def _sweep(name, points, table):

@@ -3,18 +3,35 @@ determinism, and report structure."""
 
 import json
 import re
+import time
+from itertools import islice
+from math import isqrt
+
 import pytest
 
 import rankblocks.verify as verify_mod
 from list_oracle import add, inverse, monomial, mul, pochhammer
 from rankblocks.lattice_paths import (
     enumerate_marked_paths,
+    maj_path,
     marked_path_coeffs,
     marked_path_table,
     vmr,
 )
-from rankblocks.partitions import FrobeniusSymbol, parity_blocks
-from rankblocks.posets import build_s_beta, compositions, linear_extensions, maj_word
+from rankblocks.partitions import (
+    FrobeniusSymbol,
+    count_exact,
+    iter_frobenius_symbols,
+    iter_symbols_in_class,
+    parity_blocks,
+)
+from rankblocks.posets import (
+    build_s_beta,
+    compositions,
+    linear_extensions,
+    maj_word,
+    word_to_dyck,
+)
 from rankblocks.qseries import (
     MINUS,
     PLUS,
@@ -251,10 +268,10 @@ def test_path_witness_search_stops_at_its_budget(monkeypatch):
     monkeypatch.setattr(verify_mod, "enumerate_marked_paths", paths)
     report = run_check("lemma-2.2", s=14, t=12, r=1)
     assert not report.passed
-    budget = verify_mod.PATH_SCAN_BUDGET
+    budget = verify_mod.WITNESS_SCAN_BUDGET
     assert report.first_discrepancy == {
         "exponent": 1 + 15 * 11, "expected": 1, "actual": 2,
-        "witness_search": f"stopped after {budget} paths"}
+        "witness_search": f"stopped after {budget} listed objects"}
     assert len(report.witnesses) <= 1
     assert listed == budget
 
@@ -346,6 +363,113 @@ def test_mutation_guard_prefix_counts(monkeypatch):
     assert report.first_discrepancy["last_letter"] == "N"
     for f in _witness_symbols(report, 15):
         assert parity_blocks(f).sign_word.startswith(("PN", "NPN"))
+
+
+# ----------------------------------------------------------------------
+# the shared witness search
+# ----------------------------------------------------------------------
+
+
+def test_census_fault_at_depth_reports_within_the_budget(monkeypatch):
+    # +1 seeded into thm-main's count at (150, 6, 1, minus).  The class's
+    # first member lies after billions of 6-column symbols of size 150, so
+    # the search lists the budget's worth of symbols, and says so, instead
+    # of running on with no report.
+    listed = 0
+
+    def seeded(census, n, d, m, sign):
+        return count_exact(census, n, d, m, sign) + ((n, d, m, sign) == (150, 6, 1, MINUS))
+
+    def symbols(n, d):
+        nonlocal listed
+        for f in iter_frobenius_symbols(n, d):
+            listed += 1
+            yield f
+
+    monkeypatch.setattr(verify_mod, "count_exact", seeded)
+    monkeypatch.setattr(verify_mod, "iter_frobenius_symbols", symbols)
+    started = time.perf_counter()
+    report = run_check("thm-main", d=6, m=1, sign=MINUS, precision=150)
+    assert time.perf_counter() - started < 10
+    budget = verify_mod.WITNESS_SCAN_BUDGET
+    assert report.first_discrepancy["exponent"] == 150
+    assert report.first_discrepancy["witness_search"] == f"stopped after {budget} listed objects"
+    assert listed == budget
+
+
+def _first_five(symbols):
+    return [f.to_json_dict() for f in islice(symbols, 5)]
+
+
+def _in_class(n, d, m, sign):
+    return (f for f, _ in iter_symbols_in_class(n, d, m, sign))
+
+
+# Each census check with +1 seeded into its count at n = 30, and the
+# expression that chose its witnesses before the search moved into run_check.
+_CENSUS_FAULTS = {
+    "thm-main": ("count_exact", {"d": 3, "m": 2, "sign": PLUS},
+                 lambda n: _in_class(n, 3, 2, PLUS)),
+    "thm-1.2": ("count_by_blocks", {"m": 2, "sign": MINUS},
+                lambda n: (f for d in range(2, isqrt(n) + 1) for f in _in_class(n, d, 2, MINUS))),
+    "thm-1.4": ("count_by_columns", {"d": 3, "sign": MINUS},
+                lambda n: (f for f in iter_frobenius_symbols(n, 3)
+                           if parity_blocks(f).last_sign == "N")),
+    "thm-5.1": ("count_prefix_pattern", {"m": 2},
+                lambda n: (f for d in range(2, isqrt(n) + 1) for f in iter_frobenius_symbols(n, d)
+                           if parity_blocks(f).sign_word.startswith(("PN", "NPN")))),
+}
+
+
+@pytest.mark.parametrize("target", sorted(_CENSUS_FAULTS))
+def test_census_witnesses_are_the_first_five_of_the_class(monkeypatch, target):
+    count, point, reference = _CENSUS_FAULTS[target]
+    real = getattr(verify_mod, count)
+    monkeypatch.setattr(verify_mod, count,
+                        lambda census, n, *args: real(census, n, *args) + (n == 30))
+    report = run_check(target, precision=40, **point)
+    assert report.first_discrepancy["exponent"] == 30
+    assert "witness_search" not in report.first_discrepancy
+    assert len(report.witnesses) == 5
+    assert report.witnesses == _first_five(reference(30))
+
+
+def test_poset_and_word_searches_stop_at_the_budget(monkeypatch):
+    # The budget is the same for every check: with it at three objects, a
+    # failing prop-3.9 and prop-3.10 check each stop there and say so.
+    from rankblocks.posets import enumerate_poset_partitions
+
+    def perturbed(structure, max_weight):
+        hist = enumerate_poset_partitions(structure, max_weight)
+        hist[7] -= 1
+        return hist
+
+    monkeypatch.setattr(verify_mod, "WITNESS_SCAN_BUDGET", 3)
+    monkeypatch.setattr(verify_mod, "enumerate_poset_partitions", perturbed)
+    monkeypatch.setattr(verify_mod, "maj_path", lambda p: maj_path(p) + 1)
+    for report in (run_check("prop-3.9", beta=(2, 1), precision=15),
+                   run_check("prop-3.10", beta=(2, 2, 2))):
+        assert not report.passed
+        assert report.first_discrepancy["witness_search"] == "stopped after 3 listed objects"
+        assert len(report.witnesses) <= 3
+
+
+@pytest.mark.parametrize("beta", [(4,), (3, 2), (2, 2, 2)])
+def test_word_path_collision_names_the_missed_path(monkeypatch, beta):
+    # The last extension mapped onto the first one's image: the path that the
+    # last extension should reach is the one family path no word reaches, and
+    # it is the only witness.
+    words = linear_extensions(build_s_beta(beta))
+    first, last = words[0].word, words[-1].word
+    missed = word_to_dyck(words[-1]).bar_string()
+    monkeypatch.setattr(verify_mod, "word_to_dyck",
+                        lambda w: word_to_dyck(words[0] if w.word == last else w))
+    report = run_check("prop-3.10", beta=beta)
+    assert first != last
+    assert report.first_discrepancy == {
+        "exponent": None, "expected": len(words), "actual": len(words) - 1,
+        "detail": "word-to-path images do not match the path family"}
+    assert report.witnesses == [missed]
 
 
 # ----------------------------------------------------------------------
