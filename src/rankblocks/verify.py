@@ -113,8 +113,8 @@ def _first_discrepancy(lhs, rhs, start=0, **extra):
 
 
 def _symbols(n, ds, keep):
-    # The candidates of a census check: one per symbol of size n with d
-    # columns, d in ``ds``, its JSON if ``keep`` holds of its parity blocks.
+    # The candidates of a census check: one per symbol of size n with d in
+    # ``ds`` columns, its JSON if ``keep`` holds of its blocks, else None.
     return (f.to_json_dict() if keep(parity_blocks(f)) else None
             for d in ds for f in iter_frobenius_symbols(n, d))
 
