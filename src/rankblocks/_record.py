@@ -1,5 +1,6 @@
-"""The immutable value record behind the enumeration side's objects, and the
-rule their integer fields share.
+"""The immutable value record behind the enumeration side's objects, the rule
+their integer fields share, and the packed-polynomial format of its three DPs
+(the census, the poset-partition histogram and the marked-path table).
 
 Hand-written instead of ``dataclasses``: that module's import pulls in
 ``inspect``, ``ast`` and ``dis``, and its class building runs again in every
@@ -76,3 +77,47 @@ def check_ints(row, what, low=-inf, gap=None, order=None):
             if prev is not None and prev - x < gap:
                 raise ValueError(f"{order}, got {row}")
             prev = x
+
+
+# The packed format.  A DP holds each polynomial with nonnegative integer
+# coefficients as one int, the coefficient of q^e in bit field e, ``width``
+# bits wide (Kronecker substitution).  Adding two ints then adds their
+# polynomials, and a shift by e * width multiplies by q^e, as long as no
+# coefficient carries into the field above it.  Each DP proves a bound on every
+# coefficient it forms and takes its width from field_width: the bound's bits
+# and one guard bit above them, which a coefficient within the bound leaves
+# zero.  A check from guard turns a set guard bit into an OverflowError.  Each
+# DP checks values that dominate what it formed since its last check, so a
+# coefficient that has reached its guard bit raises there, unless it has grown
+# past the whole field in between and carried on: only the proved bound rules
+# that out, and the guard catches a bound the code no longer meets.
+
+
+def field_width(bound: int) -> int:
+    """Bits per field for coefficients of at most ``bound``: the bound's bits
+    and one guard bit."""
+    return bound.bit_length() + 1
+
+
+def low_fields(count: int, width: int) -> int:
+    """The mask of the lowest ``count`` fields."""
+    return (1 << width * count) - 1
+
+
+def guard(count: int, width: int, dp: str):
+    """A check ``(packed, point)`` that raises OverflowError, naming ``dp`` and
+    the point, when ``packed`` sets the guard bit of one of its lowest
+    ``count`` fields."""
+    bits = low_fields(count, width) // low_fields(1, width) << width - 1
+
+    def check(packed, point):
+        if packed & bits:
+            raise OverflowError(f"{dp}: a coefficient overflows its {width}-bit field "
+                                f"at {point}")
+    return check
+
+
+def unpack(packed: int, width: int) -> list:
+    """The fields of ``packed``, lowest first, up to its highest set bit."""
+    field = low_fields(1, width)
+    return [packed >> k & field for k in range(0, packed.bit_length(), width)]

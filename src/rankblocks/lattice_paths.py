@@ -11,7 +11,7 @@ from collections import defaultdict
 from itertools import combinations
 from math import comb
 
-from ._record import Record, check_ints, setfield
+from ._record import Record, check_ints, field_width, guard, setfield, unpack
 from .qseries import QSeries
 
 UP = "u"
@@ -253,8 +253,8 @@ def marked_path_table(points) -> dict:
         # Every coefficient counts distinct marked prefixes of one state and
         # vmr.  One suffix takes them all to distinct marked paths of one shape
         # read, with one vmr: at most C(s+t, t) 2^t of them, as each return
-        # needs a d step.  So no field carries into the next.
-        width = max(width, (comb(s + t, t) << t).bit_length())
+        # needs a d step.  That bound fixes the field width.
+        width = max(width, field_width(comb(s + t, t) << t))
     table = _PathTable()
     table.width = width
     if not reads:
@@ -270,9 +270,13 @@ def marked_path_table(points) -> dict:
     # A transfer-matrix DP over the steps (Stanley, Enumerative Combinatorics 1,
     # 4.7).  After i steps the state is (height, whether step i was a d, marks
     # so far), the marks capped at top; it holds the vmr polynomial of the
-    # marked prefixes in that state, the coefficient of q^e in bit field e.  A
-    # u step after a d step closes a valley at x = i, which adds i; on the
-    # x-axis the valley may instead be marked, which adds i/2 and one mark.
+    # marked prefixes in that state, the coefficient of q^e in bit field e
+    # (:mod:`rankblocks._record`).  A u step after a d step closes a valley at
+    # x = i, which adds i; on the x-axis the valley may instead be marked,
+    # which adds i/2 and one mark.  So no vmr passes 0 + 1 + ... + (last - 1).
+    # Nothing is masked, so a field that overflows spoils only the reads of
+    # it: the guard checks each row whole, which dominates every read of it.
+    check = guard(last * (last - 1) // 2 + 1, width, "marked-path DP")
     states = {(0, False, 0): 1}
     for i in range(last + 1):
         if i in reads:
@@ -280,7 +284,9 @@ def marked_path_table(points) -> dict:
             for (height, _down, marks), poly in states.items():
                 if height in rows:
                     rows[height][marks] += poly
-            table.update(((i, height), row) for height, row in rows.items())
+            for height, row in rows.items():
+                check(sum(row), f"s = {(i + height) // 2}, t = {(i - height) // 2}")
+                table[i, height] = row
         if i == last:
             break
         ahead = alive[i + 1]
@@ -310,8 +316,5 @@ def marked_path_coeffs(table: dict, s: int, t: int, r: int, exact: bool = False)
     if not 0 <= r < len(row) - exact:
         raise LookupError(f"the path table does not count {'exactly' if exact else 'at least'} "
                           f"{r} marks")
-    packed = row[r] if exact else sum(row[r:])
-    width = table.width
-    field = (1 << width) - 1
-    return [packed >> k & field for k in range(0, packed.bit_length(), width)] or [0]
+    return unpack(row[r] if exact else sum(row[r:]), table.width) or [0]
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, isqrt
 from operator import gt
 
-from ._record import Record, check_ints, setfield
+from ._record import Record, check_ints, field_width, guard, low_fields, setfield, unpack
 from .qseries import MINUS, PLUS, check_sign
 
 POSITIVE = "P"
@@ -242,13 +242,17 @@ def iter_symbols_in_class(n: int, d: int, m: int, sign: str):
 # the transfer-matrix method (Stanley, Enumerative Combinatorics 1, 4.7).
 #
 # A cell's polynomial in q (weight) and t (blocks - 1) is packed into one
-# integer, the coefficient of q^w t^k in the bit field k*(budget+1) + w.  Every
-# coefficient, of a cell or of a rectangle sum, counts distinct partial rows of
-# weight w <= budget, so none exceeds the number of ways to split the budget
-# into 2d ordered nonnegative parts.  That fixes the field width: no field
-# carries into the next, and adding two cells adds their polynomials.  A sum
-# is masked to weights <= budget - s' before the shift by the new column's
-# weight s', or a weight past the budget would carry into the next block count.
+# integer (:mod:`rankblocks._record`), the coefficient of q^w t^k in the bit
+# field k*(budget+1) + w.  Every coefficient, of a cell or of a rectangle sum,
+# counts distinct partial rows of weight w <= budget, so none exceeds the
+# number of ways to split the budget into 2d ordered nonnegative parts.  That
+# bound fixes the field width.  A sum is masked to weights <= budget - s'
+# before the shift by the new column's weight s', or a weight past the budget
+# would carry into the next block count.  A row's cells sum its suffix sums
+# of one sign with those of the other one block lower.  The row's full suffix
+# sums of both signs, plus the same one block lower, dominate every cell of the
+# row and still count distinct partial rows, so the guard checks that once per
+# row, and the two sign totals last.
 
 
 def _census_table(bound: int, d: int) -> list:
@@ -258,11 +262,13 @@ def _census_table(bound: int, d: int) -> list:
     budget = bound - d * d
     if budget < 0:
         return table
-    width = comb(budget + 2 * d - 1, 2 * d - 1).bit_length()
+    width = field_width(comb(budget + 2 * d - 1, 2 * d - 1))
     slot = width * (budget + 1)
     # keep[c] keeps the weights 0..c of every block count.
-    keep = [sum(((1 << width * (c + 1)) - 1) << k * slot for k in range(d))
+    keep = [sum(low_fields(c + 1, width) << k * slot for k in range(d))
             for c in range(budget + 1)]
+    check = guard(d * (budget + 1), width, "census DP")
+    point = f"d = {d}, n <= {bound}"
 
     def next_column(rows, j):
         # The rows of column j, x = budget // j down to 0 (the j columns placed
@@ -286,6 +292,8 @@ def _census_table(bound: int, d: int) -> list:
                 same, other = (pos, neg) if x > y else (neg, pos)
                 s = x + y
                 row[y] = ((same + (other << slot)) & keep[budget - s]) << width * s
+            both = pos + neg
+            check(both + (both << slot), point)
             yield row
 
     # The first column opens one block at its own weight.
@@ -298,13 +306,12 @@ def _census_table(bound: int, d: int) -> list:
     for x, row in zip(range(budget // d, -1, -1), rows):
         totals[POSITIVE] += sum(row[:x])
         totals[NEGATIVE] += sum(row[x:])
-    field = (1 << width) - 1
     for letter, total in totals.items():
-        for k in range(d):
-            for w in range(budget + 1):
-                count = (total >> k * slot + w * width) & field
-                if count:
-                    table[w + d * d][(k + 1, letter)] = count
+        check(total, point)
+        for i, count in enumerate(unpack(total, width)):
+            if count:
+                k, w = divmod(i, budget + 1)
+                table[w + d * d][(k + 1, letter)] = count
     return table
 
 

@@ -12,7 +12,7 @@ uses the labels 2 r_{l-1} + 1 .. 2 r_l with the top row first.
 from itertools import product
 from math import comb
 
-from ._record import Record, check_ints, setfield
+from ._record import Record, check_ints, field_width, guard, low_fields, setfield, unpack
 from .lattice_paths import DOWN, UP, MarkedBallotPath, enumerate_ballot_words
 
 
@@ -280,17 +280,19 @@ def iter_poset_partitions(structure: SBetaStructure, max_weight: int):
 #   top' <= bottom at a block boundary, bottom being the block's last value.
 # The DP holds, for each (top, bottom) of the column placed last, the weight
 # polynomial of the columns placed so far, with the coefficient of q^w in bit
-# field w.  A block boundary moves each polynomial to the diagonal cell
-# (bottom, bottom): the next column then collects the same rectangle sum as
-# inside a block.  Every coefficient, of a cell or of a rectangle sum, counts
-# distinct assignments of weight w <= max_weight to at most 2d cells, so none
-# exceeds C(max_weight + 2d, 2d) and no field carries into the next.  The
-# columns up to the k-th weigh at least k (top + bottom) of the k-th, so cells
-# with k (top + bottom) > max_weight are left out.  (Stanley, Enumerative
-# Combinatorics 1, 3.15 and 4.7.)
+# field w (:mod:`rankblocks._record`).  A block boundary moves each polynomial
+# to the diagonal cell (bottom, bottom): the next column then collects the same
+# rectangle sum as inside a block.  Every coefficient, of a cell or of a
+# rectangle sum or of the sum of the diagonal cells, counts distinct
+# assignments of weight w <= max_weight to at most 2d cells, so none exceeds
+# C(max_weight + 2d, 2d), the bound that fixes the field width.  The guard
+# checks each row's largest rectangle sum and the diagonal sum at each block
+# boundary.  The columns up to the k-th weigh at least k (top + bottom) of the
+# k-th, so cells with k (top + bottom) > max_weight are left out.  (Stanley,
+# Enumerative Combinatorics 1, 3.15 and 4.7.)
 
 
-def _next_column(cells, top, width, keep):
+def _next_column(cells, top, width, keep, check, point):
     # cells[a][b] holds the previous column (a, b).  Returns the cells of the
     # next column (a', b') with a' + b' <= top: the sum over a >= a', b >= b'
     # of cells[a][b], times q^(a' + b').
@@ -308,6 +310,7 @@ def _next_column(cells, top, width, keep):
             rect += below[b]
             if rect:
                 row[b] = (rect << width * (a + b)) & keep
+        check(rect, point)
         out[a] = row
     return out
 
@@ -317,20 +320,23 @@ def enumerate_poset_partitions(structure: SBetaStructure, max_weight: int) -> li
     for every n <= max_weight, by a column DP that does not list them."""
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
-    width = comb(max_weight + structure.size, structure.size).bit_length()
-    keep = (1 << width * (max_weight + 1)) - 1
+    width = field_width(comb(max_weight + structure.size, structure.size))
+    keep = low_fields(max_weight + 1, width)
+    check = guard(max_weight + 1, width, "poset-partition DP")
+    point = f"beta = {structure.beta.parts}, weight <= {max_weight}"
     # Before the first column, only the weight bounds the values.
     cells = [[] for _ in range(max_weight)] + [[0] * max_weight + [1]]
-    column = 0
-    for b in structure.beta.parts:
-        for _ in range(b):
-            column += 1
-            cells = _next_column(cells, max_weight // column, width, keep)
-        cells = [[0] * v + [sum(row[v] for row in cells[v:] if v < len(row))]
-                 for v in range(len(cells))]
-    total = sum(row[-1] for row in cells)
-    field = (1 << width) - 1
-    return [(total >> width * w) & field for w in range(max_weight + 1)]
+    ends = structure.beta.partial_sums[1:]
+    for column in range(1, ends[-1] + 1):
+        cells = _next_column(cells, max_weight // column, width, keep, check, point)
+        if column in ends:
+            cells = [[0] * v + [sum(row[v] for row in cells[v:] if v < len(row))]
+                     for v in range(len(cells))]
+            total = sum(row[-1] for row in cells)
+            check(total, point)
+    # Every weight up to max_weight has an assignment, the whole weight on the
+    # least element, so the histogram ends at max_weight.
+    return unpack(total, width)
 
 
 def word_to_dyck(w: LinearExtensionWord) -> MarkedBallotPath:

@@ -302,20 +302,23 @@ def test_one_path_table_matches_the_listing(listing):
 
 
 def test_path_table_one_bit_narrower_disagrees_with_the_listing(monkeypatch, listing):
-    # The field width (C(s+t, t) << t).bit_length() is tight where t = 0: one
-    # path, vmr 0, one bit.  One bit narrower leaves it no field, which the
-    # read refuses.  On this grid every other shape keeps two bits or more
-    # to spare, so the one-point tables that go wrong are exactly those.
+    # The bound C(s+t, t) << t is tight where t = 0: one path, vmr 0.  Halved,
+    # it leaves that field only its guard bit, which the path's count sets.
+    # On this grid every other shape keeps a bit or more to spare below its
+    # guard bit, so the one-point tables that raise are exactly those, and
+    # every other read still equals the listing.
     monkeypatch.setattr(lattice_paths_mod, "comb", lambda n, k: comb(n, k) >> 1)
 
-    def narrow(read):
+    raised = set()
+    for read, coeffs in listing.items():
+        s, t = read[:2]
         try:
-            return marked_path_coeffs(marked_path_table([read]), *read)
-        except ValueError:  # a field of no bits
-            return None
-
-    wrong = {read[:2] for read, coeffs in listing.items() if narrow(read) != coeffs}
-    assert wrong == {(s, 0) for s in range(15)}
+            assert marked_path_coeffs(marked_path_table([read]), *read) == coeffs, read
+        except OverflowError as exc:
+            assert str(exc) == (f"marked-path DP: a coefficient overflows its 1-bit field "
+                                f"at s = {s}, t = {t}")
+            raised.add((s, t))
+    assert raised == {(s, 0) for s in range(15)}
 
 
 def test_path_table_keeps_only_the_rows_read():

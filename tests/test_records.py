@@ -208,6 +208,9 @@ def test_the_enumeration_side_shares_no_code_with_the_closed_forms():
     # Each check compares an enumeration with a closed form; code the two
     # sides shared could carry one fault into both.
     assert [name for name in _imported("qseries") if name.startswith("rankblocks")] == []
+    # The records and the packed format of the enumeration DPs import no
+    # package module, so none of the closed forms either.
+    assert [name for name in _imported("_record") if name.startswith("rankblocks")] == []
     allowed = {f"rankblocks.qseries.{name}" for name in SHARED_WITH_THE_CLOSED_FORMS}
     for module in ("partitions", "lattice_paths", "posets", "bijections"):
         taken = {name for name in _imported(module) if name.startswith("rankblocks.qseries")}
