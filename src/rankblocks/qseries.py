@@ -189,11 +189,13 @@ class QSeries:
 # ----------------------------------------------------------------------
 
 
-def _times_one_minus(c: list, a: int) -> None:
-    """In place: ``c <- c * (1 - q**a)``, truncated at ``q**(len(c) - 1)``.
-    Descending, so each ``c[k - a]`` read is still the old coefficient."""
+def _times_one_minus(c: list, a: int) -> list:
+    """In place: ``c <- c * (1 - q**a)``, truncated at ``q**(len(c) - 1)``;
+    returns ``c``.  Descending, so each ``c[k - a]`` read is still the old
+    coefficient."""
     for k in range(len(c) - 1, a - 1, -1):
         c[k] -= c[k - a]
+    return c
 
 
 def _over_one_minus(c: list, a: int) -> None:
@@ -317,8 +319,7 @@ def series_exact(d: int, m: int, sign: str, precision: int) -> QSeries:
     top = precision - shift
     if top < 0:
         return QSeries.zero(precision)
-    c = [1] + [0] * top
-    _times_one_minus(c, m)
+    c = _times_one_minus([1] + [0] * top, m)
     for a in (d, *range(1, d - m + 1), *range(1, d + m + 1)):
         _over_one_minus(c, a)
     return QSeries((0,) * shift + tuple(c))
@@ -348,8 +349,7 @@ def series_exact_sums(m: int, precision: int) -> dict:
         _over_one_minus(c, a)
     plus, minus = [0] * (precision + 1), [0] * (precision + 1)
     while shift <= precision:
-        term = c.copy()
-        _times_one_minus(term, m)
+        term = _times_one_minus(c.copy(), m)
         _over_one_minus(term, d)
         minus[shift:] = map(add, minus[shift:], term)
         # map stops at the shorter list, so the plus term loses its last d.
@@ -468,6 +468,5 @@ def qbinomial_column_sum_sides(d: int) -> tuple[QSeries, QSeries]:
         lhs[:len(term)] = map(add, lhs, term)
     # Times (1 + q^d): the slice assignment reads every old coefficient first.
     lhs[d:] = map(add, lhs[d:], lhs)
-    rhs = list(qbinomial(2 * d, d, precision).coeffs)
-    _times_one_minus(rhs, d)
+    rhs = _times_one_minus(list(qbinomial(2 * d, d, precision).coeffs), d)
     return QSeries(lhs), QSeries(rhs)

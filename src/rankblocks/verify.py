@@ -1,22 +1,25 @@
-"""Named verification checks pairing enumeration oracles with closed forms.
+"""Named verification checks, each comparing the two sides of one claim.
 
-Each check computes its two sides through independent code paths (the
-enumeration side never touches the closed-form series and vice versa) and
-reports per-coefficient agreement.  On failure the report carries the first
-discrepant exponent plus up to five witness objects from the enumeration side
-at that weight.
+Every target is one entry of :data:`SPECS`.  It declares its two sides, each
+a :class:`Side`: a kind (``enumeration`` for a side that lists or counts
+objects, ``closed`` for one that evaluates closed forms), the name of its code
+path, and a function that gives its coefficient rows.  Most targets set an
+enumeration against a closed form; cor-1.3 and cor-1.5 compare two closed
+forms, and prop-3.9, prop-3.10 and remarks two enumerations.  The two sides
+share no code: a closed side calls no enumeration module, and an enumeration
+side calls nothing in ``qseries`` but a few functions, each allowed with its
+reason by the run-time audit in ``tests/test_sides.py``.
 
-Every target is one entry of :data:`SPECS`: a check, its bounds with their
-defaults, the grid axes it sweeps, the constraint on a grid point, and the
-run-wide table its check reads, if any.  A check returns only
-``(first_discrepancy, candidates)``; :func:`run_check` alone turns that into
-a report, and alone searches the candidates for witnesses.
+:func:`run_check` is the one comparer.  It calls both sides, reports the first
+discrepancy by one rule, and searches the target's candidates for up to five
+witnesses: objects from the enumeration side at the discrepant weight.
 """
 
 import json
 import time
-from collections import namedtuple
-from functools import partial
+from collections import Counter, namedtuple
+from functools import lru_cache, partial
+from itertools import zip_longest
 from math import isqrt
 
 from ._record import check_ints
@@ -102,16 +105,6 @@ class VerificationReport:
         return {**vars(self), "elapsed": round(self.elapsed, 6)}
 
 
-def _first_discrepancy(lhs, rhs, start=0, **extra):
-    """The first exponent where two equally long coefficient sequences differ,
-    as a discrepancy dict carrying ``extra``, or None.  Entry i of each
-    sequence is the coefficient of q^(start + i); ``lhs`` is the expected side."""
-    for n, (expected, actual) in enumerate(zip(lhs, rhs, strict=True), start):
-        if expected != actual:
-            return {"exponent": n, "expected": expected, "actual": actual, **extra}
-    return None
-
-
 def _symbols(n, ds, keep):
     # The candidates of a census check: one per symbol of size n with d in
     # ``ds`` columns, its JSON if ``keep`` holds of its blocks, else None.
@@ -119,253 +112,129 @@ def _symbols(n, ds, keep):
             for d in ds for f in iter_frobenius_symbols(n, d))
 
 
-# ----------------------------------------------------------------------
-# series vs enumerated counts
-# ----------------------------------------------------------------------
+def _at_vmr(n, paths):
+    # The candidates of a path check: each path, rendered if its vmr is n.
+    return (p.bar_string() if vmr(p) == n else None for p in paths)
 
 
-def verify_exact_series(census, d, m, sign, precision):
-    """Counts with fixed column number and block number vs their closed form."""
-    closed = series_exact(d, m, sign, precision)
-    counts = [count_exact(census, n, d, m, sign) for n in range(1, precision + 1)]
-    disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
-    return disc, disc and _symbols(disc["exponent"], [d],
-                                   lambda b: (b.m, b.last_sign) == (m, SIGN_LETTER[sign]))
+def _shifted(r, coeffs, tail=0):
+    # q^(r(r+1)/2) times a coefficient sequence, with ``tail`` zeros added.
+    return [0] * (r * (r + 1) // 2) + list(coeffs) + [0] * tail
 
 
-def verify_block_series(census, m, sign, precision):
-    """Counts with fixed block number vs both the finite partition-number
-    formula and the pentagonal-kernel series."""
-    closed = series_by_blocks(m, sign, precision)
-    ns = range(1, precision + 1)
-    counts = [count_by_blocks(census, n, m, sign) for n in ns]
-    discs = [_first_discrepancy(counts, [block_count_formula(n, m, sign) for n in ns],
-                                1, side="formula"),
-             _first_discrepancy(counts, closed.coeffs[1:], 1, side="series")]
-    disc = min(filter(None, discs), key=lambda x: x["exponent"], default=None)
-    return disc, disc and _symbols(disc["exponent"], range(m, isqrt(disc["exponent"]) + 1),
-                                   lambda b: (b.m, b.last_sign) == (m, SIGN_LETTER[sign]))
+def _histogram(exponents, length=0):
+    # The coefficients of the sum of q^e over a list of exponents, at least
+    # ``length`` of them.
+    counts = Counter(exponents)
+    return [counts[e] for e in range(max(length, max(counts, default=-1) + 1))]
 
 
-def verify_column_series(census, d, sign, precision):
-    """Counts with fixed column number vs their closed form."""
-    closed = series_by_columns(d, sign, precision)
-    counts = [count_by_columns(census, n, d, sign) for n in range(1, precision + 1)]
-    disc = _first_discrepancy(counts, closed.coeffs[1:], 1)
-    return disc, disc and _symbols(disc["exponent"], [d],
-                                   lambda b: b.last_sign == SIGN_LETTER[sign])
-
-
-def verify_euler_expansion(partitions, m, precision):
-    """Truncated pentagonal kernel times the partition product vs one plus the
-    signed sum of the exact closed forms over every column count, for both
-    sign variants.  ``partitions`` may run past ``precision``; the check reads
-    only its own prefix."""
-    if partitions.precision < precision:
-        raise LookupError(f"the partition product stops at q^{partitions.precision}, "
+def _kernel_times_product(product, m, precision):
+    """cor-1.3's left side, one row per sign variant: the truncated pentagonal
+    kernel times the partition product, of which it reads only its own prefix."""
+    if product.precision < precision:
+        raise LookupError(f"the partition product stops at q^{product.precision}, "
                           f"short of q^{precision}")
-    sign_factor = 1 if m % 2 == 1 else -1
+    return [({"variant": v}, _times_kernel(product.coeffs[:precision + 1], m, v)) for v in SIGNS]
+
+
+def _one_plus_signed_sums(_, m, precision):
+    """cor-1.3's right side, one row per sign variant: one plus the signed sum
+    of the exact closed forms over every column count."""
     sums = series_exact_sums(m, precision)
-
-    def discrepancy(variant):
-        lhs = _times_kernel(partitions.coeffs[:precision + 1], m, variant)
-        rhs = [sign_factor * c for c in sums[variant].coeffs]
-        rhs[0] += 1
-        return _first_discrepancy(lhs, rhs, variant=variant)
-
-    return next(filter(None, map(discrepancy, SIGNS)), None), ()
+    return [({"variant": variant}, [(k == 0) + (-1) ** (m + 1) * c
+                                    for k, c in enumerate(sums[variant].coeffs)])
+            for variant in SIGNS]
 
 
-def verify_qbinomial_column_sum(d):
-    """Signed Gaussian-binomial column sum as an exact polynomial identity,
-    both sides multiplied by (1 + q^d)."""
-    lhs, rhs = qbinomial_column_sum_sides(d)
-    return _first_discrepancy(lhs.coeffs, rhs.coeffs), ()
-
-
-# ----------------------------------------------------------------------
-# marked-path generating functions
-# ----------------------------------------------------------------------
-
-
-def _compare_path_gf(gf, objects, shift, closed):
-    """Exact polynomial comparison of the path polynomial ``gf`` (sum q^vmr, a
-    coefficient list) against q^shift times the coefficients ``closed``, both
-    padded with zeros to one length.  ``objects`` lists the paths behind
-    ``gf``; it is called only on failure, for the candidates."""
-    closed = [0] * shift + list(closed)
-    length = max(len(gf), len(closed))
-    disc = _first_discrepancy(gf + [0] * (length - len(gf)),
-                              closed + [0] * (length - len(closed)))
-    return disc, disc and (p.bar_string() if vmr(p) == disc["exponent"] else None
-                           for p in objects())
-
-
-def _ballot_read(s, t, r):
-    # The path-table read of lemma-2.2 at (s, t, r).
-    if not s > t >= 0:
-        raise ValueError(f"need s > t >= 0, got s={s}, t={t}")
-    return s, t, r, False
-
-
-def _dyck_read(s, r, exact=False):
-    # The path-table read of lemma-2.4 at (s, r), or with ``exact`` of cor-2.5.
-    if s < 1:
-        raise ValueError("s must be positive")
-    return s, s, r, exact
-
-
-def verify_ballot_gf(paths, s, t, r):
-    """Marked ballot paths with at least r marks vs the shifted bracket."""
-    return _compare_path_gf(marked_path_coeffs(paths, *_ballot_read(s, t, r)),
-                            lambda: enumerate_marked_paths(s, t, r),
-                            r * (r + 1) // 2, qbinomial(s + t, s + r).coeffs)
-
-
-def verify_dyck_gf(paths, s, r):
-    """Marked Dyck paths with at least r marks vs the shifted bracket."""
-    return _compare_path_gf(marked_path_coeffs(paths, *_dyck_read(s, r)),
-                            lambda: enumerate_marked_paths(s, s, r),
-                            r * (r + 1) // 2, qbinomial(2 * s - 1, s + r).coeffs)
-
-
-def verify_exact_mark_gf(paths, s, r):
-    """Dyck paths with exactly r marks: gf * (1 - q^s) vs the bracket form,
-    multiplied through so both sides stay polynomial."""
-    lhs = marked_path_coeffs(paths, *_dyck_read(s, r, exact=True)) + [0] * s
-    _times_one_minus(lhs, s)
-    rhs = list(qbinomial(2 * s, s + r + 1).coeffs) + [0] * (r + 1)
-    _times_one_minus(rhs, r + 1)
-    return _compare_path_gf(lhs, lambda: enumerate_exact_marks(s, r), r * (r + 1) // 2, rhs)
-
-
-# ----------------------------------------------------------------------
-# poset-partition and word/path identities
-# ----------------------------------------------------------------------
-
-
-def verify_poset_partition_gf(beta, precision):
-    """Weight histogram of order-reversing assignments vs the descent series
-    over linear extensions divided by the length-2d Pochhammer product: the
-    maj counts, then 2d ascending passes, one per factor 1/(1 - q^a)."""
+def _extension_maj_over_pochhammer(_, beta, precision):
+    """prop-3.9's right side: the descent counts over linear extensions divided
+    by the length-2d Pochhammer product, one ascending pass per factor."""
     structure = build_s_beta(beta)
-    hist = enumerate_poset_partitions(structure, precision)
-    series = [0] * (precision + 1)
-    for w in linear_extensions(structure):
-        e = maj_word(w)
-        if e <= precision:
-            series[e] += 1
+    row = _histogram([e for e in map(maj_word, linear_extensions(structure)) if e <= precision],
+                     precision + 1)
     for a in range(1, structure.size + 1):
-        _over_one_minus(series, a)
-    disc = _first_discrepancy(hist, series)
-    return disc, disc and (p.to_json_dict() if p.weight == disc["exponent"] else None
-                           for p in iter_poset_partitions(structure, disc["exponent"]))
+        _over_one_minus(row, a)
+    return [({}, row)]
 
 
-def verify_word_path_gf(beta):
-    """Descent statistic over linear extensions vs the shifted valley statistic
-    over Dyck paths with the prescribed marked returns; also checks that the
-    word-to-path map is a bijection onto that path family, and if not, offers
-    the paths that no word reaches."""
+def _listing(beta):
+    """prop-3.10's objects for one composition: the words of the linear
+    extensions of S_beta, the Dyck paths with marked returns at the inner
+    partial sums of beta, and the shift of their maj, twice the sum of those
+    positions."""
     structure = build_s_beta(beta)
-    sums = structure.beta.partial_sums
-    positions = sums[1:-1]
-    shift = 2 * sum(positions)
-    words = linear_extensions(structure)
-    paths = list(enumerate_fixed_returns(structure.beta.d, positions))
-    word_exps = [maj_word(w) for w in words]
-    path_exps = [maj_path(p) - shift for p in paths]
-    precision = max(word_exps + path_exps, default=0)
-    lhs = [0] * (precision + 1)
-    for e in word_exps:
-        lhs[e] += 1
-    rhs = [0] * (precision + 1)
-    for e in path_exps:
-        rhs[e] += 1
-    disc = _first_discrepancy(lhs, rhs)
-    if disc:
-        return disc, (" ".join(map(str, w.word)) if maj_word(w) == disc["exponent"] else None
-                      for w in words)
-    images = [word_to_dyck(w) for w in words]
-    reached = set(images)
-    if len(reached) != len(images) or reached != set(paths):
-        disc = {"exponent": None, "expected": len(paths), "actual": len(reached),
-                "detail": "word-to-path images do not match the path family"}
-        return disc, (None if p in reached else p.bar_string() for p in paths)
-    return None, ()
+    positions = structure.beta.partial_sums[1:-1]
+    return (linear_extensions(structure),
+            list(enumerate_fixed_returns(structure.beta.d, positions)), 2 * sum(positions))
 
 
-# ----------------------------------------------------------------------
-# prefix patterns and count relations
-# ----------------------------------------------------------------------
+def _shifted_path_maj(listing, beta):
+    # prop-3.10's right side: the shifted maj over the path family.
+    _, paths, shift = listing(tuple(beta))
+    return [({}, _histogram([maj_path(p) - shift for p in paths]))]
 
 
-def verify_prefix_counts(census, m, precision):
-    """Sign-word prefix counts vs pentagonal-shifted partition numbers.
+def _word_path_bijection(listing, beta):
+    """prop-3.10's second half, run when the sides agree: the word-to-path map
+    is a bijection onto the path family, or the candidates are the paths that
+    no word reaches."""
+    words, paths, _ = listing(tuple(beta))
+    reached = {word_to_dyck(w) for w in words}
+    if len(reached) == len(words) and reached == set(paths):
+        return None, ()
+    return ({"exponent": None, "expected": len(paths), "actual": len(reached),
+             "detail": "word-to-path images do not match the path family"},
+            (None if p in reached else p.bar_string() for p in paths))
 
-    For each terminal letter, partitions whose alternating sign word starts
-    with the length-m pattern or the length-(m+1) pattern (two disjoint
-    classes) together number p(n - (3m^2 -+ m)/2).
-    """
+
+def _row(labels, precision, *terms, side=0):
+    # One labelled row at n = 1..precision: the term of ``side``, a function
+    # of n.  The sides of a target whose rows run over shared instances give
+    # both terms of each, 0 the left's and 1 the right's.
+    return labels, [terms[side](n) for n in range(1, precision + 1)]
+
+
+def _patterns(m, letter):
+    # thm-5.1's two disjoint prefix classes for one last letter.
     if m < 1:
         raise ValueError("m must be positive")
-    ns = range(1, precision + 1)
-    cases = ((NEGATIVE, (3 * m * m - m) // 2), (POSITIVE, (3 * m * m + m) // 2))
-    for letter, offset in cases:
-        patterns = (alternating_sign_word(m, letter), alternating_sign_word(m + 1, letter))
-        counts = [sum(count_prefix_pattern(census, n, pattern) for pattern in patterns)
-                  for n in ns]
-        disc = _first_discrepancy(counts, [partition_number_or_zero(n - offset) for n in ns],
-                                  1, last_letter=letter)
-        if disc:
-            n = disc["exponent"]
-            return disc, _symbols(n, range(m, isqrt(n) + 1),
-                                  lambda b: b.sign_word.startswith(patterns))
-    return None, ()
+    return alternating_sign_word(m, letter), alternating_sign_word(m + 1, letter)
 
 
-def _count_relations(census, precision, max_m, max_d):
-    # (lhs, rhs, labels) for every instance of the three relations, in order.
-    ns = range(1, precision + 1)
-    for m in range(1, max_m + 1):
-        lo = (3 * m * m - m) // 2
-        hi = (3 * m * m + m) // 2
-        yield ([count_by_blocks(census, n, m, MINUS) - count_by_blocks(census, n, m, PLUS)
-                for n in ns],
-               [partition_number_or_zero(n - lo) - partition_number_or_zero(n - hi)
-                for n in ns],
-               {"item": 1, "m": m})
-    for d in range(1, max_d + 1):
-        for m in range(1, d + 1):
-            yield ([count_exact(census, n, d, m, MINUS) for n in ns],
-                   [count_exact(census, n + d, d, m, PLUS) for n in ns],
-                   {"item": 2, "d": d, "m": m})
-    for d in range(1, max_d + 1):
-        yield ([count_by_columns(census, n, d, MINUS) - count_by_columns(census, n, d, PLUS)
-                for n in ns],
-               [sum(count_all_columns(census, n - 2 * d * j + 1, d - 1)
-                    for j in range(1, (n + 1) // (2 * d) + 1)) for n in ns],
-               {"item": 3, "d": d})
+def _prefix_rows(census, m, precision, side):
+    # thm-5.1's rows, for the last letter N, then P: the partitions whose
+    # alternating sign word starts with the length-m or the length-(m+1)
+    # pattern, against p(n - (3m^2 -+ m)/2).
+    return [_row({"last_letter": letter}, precision,
+                 lambda n: sum(count_prefix_pattern(census, n, p) for p in _patterns(m, letter)),
+                 lambda n: partition_number_or_zero(n - offset), side=side)
+            for letter, offset in ((NEGATIVE, m * (3 * m - 1) // 2),
+                                   (POSITIVE, m * (3 * m + 1) // 2))]
 
 
-def verify_count_relations(census, precision, max_m, max_d):
-    """Three relations between the count families, all by double enumeration:
-    (1) the minus/plus by-blocks difference equals a difference of shifted
-    partition numbers, (2) the minus counts shift into plus counts at n + d,
-    (3) the by-columns minus/plus difference telescopes into counts one column
-    narrower."""
-    discs = (_first_discrepancy(lhs, rhs, 1, **labels)
-             for lhs, rhs, labels in _count_relations(census, precision, max_m, max_d))
-    return next(filter(None, discs), None), ()
-
-
-def verify_partition_unity(census, precision):
-    """Every nonempty partition is counted once over all (d, m, sign) classes."""
-    totals = [sum(count_exact(census, n, d, m, sign) for d in range(1, isqrt(n) + 1)
-                  for m in range(1, d + 1) for sign in SIGNS)
-              for n in range(1, precision + 1)]
-    disc = _first_discrepancy(totals, [partition_number(n) for n in range(1, precision + 1)], 1)
-    return disc, ()
+def _relation_rows(census, precision, max_m, max_d, side):
+    # remarks' rows, one per instance of its three relations, in order: (1)
+    # the minus/plus by-blocks difference against partition numbers shifted by
+    # (3m^2 -+ m)/2, (2) the minus counts against the plus counts at n + d,
+    # (3) the minus/plus by-columns difference against the counts one column
+    # narrower, summed over steps of 2d.
+    return ([_row({"item": 1, "m": m}, precision,
+                  lambda n: (count_by_blocks(census, n, m, MINUS)
+                             - count_by_blocks(census, n, m, PLUS)),
+                  lambda n: (partition_number_or_zero(n - (3 * m * m - m) // 2)
+                             - partition_number_or_zero(n - (3 * m * m + m) // 2)), side=side)
+             for m in range(1, max_m + 1)]
+            + [_row({"item": 2, "d": d, "m": m}, precision,
+                    lambda n: count_exact(census, n, d, m, MINUS),
+                    lambda n: count_exact(census, n + d, d, m, PLUS), side=side)
+               for d in range(1, max_d + 1) for m in range(1, d + 1)]
+            + [_row({"item": 3, "d": d}, precision,
+                    lambda n: (count_by_columns(census, n, d, MINUS)
+                               - count_by_columns(census, n, d, PLUS)),
+                    lambda n: sum(count_all_columns(census, n - 2 * d * j + 1, d - 1)
+                                  for j in range(1, (n + 1) // (2 * d) + 1)), side=side)
+               for d in range(1, max_d + 1)])
 
 
 # ----------------------------------------------------------------------
@@ -373,19 +242,36 @@ def verify_partition_unity(census, precision):
 # ----------------------------------------------------------------------
 
 
-class Spec(namedtuple("Spec", "check bounds axes args where table",
-                      defaults=(lambda bounds: {}, lambda point, bounds: True, None))):
-    """One target: its check, its bounds (bound name -> default), the grid axes
-    it sweeps (axis name -> values, or a function of the bounds giving them),
-    the check arguments read from the bounds, and the constraint a grid point
-    must meet, given the point and the bounds.  A setting names a bound, which
-    it moves, or an axis, which it fixes to one value.  Those functions are
-    handed only the bounds declared here.  A target whose check reads a
-    run-wide table, taken as its first argument, declares ``table = (build,
-    ask)``: ``ask`` maps a grid point to what the check reads (a census reach
+Side = namedtuple("Side", "kind path rows")
+ENUMERATION, CLOSED = "enumeration", "closed"  # the two kinds of side
+
+
+class Spec(namedtuple("Spec", "sides bounds axes args where table candidates also",
+                      defaults=(lambda bounds: {}, lambda point, bounds: True, None,
+                                lambda n, disc, **point: (), lambda table, **point: (None, ())))):
+    """One target.  ``sides`` is ``(left, right)``, each a :class:`Side`: a
+    kind, :data:`ENUMERATION` (it lists or counts objects) or :data:`CLOSED`
+    (it evaluates closed forms), the name of its code path, and ``rows(table,
+    **point)``, which returns its coefficient rows as a list of ``(labels,
+    coefficients)``.  A side looks up what it calls as a global of this
+    module when it runs.  Then the bounds (bound name -> default), the grid
+    axes (axis name -> values, or a function of the bounds giving them), the
+    point arguments read from the bounds, and the constraint a grid point
+    must meet, given the point and the bounds.  A setting names a bound,
+    which it moves, or an axis, which it fixes to one value.  Those functions
+    are handed only the bounds declared here.
+
+    A target whose sides read a run-wide table declares ``table = (build,
+    ask)``: ``ask`` maps a grid point to what the sides read (a census reach
     ``{d: the largest n read}``, a product precision, or a path read ``(s, t,
-    r, exact)``) and refuses a point the check refuses; ``build`` makes one
-    table from a list of asks."""
+    r, exact)``) and refuses a point the sides refuse; ``build`` makes one
+    table from a list of asks.  Other targets' sides get None as ``table``.
+    ``candidates(n, discrepancy, **point)`` lists the enumeration side's
+    objects for the witness search of a discrepancy at q^n, each the rendered
+    witness or None.
+    ``also(table, **point)`` is a further check, run when the sides agree,
+    for what rows cannot state; it returns a discrepancy or None, and
+    candidates."""
 
     __slots__ = ()
 
@@ -416,52 +302,133 @@ def _census(reaches):
     return census
 
 
-def _product(precisions):
-    """The partition product at the largest of a list of precisions."""
-    return euler_inverse(max(precisions))
-
-
 def _paths(reads):
     """The marked-path table for a list of reads: one DP for all of them."""
     return marked_path_table(reads)
+
+
+def _ballot_read(s, t, r):
+    # The path-table read of lemma-2.2 at (s, t, r).
+    if not s > t >= 0:
+        raise ValueError(f"need s > t >= 0, got s={s}, t={t}")
+    return s, t, r, False
+
+
+def _dyck_read(s, r, exact=False):
+    # The path-table read of lemma-2.4 at (s, r), or with ``exact`` of cor-2.5.
+    if s < 1:
+        raise ValueError("s must be positive")
+    return s, s, r, exact
 
 
 _OWN_COLUMN = (_census, lambda p: {p["d"]: p["precision"]})
 _EVERY_COLUMN = (_census, _every_column)
 
 SPECS = {
-    "thm-main": Spec(verify_exact_series, {"precision": 40, "max_d": 5, "max_m": 5},
-                     {"d": _upto("max_d"), "m": _upto("max_m"), "sign": SIGNS},
-                     _precision, lambda p, bounds: p["m"] <= p["d"], _OWN_COLUMN),
-    "thm-1.2": Spec(verify_block_series, {"precision": 40, "max_m": 5},
-                    {"m": _upto("max_m"), "sign": SIGNS}, _precision, table=_EVERY_COLUMN),
-    "thm-1.4": Spec(verify_column_series, {"precision": 40, "max_d": 5},
-                    {"d": _upto("max_d"), "sign": SIGNS}, _precision, table=_OWN_COLUMN),
-    "cor-1.3": Spec(verify_euler_expansion, {"precision": 40, "max_m": 5},
-                    {"m": _upto("max_m")}, _precision,
-                    table=(_product, lambda p: p["precision"])),
-    "cor-1.5": Spec(verify_qbinomial_column_sum, {}, {"d": range(1, 11)}),
-    "lemma-2.2": Spec(verify_ballot_gf, {"max_s": 6},
-                      {"s": lambda bounds: range(1, 2 * bounds["max_s"] + 1),
+    "thm-main": Spec(
+        (Side(ENUMERATION, "census", lambda census, d, m, sign, precision: [
+            _row({}, precision, lambda n: count_exact(census, n, d, m, sign))]),
+         Side(CLOSED, "series_exact", lambda _, d, m, sign, precision: [
+             ({}, series_exact(d, m, sign, precision).coeffs[1:])])),
+        {"precision": 40, "max_d": 5, "max_m": 5},
+        {"d": _upto("max_d"), "m": _upto("max_m"), "sign": SIGNS},
+        _precision, lambda p, bounds: p["m"] <= p["d"], _OWN_COLUMN,
+        lambda n, _, d, m, sign, precision: _symbols(
+            n, [d], lambda b: (b.m, b.last_sign) == (m, SIGN_LETTER[sign]))),
+    "thm-1.2": Spec(
+        # the counts, once against each closed row
+        (Side(ENUMERATION, "census", lambda census, m, sign, precision: 2 * [
+            _row({}, precision, lambda n: count_by_blocks(census, n, m, sign))]),
+         Side(CLOSED, "block_count_formula, series_by_blocks", lambda _, m, sign, precision: [
+             _row({"side": "formula"}, precision, lambda n: block_count_formula(n, m, sign)),
+             ({"side": "series"}, series_by_blocks(m, sign, precision).coeffs[1:])])),
+        {"precision": 40, "max_m": 5}, {"m": _upto("max_m"), "sign": SIGNS}, _precision,
+        table=_EVERY_COLUMN, candidates=lambda n, _, m, sign, precision: _symbols(
+            n, range(m, isqrt(n) + 1), lambda b: (b.m, b.last_sign) == (m, SIGN_LETTER[sign]))),
+    "thm-1.4": Spec(
+        (Side(ENUMERATION, "census", lambda census, d, sign, precision: [
+            _row({}, precision, lambda n: count_by_columns(census, n, d, sign))]),
+         Side(CLOSED, "series_by_columns", lambda _, d, sign, precision: [
+             ({}, series_by_columns(d, sign, precision).coeffs[1:])])),
+        {"precision": 40, "max_d": 5}, {"d": _upto("max_d"), "sign": SIGNS}, _precision,
+        table=_OWN_COLUMN, candidates=lambda n, _, d, sign, precision: _symbols(
+            n, [d], lambda b: b.last_sign == SIGN_LETTER[sign])),
+    "cor-1.3": Spec(
+        (Side(CLOSED, "kernel times euler_inverse", _kernel_times_product),
+         Side(CLOSED, "series_exact_sums", _one_plus_signed_sums)),
+        {"precision": 40, "max_m": 5}, {"m": _upto("max_m")}, _precision,
+        # the partition product at the largest precision asked for
+        table=(lambda precisions: euler_inverse(max(precisions)), lambda p: p["precision"])),
+    "cor-1.5": Spec(
+        (Side(CLOSED, "column sum", lambda _, d: [({}, qbinomial_column_sum_sides(d)[0].coeffs)]),
+         Side(CLOSED, "bracket", lambda _, d: [({}, qbinomial_column_sum_sides(d)[1].coeffs)])),
+        {}, {"d": range(1, 11)}),
+    "lemma-2.2": Spec(
+        (Side(ENUMERATION, "path table", lambda paths, s, t, r: [
+            ({}, marked_path_coeffs(paths, *_ballot_read(s, t, r)))]),
+         Side(CLOSED, "shifted bracket", lambda _, s, t, r: [
+             ({}, _shifted(r, qbinomial(s + t, s + r).coeffs))])),
+        {"max_s": 6}, {"s": lambda bounds: range(1, 2 * bounds["max_s"] + 1),
                        "t": lambda bounds: range(bounds["max_s"]), "r": range(7)},
-                      where=lambda p, bounds: p["t"] < p["s"] <= 2 * bounds["max_s"] - p["t"],
-                      table=(_paths, lambda p: _ballot_read(**p))),
-    "lemma-2.4": Spec(verify_dyck_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)},
-                      table=(_paths, lambda p: _dyck_read(**p))),
-    "cor-2.5": Spec(verify_exact_mark_gf, {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)},
-                    table=(_paths, lambda p: _dyck_read(**p, exact=True))),
-    "prop-3.9": Spec(verify_poset_partition_gf, {"max_d": 4, "precision": 20},
-                     {"beta": _compositions_upto}, _precision),
-    "prop-3.10": Spec(verify_word_path_gf, {"max_d": 5}, {"beta": _compositions_upto}),
-    "thm-5.1": Spec(verify_prefix_counts, {"precision": 30}, {"m": range(1, 5)}, _precision,
-                    table=_EVERY_COLUMN),
-    "remarks": Spec(verify_count_relations, {"precision": 30, "max_d": 4}, {},
-                    lambda bounds: {**_precision(bounds), "max_m": 4, "max_d": bounds["max_d"]},
-                    # relation (2) reads count_exact(n + d, ...) up to precision + d
-                    table=(_census, lambda p: {**_every_column(p), **{
-                        d: p["precision"] + d for d in range(1, p["max_d"] + 1)}})),
-    "partition-unity": Spec(verify_partition_unity, {"precision": 30}, {}, _precision,
-                            table=_EVERY_COLUMN),
+        where=lambda p, bounds: p["t"] < p["s"] <= 2 * bounds["max_s"] - p["t"],
+        table=(_paths, lambda p: _ballot_read(**p)),
+        candidates=lambda n, _, s, t, r: _at_vmr(n, enumerate_marked_paths(s, t, r))),
+    "lemma-2.4": Spec(
+        (Side(ENUMERATION, "path table", lambda paths, s, r: [
+            ({}, marked_path_coeffs(paths, *_dyck_read(s, r)))]),
+         Side(CLOSED, "shifted bracket", lambda _, s, r: [
+             ({}, _shifted(r, qbinomial(2 * s - 1, s + r).coeffs))])),
+        {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)},
+        table=(_paths, lambda p: _dyck_read(**p)),
+        candidates=lambda n, _, s, r: _at_vmr(n, enumerate_marked_paths(s, s, r))),
+    # Both sides times (1 - q^s)(1 - q^(r+1)), so that both stay polynomials.
+    "cor-2.5": Spec(
+        (Side(ENUMERATION, "path table", lambda paths, s, r: [({}, _times_one_minus(
+            marked_path_coeffs(paths, *_dyck_read(s, r, exact=True)) + [0] * s, s))]),
+         Side(CLOSED, "shifted bracket", lambda _, s, r: [({}, _times_one_minus(
+             _shifted(r, qbinomial(2 * s, s + r + 1).coeffs, r + 1), r + 1))])),
+        {"max_s": 6}, {"s": _upto("max_s"), "r": range(7)},
+        table=(_paths, lambda p: _dyck_read(**p, exact=True)),
+        candidates=lambda n, _, s, r: _at_vmr(n, enumerate_exact_marks(s, r))),
+    "prop-3.9": Spec(
+        (Side(ENUMERATION, "poset-partition DP", lambda _, beta, precision: [
+            ({}, enumerate_poset_partitions(build_s_beta(beta), precision))]),
+         Side(ENUMERATION, "linear extensions", _extension_maj_over_pochhammer)),
+        {"max_d": 4, "precision": 20}, {"beta": _compositions_upto}, _precision,
+        candidates=lambda n, _, beta, precision: (
+            p.to_json_dict() if p.weight == n else None
+            for p in iter_poset_partitions(build_s_beta(beta), n))),
+    "prop-3.10": Spec(
+        (Side(ENUMERATION, "linear extensions", lambda listing, beta: [
+            ({}, _histogram([maj_word(w) for w in listing(tuple(beta))[0]]))]),
+         Side(ENUMERATION, "fixed-return paths", _shifted_path_maj)),
+        {"max_d": 5}, {"beta": _compositions_upto}, also=_word_path_bijection,
+        # both families of a composition, listed once for its sides and its
+        # bijection check; only the last composition's are kept
+        table=(lambda betas: lru_cache(1)(_listing), lambda p: p["beta"]),
+        candidates=lambda n, _, beta: (" ".join(map(str, w.word)) if maj_word(w) == n else None
+                                       for w in linear_extensions(build_s_beta(beta)))),
+    "thm-5.1": Spec(
+        (Side(ENUMERATION, "census", partial(_prefix_rows, side=0)),
+         Side(CLOSED, "partition_number", partial(_prefix_rows, side=1))),
+        {"precision": 30}, {"m": range(1, 5)}, _precision, table=_EVERY_COLUMN,
+        candidates=lambda n, disc, m, precision: _symbols(n, range(m, isqrt(n) + 1), lambda b: (
+            b.sign_word.startswith(_patterns(m, disc["last_letter"]))))),
+    "remarks": Spec(
+        (Side(ENUMERATION, "census", partial(_relation_rows, side=0)),
+         Side(ENUMERATION, "census, partition_number", partial(_relation_rows, side=1))),
+        {"precision": 30, "max_d": 4}, {},
+        lambda bounds: {**_precision(bounds), "max_m": 4, "max_d": bounds["max_d"]},
+        # relation (2) reads count_exact(n + d, ...) up to precision + d
+        table=(_census, lambda p: {**_every_column(p), **{
+            d: p["precision"] + d for d in range(1, p["max_d"] + 1)}})),
+    "partition-unity": Spec(
+        (Side(ENUMERATION, "census", lambda census, precision: [_row({}, precision, lambda n: sum(
+            count_exact(census, n, d, m, sign)
+            for d in range(1, isqrt(n) + 1) for m in range(1, d + 1) for sign in SIGNS))]),
+         Side(CLOSED, "partition_number", lambda _, precision: [
+             _row({}, precision, partition_number)])),
+        {"precision": 30}, {}, _precision, table=_EVERY_COLUMN),
 }
 
 
@@ -530,26 +497,50 @@ def grid_points(name, settings=None):
 WITNESS_SCAN_BUDGET = 200_000
 
 
+def _discrepancies(name, point, left, right):
+    """The discrepancies between two sides' rows, in the order the rule reads
+    them.  The rows pair up in order, and each pair is read from its lowest
+    exponent; a discrepancy carries both rows' labels, the left row's
+    coefficient as the expected one.  At a point with a ``precision`` the
+    rows are series truncated there, so paired rows must be equally long,
+    each ending at q^precision; a row or a coefficient short is a fault of
+    the program, not a failed check.  At any other point they are
+    polynomials from q^0, padded with zeros to one length, and a missing row
+    is the zero polynomial."""
+    precision = point.get("precision")
+    for (left_labels, lhs), (right_labels, rhs) in zip_longest(left, right, fillvalue=({}, ())):
+        if precision is not None and len(lhs) != len(rhs):
+            raise RuntimeError(f"{name} at {point}: rows of lengths {len(lhs)} and {len(rhs)}")
+        start = 0 if precision is None else precision + 1 - len(lhs)
+        yield from ({"exponent": n, "expected": e, "actual": a, **left_labels, **right_labels}
+                    for n, (e, a) in enumerate(zip_longest(lhs, rhs, fillvalue=0), start)
+                    if e != a)
+
+
 def run_check(name, table=None, /, **point):
     """Run target ``name``'s check at one grid point and build its report:
     the check's time, the target name, ``point`` as the parameters, and the
-    status.  A check returns ``(first_discrepancy, candidates)``, the first
-    None when its two sides agree.  On failure ``candidates`` is a lazy
-    stream, one entry per object the enumeration side lists: the rendered
-    witness or None.  The report keeps the first five witnesses listed within
+    status.  The check calls the left side, then the right, and compares
+    their rows; if they agree, it runs the target's ``also``.  On failure it
+    searches the candidates and keeps the first five witnesses listed within
     :data:`WITNESS_SCAN_BUDGET` objects; a search that stops at the budget
-    says so in ``witness_search``.  A check that reads a run-wide table reads
-    ``table``; when it is not given, it is built for the point's own ask
-    before the clock starts."""
+    says so in ``witness_search``.  The sides of a target with a run-wide
+    table read ``table``; when it is not given, it is built for the point's
+    own ask before the clock starts."""
     spec = SPECS[name]
-    inputs = []
-    if spec.table:
+    if spec.table and table is None:
         build, ask = spec.table
-        inputs.append(build([ask(point)]) if table is None else table)
+        table = build([ask(point)])
     started = time.perf_counter()
-    discrepancy, candidates = spec.check(*inputs, **point)
+    # the first discrepancy, if any, by the one rule
+    discrepancy = next(_discrepancies(name, point, *(side.rows(table, **point)
+                                                     for side in spec.sides)), None)
+    if discrepancy is None:
+        discrepancy, candidates = spec.also(table, **point)
+    else:
+        candidates = spec.candidates(discrepancy["exponent"], discrepancy, **point)
     witnesses = []
-    for listed, witness in enumerate(candidates or (), 1):
+    for listed, witness in enumerate(candidates, 1):
         if witness is not None:
             witnesses.append(witness)
             if len(witnesses) == 5:
@@ -558,9 +549,8 @@ def run_check(name, table=None, /, **point):
             discrepancy["witness_search"] = f"stopped after {WITNESS_SCAN_BUDGET} listed objects"
             break
     elapsed = time.perf_counter() - started
-    if discrepancy is None:
-        return VerificationReport(name, point, "pass", None, elapsed)
-    return VerificationReport(name, point, "fail", discrepancy, elapsed, witnesses)
+    status = "pass" if discrepancy is None else "fail"
+    return VerificationReport(name, point, status, discrepancy, elapsed, witnesses)
 
 
 def _sweep(name, points, table):
@@ -582,10 +572,6 @@ def target_names(targets="all") -> list:
         raise ValueError(f"unknown verification targets: {unknown}; "
                          f"known: {sorted(TARGETS)}")
     return names
-
-
-def _parameters_key(point):
-    return json.dumps(point, sort_keys=True)
 
 
 def iter_reports(targets="all", settings=None):
@@ -614,7 +600,8 @@ def iter_reports(targets="all", settings=None):
     # point, so running the points in canonical order yields the reports in
     # canonical order.
     grids = {name: grid_points(name, settings) for name in names}
-    grids = {name: sorted(grids[name], key=_parameters_key) for name in sorted(grids)}
+    grids = {name: sorted(grids[name], key=lambda p: json.dumps(p, sort_keys=True))
+             for name in sorted(grids)}
     builds = {name: SPECS[name].table[0] for name in grids if SPECS[name].table}
     asks = {}
     for name, build in builds.items():

@@ -626,6 +626,23 @@ def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
     assert err == "rankblocks: internal error: KeyError: 'census slot'\n"
 
 
+def test_a_side_short_of_a_coefficient_exits_3_with_one_line(capsys, monkeypatch):
+    # A closed form one coefficient short is a fault of the program, not a
+    # usage error (2) nor a failed check (1): the comparison names the target,
+    # the point and both lengths.
+    import rankblocks.verify as verify_mod
+    from rankblocks.qseries import QSeries, series_exact
+
+    monkeypatch.setattr(verify_mod, "series_exact", lambda d, m, sign, precision: QSeries(
+        series_exact(d, m, sign, precision).coeffs[:-1]))
+    code, out, err = run_cli(capsys, "verify", "--targets", "thm-main", "--d", "1", "--m", "1",
+                             "--sign", "plus")
+    assert code == 3
+    assert out == ""
+    assert err == ("rankblocks: internal error: RuntimeError: thm-main at {'d': 1, 'm': 1, "
+                   "'sign': 'plus', 'precision': 40}: rows of lengths 40 and 39\n")
+
+
 def _default_sigint():
     # A suite started with SIGINT ignored, as a background job of a
     # non-interactive shell is, would pass the ignored signal on to the child,

@@ -12,7 +12,9 @@ from rankblocks.qseries import (
     MINUS,
     PLUS,
     QSeries,
+    _over_one_minus,
     _times_kernel,
+    _times_one_minus,
     block_count_formula,
     euler_inverse,
     partition_number,
@@ -184,6 +186,19 @@ def test_invert_unit_is_two_sided_inverse(unit, tail):
     assert a * a.invert_unit() == one
     assert a.invert_unit() * a == one
     assert list(a.invert_unit().coeffs) == inverse([unit, *tail])
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=12), st.integers(1, 13))
+@settings(max_examples=100)
+def test_list_passes_are_the_oracle_products(coeffs, a):
+    # The in-place passes by (1 - q^a) and 1/(1 - q^a), which verify also lets
+    # an enumeration side use (tests/test_sides.py), against oracle products.
+    factor = one_minus(a, len(coeffs) - 1)
+    times, over = list(coeffs), list(coeffs)
+    assert _times_one_minus(times, a) is times
+    assert times == mul(coeffs, factor)
+    _over_one_minus(over, a)
+    assert over == mul(coeffs, inverse(factor))
 
 
 def test_json_round_trip():

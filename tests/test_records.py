@@ -50,10 +50,11 @@ RECORDS = {
         "first_discrepancy={'exponent': 2}, elapsed=0.5, witnesses=['w'])"),
     # Module-level callables, so that the record pickles by reference, and
     # tuples for the bound and axis dicts, so that it hashes.
-    "Spec": (Spec, lambda: {"check": len, "bounds": (), "axes": (), "args": dict,
-                            "where": max, "table": None},
-             "Spec(check=<built-in function len>, bounds=(), axes=(), "
-             "args=<class 'dict'>, where=<built-in function max>, table=None)"),
+    "Spec": (Spec, lambda: {"sides": (), "bounds": (), "axes": (), "args": dict,
+                            "where": max, "table": None, "candidates": len, "also": min},
+             "Spec(sides=(), bounds=(), axes=(), args=<class 'dict'>, "
+             "where=<built-in function max>, table=None, "
+             "candidates=<built-in function len>, also=<built-in function min>)"),
 }
 UNHASHABLE = {"QSeries", "VerificationReport"}
 MUTABLE = {"VerificationReport"}
@@ -205,8 +206,10 @@ def _imported(module):
 
 
 def test_the_enumeration_side_shares_no_code_with_the_closed_forms():
-    # Each check compares an enumeration with a closed form; code the two
-    # sides shared could carry one fault into both.
+    # Code that a check's two sides shared could carry one fault into both.
+    # This is the static half of that rule, on imports; tests/test_sides.py
+    # audits what each side of each check calls at run time, including the
+    # checks that compare two closed forms or two enumerations.
     assert [name for name in _imported("qseries") if name.startswith("rankblocks")] == []
     # The records and the packed format of the enumeration DPs import no
     # package module, so none of the closed forms either.

@@ -513,14 +513,19 @@ def test_census_targets_build_no_table_past_their_reach(census_builds):
                                      for d in range(1, 13)]
 
 
+def _before_each_check(monkeypatch, name, hook):
+    # Calls ``hook`` as each check of the target starts, before its left side.
+    spec = SPECS[name]
+    left, right = spec.sides
+    rows = lambda *args, **point: hook() or left.rows(*args, **point)
+    monkeypatch.setitem(SPECS, name, spec._replace(sides=(left._replace(rows=rows), right)))
+
+
 def test_census_is_built_before_any_check_runs(monkeypatch, census_builds):
     # So a check's elapsed time does not depend on which check ran first.
     events = census_builds
     for name in ("thm-main", "thm-1.4"):
-        spec = SPECS[name]
-        check = lambda *args, _check=spec.check, **point: (
-            events.append(("check",)) or _check(*args, **point))
-        monkeypatch.setitem(SPECS, name, spec._replace(check=check))
+        _before_each_check(monkeypatch, name, lambda: events.append(("check",)))
     reports = run_reports(["thm-main", "thm-1.4"], {"precision": 60})
     assert all(r.passed for r in reports)
     kinds = [event[0] for event in events]
@@ -532,10 +537,7 @@ def test_partition_product_is_built_once_before_any_check_runs(monkeypatch, prod
     # At the largest precision any selected check reads, before the first
     # check's clock starts, as the census is.
     events = product_builds
-    spec = SPECS["cor-1.3"]
-    check = lambda *args, _check=spec.check, **point: (
-        events.append(("check",)) or _check(*args, **point))
-    monkeypatch.setitem(SPECS, "cor-1.3", spec._replace(check=check))
+    _before_each_check(monkeypatch, "cor-1.3", lambda: events.append(("check",)))
     reports = run_reports(["cor-1.3"], {"precision": 60})
     assert all(r.passed for r in reports)
     assert events == [("build", 60)] + [("check",)] * 5
@@ -564,10 +566,7 @@ def test_path_table_is_built_once_before_any_check_runs(monkeypatch, path_builds
     # clock starts, as the census and the product are.
     events = path_builds
     for name in ("lemma-2.2", "lemma-2.4", "cor-2.5"):
-        spec = SPECS[name]
-        check = lambda *args, _check=spec.check, **point: (
-            events.append(("check",)) or _check(*args, **point))
-        monkeypatch.setitem(SPECS, name, spec._replace(check=check))
+        _before_each_check(monkeypatch, name, lambda: events.append(("check",)))
     reports = run_reports(["lemma-2.2", "lemma-2.4", "cor-2.5"])
     assert all(r.passed for r in reports)
     assert events == [("build", 378)] + [("check",)] * 378
@@ -585,10 +584,8 @@ def test_one_run_builds_each_kind_of_table_once_before_any_check_runs(
             at_first_check.append((sorted(census_builds), list(product_builds),
                                    list(path_builds)))
 
-    for name, spec in SPECS.items():
-        check = lambda *args, _check=spec.check, **point: (
-            first_check_sees_the_builds() or _check(*args, **point))
-        monkeypatch.setitem(SPECS, name, spec._replace(check=check))
+    for name in SPECS:
+        _before_each_check(monkeypatch, name, first_check_sees_the_builds)
     reports = run_reports("all")
     assert len(reports) == 495 and all(r.passed for r in reports)
     builds = ([("build", d, 40) for d in range(1, 7)], [("build", 40)], [("build", 378)])
