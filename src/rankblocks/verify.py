@@ -142,9 +142,8 @@ def _one_plus_signed_sums(_, m, precision):
     """cor-1.3's right side, one row per sign variant: one plus the signed sum
     of the exact closed forms over every column count."""
     sums = series_exact_sums(m, precision)
-    return [({"variant": variant}, [(k == 0) + (-1) ** (m + 1) * c
-                                    for k, c in enumerate(sums[variant].coeffs)])
-            for variant in SIGNS]
+    return [({"variant": v}, [(k == 0) + (-1) ** (m + 1) * c
+                              for k, c in enumerate(sums[v].coeffs)]) for v in SIGNS]
 
 
 def _extension_maj_over_pochhammer(_, beta, precision):
@@ -158,7 +157,7 @@ def _extension_maj_over_pochhammer(_, beta, precision):
     return [({}, row)]
 
 
-def _listing(beta):
+def _listing(*beta):
     """prop-3.10's objects for one composition: the words of the linear
     extensions of S_beta, the Dyck paths with marked returns at the inner
     partial sums of beta, and the shift of their maj, twice the sum of those
@@ -171,7 +170,7 @@ def _listing(beta):
 
 def _shifted_path_maj(listing, beta):
     # prop-3.10's right side: the shifted maj over the path family.
-    _, paths, shift = listing(tuple(beta))
+    _, paths, shift = listing(*beta)
     return [({}, _histogram([maj_path(p) - shift for p in paths]))]
 
 
@@ -179,7 +178,7 @@ def _word_path_bijection(listing, beta):
     """prop-3.10's second half, run when the sides agree: the word-to-path map
     is a bijection onto the path family, or the candidates are the paths that
     no word reaches."""
-    words, paths, _ = listing(tuple(beta))
+    words, paths, _ = listing(*beta)
     reached = {word_to_dyck(w) for w in words}
     if len(reached) == len(words) and reached == set(paths):
         return None, ()
@@ -222,8 +221,8 @@ def _relation_rows(census, precision, max_m, max_d, side):
     return ([_row({"item": 1, "m": m}, precision,
                   lambda n: (count_by_blocks(census, n, m, MINUS)
                              - count_by_blocks(census, n, m, PLUS)),
-                  lambda n: (partition_number_or_zero(n - (3 * m * m - m) // 2)
-                             - partition_number_or_zero(n - (3 * m * m + m) // 2)), side=side)
+                  lambda n: (partition_number_or_zero(n - m * (3 * m - 1) // 2)
+                             - partition_number_or_zero(n - m * (3 * m + 1) // 2)), side=side)
              for m in range(1, max_m + 1)]
             + [_row({"item": 2, "d": d, "m": m}, precision,
                     lambda n: count_exact(census, n, d, m, MINUS),
@@ -400,7 +399,7 @@ SPECS = {
             for p in iter_poset_partitions(build_s_beta(beta), n))),
     "prop-3.10": Spec(
         (Side(ENUMERATION, "linear extensions", lambda listing, beta: [
-            ({}, _histogram([maj_word(w) for w in listing(tuple(beta))[0]]))]),
+            ({}, _histogram([maj_word(w) for w in listing(*beta)[0]]))]),
          Side(ENUMERATION, "fixed-return paths", _shifted_path_maj)),
         {"max_d": 5}, {"beta": _compositions_upto}, also=_word_path_bijection,
         # both families of a composition, listed once for its sides and its

@@ -18,7 +18,7 @@ import pytest
 import rankblocks.verify as verify_mod
 from rankblocks.partitions import build_census, count_exact
 from rankblocks.qseries import series_exact
-from rankblocks.verify import CLOSED, ENUMERATION, SPECS, grid_points
+from rankblocks.verify import CLOSED, ENUMERATION, SPECS, Spec, grid_points
 
 ENUMERATION_MODULES = {"rankblocks.partitions", "rankblocks.lattice_paths", "rankblocks.posets",
                        "rankblocks.bijections"}
@@ -96,7 +96,7 @@ def _audit(name):
 
     parts = [("left", left.kind, left_with_its_table),
              ("right", right.kind, lambda: right.rows(table, **point))]
-    if spec.also is not SPECS["thm-main"].also:  # not the default
+    if spec.also is not Spec._field_defaults["also"]:
         parts.append(("also", ENUMERATION, lambda: spec.also(table, **point)))
     return [(part, kind, _calls(run, lambda call, kind=kind: _allowed(name, kind, call)))
             for part, kind, run in parts]
