@@ -472,6 +472,21 @@ def test_word_path_collision_names_the_missed_path(monkeypatch, beta):
     assert report.witnesses == [missed]
 
 
+def test_word_path_check_lists_each_family_once(monkeypatch):
+    # Both sides and the bijection check read one listing per composition.
+    listed = []
+
+    def counted(name):
+        real = getattr(verify_mod, name)
+        return lambda *args: listed.append(name) or real(*args)
+
+    for name in ("linear_extensions", "enumerate_fixed_returns"):
+        monkeypatch.setattr(verify_mod, name, counted(name))
+    reports = run_reports(["prop-3.10"], {"max_d": 3})
+    assert len(reports) == 7 and all(r.passed for r in reports)
+    assert sorted(listed) == ["enumerate_fixed_returns"] * 7 + ["linear_extensions"] * 7
+
+
 # ----------------------------------------------------------------------
 # registry behaviour
 # ----------------------------------------------------------------------
