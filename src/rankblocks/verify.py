@@ -262,9 +262,10 @@ class Spec(namedtuple("Spec", "sides bounds axes args where table candidates als
 
     A target whose sides read a run-wide table declares ``table = (build,
     ask)``: ``ask`` maps a grid point to what the sides read (a census reach
-    ``{d: the largest n read}``, a product precision, or a path read ``(s, t,
-    r, exact)``) and refuses a point the sides refuse; ``build`` makes one
-    table from a list of asks.  Other targets' sides get None as ``table``.
+    ``{d: the largest n read}``, a product precision, a path read ``(s, t, r,
+    exact)``, or the d or beta of a one-entry memo) and refuses a point the
+    sides refuse; ``build`` makes one table from a list of asks.  Other
+    targets' sides get None as ``table``.
     ``candidates(n, discrepancy, **point)`` lists the enumeration side's
     objects for the witness search of a discrepancy at q^n, each the rendered
     witness or None.
@@ -533,7 +534,6 @@ def run_check(name, table=None, /, **point):
         build, ask = spec.table
         table = build([ask(point)])
     started = time.perf_counter()
-    # the first discrepancy, if any, by the one rule
     discrepancy = next(_discrepancies(name, point, *(side.rows(table, **point)
                                                      for side in spec.sides)), None)
     if discrepancy is None:
